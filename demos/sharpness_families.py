@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 # Walk through the cyclic sharpness systems: families built from domino
-# complements on a cycle of 2M points.  Their colorful Helly number is M+1
-# while the comatching-with-intersection number is M, so the +1 in
-# eta <= 1 + tau' cannot be dropped.
+# complements on a cycle of 2M points.  For M <= 4 their colorful Helly
+# number is M+1 while the comatching-with-intersection number is M, so the
+# +1 in eta <= 1 + tau' cannot be dropped.
 
 from comatch import (
     ColorfulInstance,

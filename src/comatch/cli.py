@@ -28,13 +28,18 @@ from typing import Optional
 
 from . import constructions, jsonio
 from .core import (
+    Comatching,
+    ComatchingWithIntersection,
     InputError,
     SetSystem,
+    Verdict,
+    intersect_subfamily,
     verify_comatching,
     verify_comatching_with_intersection,
 )
 from .linalg import RankBudgetExceeded
 from .search import (
+    DichotomyOutcome,
     SearchBudget,
     colorful_helly_number,
     colorful_transversal_dichotomy,
@@ -44,11 +49,13 @@ from .search import (
     instance_admits_empty_transversal,
     minimal_empty_subfamilies,
 )
-from .randsys import random_refutable_instance, random_system
+from .randsys import random_complex, random_refutable_instance, random_system
 from .simplicial import (
+    ComplexComatching,
     SimplicialComplex,
     complex_comatching_number,
     complex_to_set_system,
+    induced_subcomplex,
     nerve,
     verify_complex_comatching,
 )
@@ -56,7 +63,9 @@ from .topology import (
     CollapseSequence,
     LerayVerdict,
     is_d_collapsible,
+    kunneth_betti_check,
     leray_check,
+    leray_number,
     reduced_betti,
     replay_collapse_sequence,
 )
@@ -248,15 +257,17 @@ def _analyze_complex(complex_: SimplicialComplex, config: RunConfig) -> dict:
     except RankBudgetExceeded:
         profile_doc = {"status": "budget_exhausted"}
 
-    leray_value, leray_exact, witness_doc = _leray_ascent(complex_, clocks["leray"])
+    leray_value, leray_exact, witness = leray_number(complex_, clocks["leray"])
     collapse_status, sequence = is_d_collapsible(
         complex_, max(leray_value, 1), clocks["collapse"]
     )
     certificates = {
         "complex_comatching": jsonio.certificate_to_doc(cert, complex_=complex_)
     }
-    if witness_doc is not None:
-        certificates["leray_witness"] = witness_doc
+    if witness is not None:
+        certificates["leray_witness"] = jsonio.certificate_to_doc(
+            witness, complex_=complex_
+        )
     if sequence is not None:
         if not replay_collapse_sequence(complex_, sequence).ok:
             raise AssertionError("internal: collapse sequence failed replay")
@@ -279,19 +290,6 @@ def _analyze_complex(complex_: SimplicialComplex, config: RunConfig) -> dict:
     }
 
 
-def _leray_ascent(complex_: SimplicialComplex, budget) -> tuple[int, bool, Optional[dict]]:
-    d = 0
-    witness_doc = None
-    while True:
-        verdict = leray_check(complex_, d, budget)
-        if verdict.status == "holds":
-            return d, True, witness_doc
-        if verdict.status == "budget_exhausted":
-            return d, False, witness_doc
-        witness_doc = jsonio.certificate_to_doc(verdict, complex_=complex_)
-        d += 1
-
-
 # ---------------------------------------------------------------------------
 # generate
 # ---------------------------------------------------------------------------
@@ -303,7 +301,10 @@ def cmd_generate(args: argparse.Namespace, config: RunConfig) -> dict:
         m = _require_param(args, 0, "M")
         system = constructions.gen_cycle_sharpness(m)
         doc = jsonio.set_system_to_doc(system)
-        claims = {"comatching_with_intersection_number": m, "colorful_helly_number": m + 1}
+        claims = {"comatching_number": 4 * m // 3}
+        if m <= 4:
+            claims["comatching_with_intersection_number"] = m
+            claims["colorful_helly_number"] = m + 1
         params = {"M": m}
     elif name == "hamming":
         n = _require_param(args, 0, "n")
@@ -420,8 +421,6 @@ def cmd_dichotomy(system_path: str, instance_path: str, config: RunConfig) -> di
     doc = jsonio.certificate_to_doc(outcome, system=system)
     doc["instance"] = jsonio.instance_to_doc(instance, system)
     if outcome.is_transversal:
-        from .core import intersect_subfamily
-
         if intersect_subfamily(system, outcome.transversal):
             raise AssertionError("internal: transversal arm fails re-verification")
     else:
@@ -480,8 +479,6 @@ def cmd_check_theorems(config: RunConfig, n_systems: int = 120) -> tuple[dict, i
         if instance is not None:
             outcome = colorful_transversal_dichotomy(system, instance)
             if outcome.is_transversal:
-                from .core import intersect_subfamily
-
                 if intersect_subfamily(system, outcome.transversal):
                     violations.append(f"{tag}: dichotomy transversal not empty")
             else:
@@ -495,10 +492,6 @@ def cmd_check_theorems(config: RunConfig, n_systems: int = 120) -> tuple[dict, i
                     )
 
     complexes_checked = 0
-    from comatch.randsys import random_complex
-    from comatch.topology import kunneth_betti_check, leray_check, reduced_betti
-    from comatch.topology import is_d_collapsible
-
     for index in range(max(10, n_systems // 4)):
         tag = f"complex {index} (seed {config.seed})"
         complex_ = random_complex(rng, 5, 4)
@@ -574,7 +567,7 @@ def cmd_question1(
         if not exact or tau > 2:
             continue
         nerve_complex = nerve(system)
-        value, value_exact, _ = _leray_ascent(nerve_complex, budget)
+        value, value_exact, _ = leray_number(nerve_complex, budget)
         running_max = max(running_max, value)
         records.append(
             {
@@ -589,7 +582,7 @@ def cmd_question1(
         system = complex_to_set_system(torus)
         tau, _, exact = comatching_number(system, budget)
         small_budget = SearchBudget(max_nodes=20_000, max_millis=30_000)
-        value, value_exact, _ = _leray_ascent(nerve(system), small_budget)
+        value, value_exact, _ = leray_number(nerve(system), small_budget)
         running_max = max(running_max, value)
         records.append(
             {
@@ -642,10 +635,6 @@ def cmd_verify(cert_path: str, object_path: str) -> tuple[dict, int]:
         )
 
     cert = jsonio.certificate_from_doc(cert_doc, system=system, complex_=complex_)
-    from .core import Comatching, ComatchingWithIntersection, intersect_subfamily
-    from .search import DichotomyOutcome
-    from .simplicial import ComplexComatching
-
     if isinstance(cert, Comatching):
         verdict = verify_comatching(system, cert)
     elif isinstance(cert, ComatchingWithIntersection):
@@ -655,8 +644,6 @@ def cmd_verify(cert_path: str, object_path: str) -> tuple[dict, int]:
     elif isinstance(cert, CollapseSequence):
         verdict = replay_collapse_sequence(complex_, cert)
     elif isinstance(cert, DichotomyOutcome):
-        from .core import Verdict
-
         problems = []
         if intersect_subfamily(system, cert.transversal):
             problems.append("transversal intersection is nonempty")
@@ -679,9 +666,6 @@ def cmd_verify(cert_path: str, object_path: str) -> tuple[dict, int]:
 
 
 def _verify_leray_witness(complex_: SimplicialComplex, cert: LerayVerdict):
-    from .core import Verdict
-    from .simplicial import induced_subcomplex
-
     vertices, dim = cert.witness
     sub = induced_subcomplex(complex_, vertices)
     profile = reduced_betti(sub, "exact")

@@ -1,7 +1,8 @@
 """Generators for the library's named example families.
 
 Each generator produces an object whose invariants are pinned by the test
-suite: the cyclic sharpness systems (comatching number M, colorful Helly
+suite: the cyclic sharpness systems (comatching number floor(4M/3); for
+M <= 4 also comatching-with-intersection number M and colorful Helly
 number M+1), Hamming-ball systems, the four-circle plane configuration
 (comatching number 4 with common-point variant 3), interpolated
 polynomial comatchings of full dimension count, the torus grid complex,

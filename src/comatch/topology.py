@@ -25,7 +25,7 @@ from itertools import combinations
 from typing import Iterable, Optional
 
 from .core import InputError, iter_points
-from .linalg import FIELD_PRIME, RankBudgetExceeded
+from .linalg import FIELD_PRIME, RankBudgetExceeded, _rank_sparse
 from .search import Budget, as_clock
 from .simplicial import SimplicialComplex, all_faces, faces_of_dim, maximal_sets
 
@@ -157,22 +157,14 @@ def reduced_betti(
     dim = len(groups) - 2
     clock = as_clock(budget) if budget is not None else None
     rank = [0] * (dim + 3)  # rank[k] = rank of boundary from dim k-1 chains
+    prime = None if mode == "exact" else FIELD_PRIME
     for k in range(1, len(groups)):
         rows = _sparse_boundary_rows(groups[k - 1], groups[k])
-        if mode == "exact":
-            rank[k] = _rank_rows(rows, clock, exact=True)
-        else:
-            rank[k] = _rank_rows(rows, clock, exact=False)
+        rank[k] = _rank_sparse(rows, clock, prime)
     betti = tuple(
         len(groups[i + 1]) - rank[i + 1] - rank[i + 2] for i in range(dim + 1)
     )
     return HomologyProfile(betti, arithmetic, mode == "exact")
-
-
-def _rank_rows(rows, clock, exact: bool) -> int:
-    from .linalg import _rank_sparse
-
-    return _rank_sparse(list(rows), clock, prime=None if exact else FIELD_PRIME)
 
 
 def is_d_good(complex_: SimplicialComplex, d: int) -> bool:
@@ -424,7 +416,7 @@ class _SubcomplexBettiScanner:
             picked = {c: v for c, v in row.items() if c in colset}
             if picked:
                 rows.append(picked)
-        value = _rank_rows(rows, clock, exact=True)
+        value = _rank_sparse(rows, clock, None)
         self.rank_memo[key] = value
         return value
 
@@ -464,30 +456,62 @@ def leray_check(
     """
     if d < 0:
         raise InputError("Leray dimension must be nonnegative")
+    _, exact, failure = _leray_scan(complex_, d, budget, raise_floor=False)
+    if failure is not None:
+        return LerayVerdict(d, "fails", failure.witness)
+    return LerayVerdict(d, "holds" if exact else "budget_exhausted")
+
+
+def leray_number(
+    complex_: SimplicialComplex, budget: Budget = None
+) -> tuple[int, bool, Optional[LerayVerdict]]:
+    """Smallest d whose Leray check holds, as (value, exact, witness).
+
+    The witness is the failing verdict at d = value - 1 (None at value 0);
+    under budget exhaustion the value is a lower bound that the witness
+    certifies.
+    """
+    return _leray_scan(complex_, 0, budget, raise_floor=True)
+
+
+def _leray_scan(
+    complex_: SimplicialComplex, floor: int, budget: Budget, *, raise_floor: bool
+) -> tuple[int, bool, Optional[LerayVerdict]]:
+    """One pass over induced subcomplexes for reduced homology in some
+    dimension >= floor; returns (floor, exact, last failure).
+
+    A subset W whose lowest such dimension is i fails as
+    LerayVerdict(i, "fails", (W, i)); without raise_floor the scan stops
+    there.  With it, the floor rises to i + 1 and W is asked again while its
+    ranks are memoized, so the floor ends at the Leray number.  It is exact
+    once the exhaustive order ends or the floor passes the dimension.
+    """
+    if complex_.dim < floor:
+        return floor, True, None
     n = complex_.num_vertices
-    if complex_.dim < d:
-        return LerayVerdict(d, "holds")
-    scanner = _SubcomplexBettiScanner(complex_)
-    clock = as_clock(budget)
-    if n <= EXHAUSTIVE_LERAY_VERTEX_CAP:
+    exhaustive = n <= EXHAUSTIVE_LERAY_VERTEX_CAP
+    if exhaustive:
         order = _decreasing_subsets(n)
-        exhaustive = True
     else:
         order = _sampled_subsets(n, _SAMPLING_SEED)
-        exhaustive = False
+    scanner = _SubcomplexBettiScanner(complex_)
+    clock = as_clock(budget)
+    failure = None
     for w_mask in order:
         if not clock.spend():
-            return LerayVerdict(d, "budget_exhausted")
+            return floor, False, failure
         try:
-            bad = scanner.betti_from(w_mask, d, clock)
+            bad = scanner.betti_from(w_mask, floor, clock)
+            while bad is not None:
+                witness = (frozenset(iter_points(w_mask)), bad)
+                failure = LerayVerdict(bad, "fails", witness)
+                floor = bad + 1
+                if not raise_floor or complex_.dim < floor:
+                    return floor, True, failure
+                bad = scanner.betti_from(w_mask, floor, clock)
         except RankBudgetExceeded:
-            return LerayVerdict(d, "budget_exhausted")
-        if bad is not None:
-            witness = frozenset(iter_points(w_mask))
-            return LerayVerdict(d, "fails", (witness, bad))
-    if exhaustive:
-        return LerayVerdict(d, "holds")
-    return LerayVerdict(d, "budget_exhausted")
+            return floor, False, failure
+    return floor, exhaustive, failure
 
 
 def _decreasing_subsets(n: int) -> Iterable[int]:
@@ -502,21 +526,3 @@ def _sampled_subsets(n: int, seed: int) -> Iterable[int]:
     yield full
     while True:
         yield rng.getrandbits(n)
-
-
-def leray_number(
-    complex_: SimplicialComplex, budget: Budget = None
-) -> tuple[int, bool]:
-    """Smallest d whose Leray check holds; (lower bound, False) under budget.
-
-    Failures at d establish the lower bound d+1, so ascending d yields the
-    exact value once a check holds and an honest bound when one exhausts.
-    """
-    d = 0
-    while True:
-        verdict = leray_check(complex_, d, budget)
-        if verdict.status == "holds":
-            return d, True
-        if verdict.status == "budget_exhausted":
-            return d, False
-        d += 1

@@ -163,8 +163,9 @@ def test_criterion_3_torus_grid_topology():
         vertices, dim = verdict.witness
         assert dim >= 2
 
-        number, number_exact = leray_number(torus)
+        number, number_exact, number_witness = leray_number(torus)
         assert (number, number_exact) == (3, True)
+        assert number_witness == verdict
 
 
 def test_criterion_4_conversion_roundtrip():

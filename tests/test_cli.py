@@ -3,6 +3,12 @@ import json
 import pytest
 
 from comatch.cli import main
+from comatch.jsonio import set_system_from_doc
+from comatch.search import (
+    colorful_helly_number,
+    comatching_number,
+    comatching_with_intersection_number,
+)
 
 
 def run_cli(capsys, *argv):
@@ -35,6 +41,27 @@ class TestGenerate:
         assert doc["provenance"]["generator"] == "cycle-sharpness"
         code, report = run_cli(capsys, "analyze", str(sharp2_path))
         assert code == 0
+
+    def test_cycle_sharpness_claims_hold(self, tmp_path, capsys):
+        # Every provenance claim is checked against the library; tau' and
+        # eta are claimed only where tau' = M and eta = M + 1 hold (M <= 4).
+        invariants = {
+            "comatching_number": lambda s: comatching_number(s)[::2],
+            "comatching_with_intersection_number": lambda s: (
+                comatching_with_intersection_number(s)[::2]
+            ),
+            "colorful_helly_number": lambda s: colorful_helly_number(s)[:2],
+        }
+        for m in range(2, 9):
+            code, doc = run_cli(capsys, "generate", "cycle-sharpness", str(m))
+            assert code == 0
+            claims = doc["provenance"]["claims"]
+            assert claims["comatching_number"] == 4 * m // 3
+            expected_keys = set(invariants) if m <= 4 else {"comatching_number"}
+            assert set(claims) == expected_keys
+            system = set_system_from_doc(doc)
+            for name, claimed in claims.items():
+                assert invariants[name](system) == (claimed, True), (m, name)
 
     def test_unknown_params_rejected(self, capsys):
         code = main(["generate", "cycle-sharpness"])
@@ -117,6 +144,21 @@ class TestPipelines:
         witness_path = tmp_path / "leray.json"
         assert main(["leray", str(torus_path), "2", "--out", str(witness_path)]) == 0
         assert json.loads(witness_path.read_text())["status"] == "fails"
+        assert main(["verify", str(witness_path), str(torus_path)]) == 0
+
+    def test_analyze_leray_witness_matches_leray_check(
+        self, torus_path, tmp_path, capsys
+    ):
+        report_path = tmp_path / "report.json"
+        assert main(["analyze", str(torus_path), "--out", str(report_path)]) == 0
+        report = json.loads(report_path.read_text())
+        assert report["results"]["leray_number"] == {"value": 3, "exact": True}
+        witness = report["certificates"]["leray_witness"]
+        code, leray = run_cli(capsys, "leray", str(torus_path), "2")
+        assert code == 0
+        assert witness == leray["witness"]
+        witness_path = tmp_path / "witness.json"
+        witness_path.write_text(json.dumps(witness))
         assert main(["verify", str(witness_path), str(torus_path)]) == 0
 
     def test_dichotomy_both_arms(self, sharp2_path, tmp_path, capsys):

@@ -238,10 +238,19 @@ class TestCollapsibility:
                 assert replay_collapse_sequence(k, seq).ok
 
 
+def _assert_witness_replays(k, witness, value):
+    from comatch.simplicial import induced_subcomplex
+
+    vertices, dim = witness.witness
+    assert witness.status == "fails" and witness.d == dim == value - 1
+    profile = reduced_betti(induced_subcomplex(k, vertices)).reduced_betti
+    assert profile[dim] != 0
+
+
 class TestLeray:
     def test_full_simplex_holds_everywhere(self):
         assert leray_check(full_simplex(4), 1).status == "holds"
-        assert leray_number(full_simplex(4)) == (0, True)
+        assert leray_number(full_simplex(4)) == (0, True, None)
 
     def test_three_cycle(self, three_cycle):
         assert leray_check(three_cycle, 2).status == "holds"
@@ -249,7 +258,7 @@ class TestLeray:
         assert verdict.status == "fails"
         vertices, dim = verdict.witness
         assert (len(vertices), dim) == (3, 1)
-        assert leray_number(three_cycle) == (2, True)
+        assert leray_number(three_cycle) == (2, True, verdict)
 
     def test_torus_fails_at_two_with_full_witness(self, torus):
         verdict = leray_check(torus, 2)
@@ -278,7 +287,24 @@ class TestLeray:
         for d in (0, 1, 2, 3):
             expected = "holds" if worst < d else "fails"
             assert leray_check(k, d).status == expected
-        assert leray_number(k) == (worst + 1, True)
+        value, exact, witness = leray_number(k)
+        assert (value, exact) == (worst + 1, True)
+        if value == 0:
+            assert witness is None
+        else:
+            assert witness == leray_check(k, value - 1)
+            _assert_witness_replays(k, witness, value)
+        # Under a node budget the value is a lower bound that its witness
+        # still certifies.
+        for max_nodes in (1, 3, 8, 20):
+            value, exact, witness = leray_number(k, SearchBudget(max_nodes=max_nodes))
+            assert value <= worst + 1
+            if exact:
+                assert value == worst + 1
+            if value == 0:
+                assert witness is None
+            else:
+                _assert_witness_replays(k, witness, value)
 
     @pytest.mark.parametrize("seed", range(15))
     def test_collapse_search_agrees_with_bfs_oracle(self, seed):
