@@ -204,8 +204,10 @@ def _analyze_system(system: SetSystem, config: RunConfig) -> dict:
         system, clocks["tau_prime"]
     )
     minimal = minimal_empty_subfamilies(system)
-    h = helly_number(system)
-    eta, eta_exact, refuting = colorful_helly_number(system, clocks["eta"])
+    h = max((len(s) for s in minimal), default=1)
+    eta, eta_exact, refuting = colorful_helly_number(
+        system, clocks["eta"], tau_prime=taup if taup_exact else None
+    )
 
     if not verify_comatching(system, tau_cert).ok:
         raise AssertionError("internal: comatching certificate failed re-verification")
@@ -453,6 +455,8 @@ def cmd_check_theorems(config: RunConfig, n_systems: int = 120) -> tuple[dict, i
         tau, tau_cert, e1 = comatching_number(system, budget)
         taup, taup_cert, e2 = comatching_with_intersection_number(system, budget)
         h = helly_number(system)
+        # No tau_prime here: eta is searched without the 1 + tau' cap, so the
+        # eta <= 1 + tau' check below stays an independent test of the theorem.
         eta, e3, refuting = colorful_helly_number(system, budget)
         if not (e1 and e2 and e3):
             skipped += 1

@@ -9,7 +9,11 @@ Everything here is exact and certificate-producing:
   nerve) as minimal hitting sets of the complement hypergraph.
 * ``colorful_helly_number`` finds the least N such that every N-tuple of
   empty-intersection subfamilies admits a colorful transversal with
-  empty intersection.
+  empty intersection.  It sandwiches the value first, h <= eta <= 1 + tau'
+  (the upper end when the caller passes an exact ``tau_prime``), and
+  returns at once when the ends meet; otherwise it enumerates refuting
+  multisets level by level with Apriori pruning, each carrying the
+  inclusion-minimal antichain of its transversal intersections.
 * ``colorful_transversal_dichotomy`` is the constructive step behind
   the bound eta <= 1 + tau': given subfamilies with empty intersections
   it returns either an empty transversal or a comatching-with-
@@ -409,38 +413,38 @@ def instance_admits_empty_transversal(
     return _has_empty_transversal(family_masks, system.full_mask)
 
 
-def _instance_is_refuting(
-    system: SetSystem, selections: Sequence[frozenset[int]]
-) -> bool:
-    """True when no colorful transversal of the instance has empty intersection.
-
-    Fast path: run the constructive dichotomy; a transversal outcome settles
-    the question immediately.  A witness outcome does not (the witness arm
-    proves a comatching exists, not that no empty transversal does), so it
-    falls back to an exhaustive memoized scan.
-    """
-    outcome = colorful_transversal_dichotomy(
-        system, ColorfulInstance(tuple(selections))
-    )
-    if outcome.is_transversal:
-        return False
-    family_masks = [[system.masks[j] for j in sorted(sel)] for sel in selections]
-    return not _has_empty_transversal(family_masks, system.full_mask)
-
-
 def colorful_helly_number(
-    system: SetSystem, budget: Budget = None
+    system: SetSystem, budget: Budget = None, tau_prime: Optional[int] = None
 ) -> tuple[int, bool, Optional[ColorfulInstance]]:
     """Least N such that every N-tuple of empty subfamilies admits an
     empty colorful transversal.
 
+    Returns (eta, exact, refuting instance of size eta - 1 when eta >= 2).
+    Under budget exhaustion eta is a lower bound, never below h, that the
+    instance certifies.  Pass ``tau_prime`` only when it is exact.
+
     Positions range over the minimal empty subfamilies, with repetition:
     shrinking a position to a minimal empty subfamily inside it preserves
     refutation, and enlarging a position preserves transversals, so this
-    restriction changes nothing.  Refuting tuples are closed under
-    sub-multisets, so size-N candidates are generated as extensions of
-    refuting (N-1)-multisets.  Returns (eta, exact, refuting instance of
-    size eta - 1 when eta >= 2).
+    restriction changes nothing.
+
+    The value is sandwiched first.  h - 1 copies of a largest minimal empty
+    subfamily S refute, since any transversal uses at most h - 1 members of
+    S, so eta >= h.  When the caller passes an exact ``tau_prime``, the
+    witness arm of :func:`colorful_transversal_dichotomy` turns every
+    refuting N-instance into a comatching-with-intersection of size N, so
+    eta <= 1 + tau'; when the two bounds meet, eta is exact with no search.
+
+    Otherwise refuting multisets are enumerated level by level, in
+    lexicographic order, up to size tau' when it is known.  Refuting
+    multisets are closed under sub-multisets, so a candidate with a
+    one-element-dropped sub-multiset outside the previous level is skipped
+    unscored (the Apriori rule).  Each refuting multiset carries the
+    inclusion-minimal antichain of its transversal intersections: extending
+    by a family is the set of r & m over antichain masks r and members m,
+    and the extension refutes exactly when 0 is not among them.  Each scored
+    candidate spends one budget node.  An antichain is kept packed into one
+    int and dropped once its children are generated, which bounds memory.
 
     Over a finite ground set every descending chain of intersections
     stabilizes, so restricting the definition to finite subfamilies loses
@@ -454,38 +458,93 @@ def colorful_helly_number(
     minimal = minimal_empty_subfamilies(system)
     if not minimal:
         return 1, True, None
+    h = max(len(s) for s in minimal)
+    largest = next(s for s in minimal if len(s) == h)
+    floor_instance = ColorfulInstance((largest,) * (h - 1)) if h >= 2 else None
+    if tau_prime is not None:
+        if tau_prime < h - 1:
+            raise InputError(f"tau_prime={tau_prime} is below h - 1 = {h - 1}")
+        if h == 1 + tau_prime:
+            return h, True, floor_instance
     clock = as_clock(budget)
+    width, full = system.num_points, system.full_mask
+    family_masks = [[system.masks[j] for j in sorted(sel)] for sel in minimal]
 
-    def refutes(tup: tuple[int, ...]) -> bool:
-        return _instance_is_refuting(system, [minimal[i] for i in tup])
+    # Refuting multisets of the current size, as sorted index tuples, mapped
+    # to their packed antichains.  A parent's antichain is dropped once its
+    # children are generated; its key stays for the Apriori test.
+    level: dict[tuple[int, ...], int] = {}
 
-    frontier: list[tuple[int, ...]] = []
-    for i in range(len(minimal)):
+    def lower_bound(size: int) -> tuple[int, bool, Optional[ColorfulInstance]]:
+        if size < h:
+            return h, False, floor_instance
+        return size + 1, False, _instance_of(minimal, next(iter(level)))
+
+    for i, masks in enumerate(family_masks):
         if not clock.spend():
-            return 1, False, None
-        if refutes((i,)):
-            frontier.append((i,))
-    if not frontier:
+            return lower_bound(0)
+        packed = _minimal_extension([full], masks, width)
+        if packed:
+            level[(i,)] = packed
+    if not level:
         return 1, True, None
-
     size = 1
-    while True:
-        next_frontier = []
-        for tup in frontier:
-            for i in range(tup[-1], len(minimal)):
+    while size != tau_prime:
+        next_level: dict[tuple[int, ...], int] = {}
+        for key, packed in level.items():
+            chain = _unpack(packed, width, full)
+            for i in range(key[-1], len(minimal)):
+                cand = key + (i,)
+                if any(cand[:j] + cand[j + 1 :] not in level for j in range(size)):
+                    continue
                 if not clock.spend():
-                    example = ColorfulInstance(
-                        tuple(minimal[i] for i in frontier[0])
-                    )
-                    return size + 1, False, example
-                cand = tup + (i,)
-                if refutes(cand):
-                    next_frontier.append(cand)
-        if not next_frontier:
-            example = ColorfulInstance(tuple(minimal[i] for i in frontier[0]))
-            return size + 1, True, example
-        frontier = next_frontier
+                    return lower_bound(size)
+                extended = _minimal_extension(chain, family_masks[i], width)
+                if extended:
+                    next_level[cand] = extended
+            level[key] = 0
+        if not next_level:
+            break
+        level = next_level
         size += 1
+    return size + 1, True, _instance_of(minimal, next(iter(level)))
+
+
+def _instance_of(
+    minimal: Sequence[frozenset[int]], key: tuple[int, ...]
+) -> ColorfulInstance:
+    return ColorfulInstance(tuple(minimal[i] for i in key))
+
+
+def _minimal_extension(chain: Sequence[int], members: Sequence[int], width: int) -> int:
+    """The inclusion-minimal masks among r & m over r in chain and m in
+    members, packed ``width`` bits apiece into one int; 0 as soon as one of
+    them is empty.  Every packed mask is nonempty, so 0 packs nothing."""
+    reach = set()
+    for m in members:
+        for r in chain:
+            x = r & m
+            if not x:
+                return 0
+            reach.add(x)
+    packed = 0
+    kept: list[int] = []
+    for x in sorted(reach, key=int.bit_count):
+        for k in kept:
+            if k & x == k:
+                break
+        else:
+            kept.append(x)
+            packed = packed << width | x
+    return packed
+
+
+def _unpack(packed: int, width: int, full: int) -> list[int]:
+    out = []
+    while packed:
+        out.append(packed & full)
+        packed >>= width
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -452,7 +452,9 @@ def leray_check(
     Exhaustive up to 24 vertices, scanning vertex subsets in decreasing
     size with memoized boundary ranks and stopping at the first failure
     witness.  Larger complexes use fixed-seed sampling, whose outcome can
-    only be "fails" or "budget_exhausted".
+    only be "fails" or "budget_exhausted"; sampling never ends on its own,
+    so above 24 vertices a budget with a node limit or a deadline is
+    required (InputError otherwise) unless d exceeds the dimension.
     """
     if d < 0:
         raise InputError("Leray dimension must be nonnegative")
@@ -469,7 +471,9 @@ def leray_number(
 
     The witness is the failing verdict at d = value - 1 (None at value 0);
     under budget exhaustion the value is a lower bound that the witness
-    certifies.
+    certifies.  Above 24 vertices the scan samples and never proves
+    "holds", so a budget with a node limit or a deadline is required
+    (InputError otherwise).
     """
     return _leray_scan(complex_, 0, budget, raise_floor=True)
 
@@ -490,12 +494,17 @@ def _leray_scan(
         return floor, True, None
     n = complex_.num_vertices
     exhaustive = n <= EXHAUSTIVE_LERAY_VERTEX_CAP
+    clock = as_clock(budget)
     if exhaustive:
         order = _decreasing_subsets(n)
+    elif clock.max_nodes is None and clock.deadline is None:
+        raise InputError(
+            f"the Leray scan samples above {EXHAUSTIVE_LERAY_VERTEX_CAP} vertices "
+            f"({n} here) and needs a node limit or a deadline to end"
+        )
     else:
         order = _sampled_subsets(n, _SAMPLING_SEED)
     scanner = _SubcomplexBettiScanner(complex_)
-    clock = as_clock(budget)
     failure = None
     for w_mask in order:
         if not clock.spend():

@@ -113,6 +113,27 @@ class TestAnalyze:
         assert main(["analyze", str(sharp2_path), "--seed", "5", "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_eta_closes_by_sandwich_under_node_budget(self, tmp_path, capsys):
+        # Hamming(5,1): h = 4 and an exact tau' = 3 meet, so eta = 4 is exact
+        # with no eta search, where a search alone needs ~268k nodes.
+        system_path, report_path = tmp_path / "h51.json", tmp_path / "report.json"
+        assert main(["generate", "hamming", "5", "1", "--out", str(system_path)]) == 0
+        argv = ["analyze", str(system_path), "--budget-nodes", "20000"]
+        assert main([*argv, "--out", str(report_path)]) == 0
+        report = json.loads(report_path.read_text())
+        results = report["results"]
+        assert results["helly_number"] == 4
+        assert results["comatching_with_intersection_number"] == {
+            "value": 3, "exact": True,
+        }
+        assert results["colorful_helly_number"] == {"value": 4, "exact": True}
+        assert report["timing"]["nodes"]["eta"] == 0
+        cert = report["certificates"]["refuting_instance"]
+        assert len(cert["families"]) == 3
+        cert_path = tmp_path / "ref.json"
+        cert_path.write_text(json.dumps(cert))
+        assert main(["verify", str(cert_path), str(system_path)]) == 0
+
 
 class TestPipelines:
     def test_nerve_then_homology(self, sharp2_path, tmp_path, capsys):

@@ -22,6 +22,7 @@ from comatch.search import (
     comatching_with_intersection_number,
     fractional_helly_profile,
     helly_number,
+    instance_admits_empty_transversal,
     minimal_empty_subfamilies,
 )
 
@@ -38,6 +39,27 @@ from oracles import (
 @pytest.fixture
 def sharp2():
     return gen_cycle_sharpness(2)
+
+
+def assert_refutes(system, refuting, eta):
+    """A refuting instance of size eta - 1 (None when eta = 1) admits no
+    empty colorful transversal."""
+    if eta == 1:
+        assert refuting is None
+        return
+    assert len(refuting) == eta - 1
+    assert not instance_admits_empty_transversal(system, refuting)
+
+
+def density_system(seed):
+    """4-8 points, 4-10 members, each point in a member with one random
+    probability; denser than random_system, so eta > h shows up."""
+    rng = random.Random(seed)
+    n, m, density = rng.randint(4, 8), rng.randint(4, 10), rng.uniform(0.4, 0.9)
+    members = [
+        (f"m{j}", [p for p in range(n) if rng.random() < density]) for j in range(m)
+    ]
+    return SetSystem.build([str(p) for p in range(n)], members)
 
 
 def shared_point_system():
@@ -187,6 +209,68 @@ class TestColorfulHellyNumber:
         eta, exact, _ = colorful_helly_number(system)
         assert exact
         assert eta == oracle_colorful_helly_number(system)
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_sandwich_and_search_match_oracle(self, seed):
+        system = random_system(random.Random(seed + 4500), 6, 6)
+        truth = oracle_colorful_helly_number(system, max_n=8)
+        tau_prime, _, tau_prime_exact = comatching_with_intersection_number(system)
+        assert tau_prime_exact
+        for given in (None, tau_prime):
+            eta, exact, refuting = colorful_helly_number(system, tau_prime=given)
+            assert (eta, exact) == (truth, True), given
+            assert_refutes(system, refuting, eta)
+
+    # Seeds of density_system with eta = 3 > h = 2: the search, not the
+    # sandwich, has to find eta, and stops at size tau' where tau' = 2.
+    ABOVE_HELLY_SEEDS = (1192, 2143, 2958, 3032, 4766, 5676)
+
+    @pytest.mark.parametrize("seed", ABOVE_HELLY_SEEDS)
+    def test_search_above_helly_matches_oracle(self, seed):
+        system = density_system(seed)
+        assert helly_number(system) == 2
+        truth = oracle_colorful_helly_number(system, max_n=8)
+        assert truth == 3
+        tau_prime = comatching_with_intersection_number(system)[0]
+        for given in (None, tau_prime):
+            eta, exact, refuting = colorful_helly_number(system, tau_prime=given)
+            assert (eta, exact) == (truth, True), given
+            assert_refutes(system, refuting, eta)
+
+    @pytest.mark.parametrize(
+        "system",
+        [random_system(random.Random(seed + 4600), 6, 6) for seed in range(10)]
+        + [density_system(seed) for seed in ABOVE_HELLY_SEEDS],
+    )
+    def test_node_budgets_give_certified_lower_bounds(self, system):
+        truth = oracle_colorful_helly_number(system, max_n=8)
+        tau_prime = comatching_with_intersection_number(system)[0]
+        for nodes in (1, 5, 50):
+            for given in (None, tau_prime):
+                budget = SearchBudget(max_nodes=nodes)
+                eta, exact, refuting = colorful_helly_number(system, budget, given)
+                assert eta <= truth and (not exact or eta == truth), (nodes, given)
+                assert eta >= helly_number(system)
+                assert_refutes(system, refuting, eta)
+
+    def test_sandwich_closes_without_search(self):
+        # cycle-sharpness M=4: h = 5 = 1 + tau', so eta is certified by
+        # h - 1 copies of a largest minimal empty subfamily, with no node spent.
+        system = gen_cycle_sharpness(4)
+        minimal = minimal_empty_subfamilies(system)
+        h = helly_number(system)
+        clock = SearchBudget().clock()
+        eta, exact, refuting = colorful_helly_number(system, clock, tau_prime=4)
+        assert (eta, exact, clock.nodes) == (h, True, 0)
+        assert len(set(refuting.families)) == 1
+        assert refuting.families[0] in minimal and len(refuting.families[0]) == h
+        assert_refutes(system, refuting, eta)
+        # Without tau', the search reaches the same value.
+        assert colorful_helly_number(system)[:2] == (5, True)
+
+    def test_tau_prime_below_helly_rejected(self):
+        with pytest.raises(InputError):
+            colorful_helly_number(gen_cycle_sharpness(4), tau_prime=3)
 
     @pytest.mark.parametrize("seed", range(12))
     def test_monotone_in_instance_count(self, seed):

@@ -355,6 +355,28 @@ class TestDoubleTorusJoin:
         vertices, dim = verdict.witness
         assert dim == 5 and len(vertices) == 32
 
+    def test_sampled_scan_needs_a_limit(self):
+        # Sampling never proves "holds", so above 24 vertices a scan with
+        # neither a node limit nor a deadline would never end.
+        from comatch.constructions import gen_good_join_complex
+
+        double = gen_good_join_complex(2)
+        with pytest.raises(InputError):
+            leray_number(double)
+        with pytest.raises(InputError):
+            leray_check(double, 6)
+        with pytest.raises(InputError):
+            leray_check(double, 6, SearchBudget())
+        # Past the dimension there is nothing to sample.
+        assert leray_check(double, 8).status == "holds"
+
+        verdict = leray_check(double, 6, SearchBudget(max_millis=200))
+        assert verdict.status == "budget_exhausted"
+        # The full vertex set, sampled first, fails in dimensions 3, 4 and 5.
+        value, exact, witness = leray_number(double, SearchBudget(max_millis=3000))
+        assert (value, exact) == (6, False)
+        assert witness.status == "fails" and witness.witness[1] == 5
+
 
 class TestRankKernels:
     @pytest.mark.parametrize("seed", range(20))
