@@ -33,7 +33,7 @@ vertices, dim = verdict.witness
 print(f"2-Leray check: {verdict.status} (induced subcomplex on {len(vertices)} vertices has homology in dim {dim})")
 
 number, exact, witness = leray_number(torus)
-print(f"Leray number (one exhaustive pass over all 2^16 induced subcomplexes): {number}, exact={exact}")
+print(f"Leray number (from the links; the complex itself is the witness): {number}, exact={exact}")
 print(f"  witness: {witness.status} at d={witness.d}, homology in dim {witness.witness[1]} on {len(witness.witness[0])} vertices")
 
 status, seq = is_d_collapsible(torus, 3, SearchBudget(max_nodes=100_000))

@@ -206,7 +206,10 @@ def _analyze_system(system: SetSystem, config: RunConfig) -> dict:
     minimal = minimal_empty_subfamilies(system)
     h = max((len(s) for s in minimal), default=1)
     eta, eta_exact, refuting = colorful_helly_number(
-        system, clocks["eta"], tau_prime=taup if taup_exact else None
+        system,
+        clocks["eta"],
+        tau_prime=taup if taup_exact else None,
+        minimal=minimal,
     )
 
     if not verify_comatching(system, tau_cert).ok:

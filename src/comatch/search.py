@@ -103,9 +103,9 @@ class BudgetClock:
         self.nodes += amount
         if self.max_nodes is not None and self.nodes > self.max_nodes:
             self.exhausted = True
-        elif self.deadline is not None and (self.nodes & 0xFF) == 0:
-            if time.monotonic() > self.deadline:
-                self.exhausted = True
+        elif self.deadline is not None and time.monotonic() > self.deadline:
+            # Checked on every spend: one node can cost a tenth of a second.
+            self.exhausted = True
         return not self.exhausted
 
 
@@ -414,14 +414,19 @@ def instance_admits_empty_transversal(
 
 
 def colorful_helly_number(
-    system: SetSystem, budget: Budget = None, tau_prime: Optional[int] = None
+    system: SetSystem,
+    budget: Budget = None,
+    tau_prime: Optional[int] = None,
+    minimal: Optional[Sequence[frozenset[int]]] = None,
 ) -> tuple[int, bool, Optional[ColorfulInstance]]:
     """Least N such that every N-tuple of empty subfamilies admits an
     empty colorful transversal.
 
     Returns (eta, exact, refuting instance of size eta - 1 when eta >= 2).
     Under budget exhaustion eta is a lower bound, never below h, that the
-    instance certifies.  Pass ``tau_prime`` only when it is exact.
+    instance certifies.  Pass ``tau_prime`` only when it is exact, and
+    ``minimal`` only when it is ``minimal_empty_subfamilies(system)``
+    (a caller that already holds it saves enumerating it again).
 
     Positions range over the minimal empty subfamilies, with repetition:
     shrinking a position to a minimal empty subfamily inside it preserves
@@ -455,7 +460,8 @@ def colorful_helly_number(
         # Every transversal intersects to the empty set, so no instance
         # refutes and the vacuous value applies.
         return 1, True, None
-    minimal = minimal_empty_subfamilies(system)
+    if minimal is None:
+        minimal = minimal_empty_subfamilies(system)
     if not minimal:
         return 1, True, None
     h = max(len(s) for s in minimal)

@@ -14,7 +14,11 @@ unique maximal coface and may be deleted.  A complex is d-collapsible
 when some sequence of d-collapses removes every face of cardinality at
 least d.  A complex is d-Leray when every induced subcomplex has trivial
 reduced homology in all dimensions at least d; collapsibility at d
-implies the Leray property at d.
+implies the Leray property at d.  The Leray property is decided through
+links (Kalai-Meshulam: d-Leray iff every link, the complex itself
+included, has trivial reduced homology from dimension d up), at a cost of
+one homology per face, and a failure is then witnessed by an induced
+subcomplex that ``comatch verify`` replays.
 """
 
 from __future__ import annotations
@@ -22,11 +26,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from .core import InputError, iter_points
 from .linalg import FIELD_PRIME, RankBudgetExceeded, _rank_sparse
-from .search import Budget, as_clock
+from .search import Budget, BudgetClock, as_clock
 from .simplicial import SimplicialComplex, all_faces, faces_of_dim, maximal_sets
 
 __all__ = [
@@ -86,8 +90,9 @@ class LerayVerdict:
 class KunnethVerdict:
     """Join-profile identity check with in-band budget exhaustion.
 
-    ``predicted`` is assembled from the factor profiles; ``direct`` is the
-    join's own profile when its computation finished within budget.
+    ``predicted`` is assembled from the factor profiles (empty when they
+    did not finish within budget); ``direct`` is the join's own profile when
+    its computation finished within budget.
     """
 
     status: str  # "ok" | "mismatch" | "budget_exhausted"
@@ -153,18 +158,30 @@ def reduced_betti(
     arithmetic = "exact-rational" if mode == "exact" else f"prime-field({FIELD_PRIME})"
     if complex_.num_vertices == 0:
         return HomologyProfile((), arithmetic, mode == "exact", ("empty complex",))
+    clock = as_clock(budget) if budget is not None else None
+    prime = None if mode == "exact" else FIELD_PRIME
+    betti = _betti_from(complex_, 0, clock, prime)
+    return HomologyProfile(betti, arithmetic, mode == "exact")
+
+
+def _betti_from(
+    complex_: SimplicialComplex,
+    low: int,
+    clock: Optional[BudgetClock],
+    prime: Optional[int] = None,
+) -> tuple[int, ...]:
+    """Reduced Betti numbers b_low..b_dim of a nonempty complex, with zeros
+    below ``low``: only the boundary ranks those need are computed."""
     groups = all_faces(complex_)  # index k holds faces of dimension k-1
     dim = len(groups) - 2
-    clock = as_clock(budget) if budget is not None else None
     rank = [0] * (dim + 3)  # rank[k] = rank of boundary from dim k-1 chains
-    prime = None if mode == "exact" else FIELD_PRIME
-    for k in range(1, len(groups)):
+    for k in range(low + 1, len(groups)):
         rows = _sparse_boundary_rows(groups[k - 1], groups[k])
         rank[k] = _rank_sparse(rows, clock, prime)
-    betti = tuple(
-        len(groups[i + 1]) - rank[i + 1] - rank[i + 2] for i in range(dim + 1)
+    return tuple(
+        len(groups[i + 1]) - rank[i + 1] - rank[i + 2] if i >= low else 0
+        for i in range(dim + 1)
     )
-    return HomologyProfile(betti, arithmetic, mode == "exact")
 
 
 def is_d_good(complex_: SimplicialComplex, d: int) -> bool:
@@ -196,14 +213,17 @@ def kunneth_betti_check(
 ) -> KunnethVerdict:
     """Compare the join's Betti profile against the factor convolution.
 
-    The factor profiles are computed exactly and unbudgeted (they are the
-    cheap side); the join's homology runs under the budget, and exhaustion
-    is reported in-band.
+    The factor homology and then the join's run exactly under one clock;
+    exhaustion on either side is reported in-band.
     """
     from .simplicial import join
 
-    lp = reduced_betti(left, "exact").reduced_betti
-    rp = reduced_betti(right, "exact").reduced_betti
+    clock = as_clock(budget)
+    try:
+        lp = reduced_betti(left, "exact", clock).reduced_betti
+        rp = reduced_betti(right, "exact", clock).reduced_betti
+    except RankBudgetExceeded:
+        return KunnethVerdict("budget_exhausted", (), None)
     # Extend each profile with its dimension -1 entry (1 exactly for the
     # empty complex), so the convolution stays correct when a factor is
     # empty and the join degenerates to the other factor.
@@ -218,7 +238,7 @@ def kunneth_betti_check(
     expected_len = joined.dim + 1 if joined.num_vertices else 0
     predicted = tuple((predicted_raw + (0,) * expected_len)[:expected_len])
     try:
-        direct = reduced_betti(joined, "exact", budget).reduced_betti
+        direct = reduced_betti(joined, "exact", clock).reduced_betti
     except RankBudgetExceeded:
         return KunnethVerdict("budget_exhausted", predicted, None)
     violations = tuple(
@@ -307,7 +327,6 @@ def is_d_collapsible(
         if key in visited:
             return False
         visited.add(key)
-        exhausted = False
         for face, coface in _free_faces(facets, d, strict_size):
             nxt = _collapse_step(facets, face, coface)
             steps.append((face, coface))
@@ -316,8 +335,10 @@ def is_d_collapsible(
                 return True
             steps.pop()
             if result is None:
-                exhausted = True
-        return None if exhausted else False
+                # Out of budget: each remaining sibling would still cost an
+                # unbudgeted collapse step.
+                return None
+        return False
 
     result = search(complex_.facets)
     if result:
@@ -373,7 +394,7 @@ def replay_collapse_sequence(
 
 
 class _SubcomplexBettiScanner:
-    """Shared machinery for Leray scans over induced subcomplexes.
+    """Reduced homology of induced subcomplexes for the witness scan.
 
     Faces are enumerated once and filtered per vertex subset; the rank of a
     boundary submatrix depends only on its column set (every boundary entry
@@ -449,19 +470,28 @@ def leray_check(
     """Whether every induced subcomplex has vanishing reduced homology in
     all dimensions >= d.
 
-    Exhaustive up to 24 vertices, scanning vertex subsets in decreasing
-    size with memoized boundary ranks and stopping at the first failure
-    witness.  Larger complexes use fixed-seed sampling, whose outcome can
-    only be "fails" or "budget_exhausted"; sampling never ends on its own,
-    so above 24 vertices a budget with a node limit or a deadline is
-    required (InputError otherwise) unless d exceeds the dimension.
+    Decided by the link pass (:func:`_link_homology`) at any vertex count:
+    "holds" when no link has reduced homology in a dimension >= d.  When
+    some link does, a failing induced subcomplex exists, and the witness is
+    the first one in the order of :func:`_leray_scan`: the whole complex
+    when it fails itself, else the first failing subset in decreasing size
+    (up to 24 vertices) or in fixed-seed sampling (above, which needs a
+    budget with a node limit or a deadline; InputError otherwise).  One
+    clock bounds both passes.
     """
     if d < 0:
         raise InputError("Leray dimension must be nonnegative")
-    _, exact, failure = _leray_scan(complex_, d, budget, raise_floor=False)
-    if failure is not None:
-        return LerayVerdict(d, "fails", failure.witness)
-    return LerayVerdict(d, "holds" if exact else "budget_exhausted")
+    clock = as_clock(budget)
+    for sigma, betti in _link_homology(complex_, d, clock):
+        bad = next((i for i in range(d, len(betti)) if betti[i]), None)
+        if bad is None:
+            continue
+        if not sigma:
+            return LerayVerdict(d, "fails", (_all_vertices(complex_), bad))
+        witness = _leray_scan(complex_, d, clock)
+        status = "budget_exhausted" if witness is None else "fails"
+        return LerayVerdict(d, status, witness)
+    return LerayVerdict(d, "budget_exhausted" if clock.exhausted else "holds")
 
 
 def leray_number(
@@ -469,69 +499,140 @@ def leray_number(
 ) -> tuple[int, bool, Optional[LerayVerdict]]:
     """Smallest d whose Leray check holds, as (value, exact, witness).
 
-    The witness is the failing verdict at d = value - 1 (None at value 0);
-    under budget exhaustion the value is a lower bound that the witness
-    certifies.  Above 24 vertices the scan samples and never proves
-    "holds", so a budget with a node limit or a deadline is required
-    (InputError otherwise).
+    The link pass gives the value L; the witness is the failing verdict of
+    ``leray_check(complex_, L - 1)`` (None at value 0), so an exact value
+    always comes with a replayable subset witness.  When the budget runs
+    out in either pass, the value is the lower bound that the whole
+    complex's own homology certifies (0 without one), flagged inexact.
     """
-    return _leray_scan(complex_, 0, budget, raise_floor=True)
+    clock = as_clock(budget)
+    value, whole = 0, None
+    for sigma, betti in _link_homology(complex_, 0, clock):
+        top = _top_dimension(betti)
+        if not sigma and top >= 0:
+            whole = LerayVerdict(top, "fails", (_all_vertices(complex_), top))
+        value = max(value, top + 1)
+    if not clock.exhausted:
+        if value == 0:
+            return 0, True, None
+        if whole is not None and whole.d == value - 1:
+            return value, True, whole
+        witness = _leray_scan(complex_, value - 1, clock)
+        if witness is not None:
+            return value, True, LerayVerdict(value - 1, "fails", witness)
+    # The budget ran out: only the whole complex's own homology is in hand.
+    if whole is None:
+        return 0, False, None
+    return whole.d + 1, False, whole
+
+
+def _all_vertices(complex_: SimplicialComplex) -> frozenset[int]:
+    return frozenset(range(complex_.num_vertices))
+
+
+def _top_dimension(betti: tuple[int, ...]) -> int:
+    """Highest dimension with a nonzero Betti number; -1 when none."""
+    return max((i for i, b in enumerate(betti) if b), default=-1)
+
+
+def _link(
+    complex_: SimplicialComplex, sigma: frozenset[int]
+) -> Optional[SimplicialComplex]:
+    """lk sigma = {tau - sigma : tau a face containing sigma}, relabelled onto
+    its own vertices; None when it is a single simplex (acyclic)."""
+    star = [f - sigma for f in complex_.facets if sigma <= f]
+    if len(star) == 1:
+        return None
+    # Distinct facets through sigma stay incomparable once sigma is removed.
+    vertices = sorted(set().union(*star))
+    remap = {v: i for i, v in enumerate(vertices)}
+    return SimplicialComplex(
+        tuple(complex_.vertices[v] for v in vertices),
+        tuple(frozenset(remap[v] for v in f) for f in star),
+    )
+
+
+def _link_homology(
+    complex_: SimplicialComplex, floor: int, clock: BudgetClock
+) -> Iterator[tuple[frozenset[int], tuple[int, ...]]]:
+    """Reduced Betti numbers of the links that can hold homology >= floor.
+
+    Kalai and Meshulam (*Leray numbers of projections and a topological
+    Helly-type theorem*, Prop. 3.1): K is d-Leray iff the reduced homology
+    of lk sigma vanishes in every dimension >= d, for every face sigma, the
+    empty face included (lk {} = K).  Yields (sigma, Betti numbers of lk
+    sigma) with sigma = {} first, then faces by increasing size.  The value
+    max(floor, 1 + highest nonzero dimension yielded) only grows, so each
+    link's Betti numbers are computed (exactly) only from the current value
+    up, and zeros stand below it; dim lk sigma <= dim K - |sigma|, so the
+    pass ends at the first size at which no link can raise the value.
+    Links with one facet are simplices and are skipped.  Each link spends
+    one node plus the pivots of its ranks; the pass ends early, with
+    ``clock.exhausted`` set, when the budget runs out.
+    """
+    value = floor
+    for size in range(complex_.dim - floor + 1):
+        if complex_.dim - size < value:
+            return
+        for sigma in faces_of_dim(complex_, size - 1):
+            link = _link(complex_, sigma)
+            if link is None:
+                continue
+            if not clock.spend():
+                return
+            try:
+                betti = _betti_from(link, value, clock)
+            except RankBudgetExceeded:
+                return
+            value = max(value, _top_dimension(betti) + 1)
+            yield sigma, betti
 
 
 def _leray_scan(
-    complex_: SimplicialComplex, floor: int, budget: Budget, *, raise_floor: bool
-) -> tuple[int, bool, Optional[LerayVerdict]]:
-    """One pass over induced subcomplexes for reduced homology in some
-    dimension >= floor; returns (floor, exact, last failure).
+    complex_: SimplicialComplex, floor: int, clock: BudgetClock
+) -> Optional[tuple[frozenset[int], int]]:
+    """First induced subcomplex with reduced homology in some dimension >=
+    floor, as the witness (W, i) with i the lowest such dimension; None
+    when the budget runs out first.
 
-    A subset W whose lowest such dimension is i fails as
-    LerayVerdict(i, "fails", (W, i)); without raise_floor the scan stops
-    there.  With it, the floor rises to i + 1 and W is asked again while its
-    ranks are memoized, so the floor ends at the Leray number.  It is exact
-    once the exhaustive order ends or the floor passes the dimension.
+    Only called once the link pass has shown that such a subset exists and
+    that the whole vertex set is not one, so the scan starts below it:
+    vertex subsets in decreasing size up to 24 vertices, fixed-seed samples
+    above (InputError when the clock has neither a node limit nor a
+    deadline, since sampling ends only on a hit).
     """
-    if complex_.dim < floor:
-        return floor, True, None
     n = complex_.num_vertices
-    exhaustive = n <= EXHAUSTIVE_LERAY_VERTEX_CAP
-    clock = as_clock(budget)
-    if exhaustive:
+    if n <= EXHAUSTIVE_LERAY_VERTEX_CAP:
         order = _decreasing_subsets(n)
     elif clock.max_nodes is None and clock.deadline is None:
         raise InputError(
-            f"the Leray scan samples above {EXHAUSTIVE_LERAY_VERTEX_CAP} vertices "
-            f"({n} here) and needs a node limit or a deadline to end"
+            f"the Leray witness search samples above {EXHAUSTIVE_LERAY_VERTEX_CAP} "
+            f"vertices ({n} here) and needs a node limit or a deadline to end"
         )
     else:
         order = _sampled_subsets(n, _SAMPLING_SEED)
     scanner = _SubcomplexBettiScanner(complex_)
-    failure = None
     for w_mask in order:
         if not clock.spend():
-            return floor, False, failure
+            return None
         try:
             bad = scanner.betti_from(w_mask, floor, clock)
-            while bad is not None:
-                witness = (frozenset(iter_points(w_mask)), bad)
-                failure = LerayVerdict(bad, "fails", witness)
-                floor = bad + 1
-                if not raise_floor or complex_.dim < floor:
-                    return floor, True, failure
-                bad = scanner.betti_from(w_mask, floor, clock)
         except RankBudgetExceeded:
-            return floor, False, failure
-    return floor, exhaustive, failure
+            return None
+        if bad is not None:
+            return frozenset(iter_points(w_mask)), bad
+    raise AssertionError(
+        f"internal: the links fail at {floor} but no induced subcomplex does"
+    )
 
 
 def _decreasing_subsets(n: int) -> Iterable[int]:
-    for size in range(n, -1, -1):
+    for size in range(n - 1, -1, -1):
         for combo in combinations(range(n), size):
             yield sum(1 << v for v in combo)
 
 
 def _sampled_subsets(n: int, seed: int) -> Iterable[int]:
     rng = random.Random(seed)
-    full = (1 << n) - 1
-    yield full
     while True:
         yield rng.getrandbits(n)

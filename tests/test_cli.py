@@ -113,6 +113,25 @@ class TestAnalyze:
         assert main(["analyze", str(sharp2_path), "--seed", "5", "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_minimal_empty_subfamilies_enumerated_once(
+        self, sharp2_path, capsys, monkeypatch
+    ):
+        # analyze hands its tuple to eta instead of letting eta enumerate it.
+        import comatch.cli as cli
+        import comatch.search as search
+
+        calls = []
+        real = search.minimal_empty_subfamilies
+
+        def counted(system):
+            calls.append(system)
+            return real(system)
+
+        monkeypatch.setattr(search, "minimal_empty_subfamilies", counted)
+        monkeypatch.setattr(cli, "minimal_empty_subfamilies", counted)
+        code, _ = run_cli(capsys, "analyze", str(sharp2_path))
+        assert code == 0 and len(calls) == 1
+
     def test_eta_closes_by_sandwich_under_node_budget(self, tmp_path, capsys):
         # Hamming(5,1): h = 4 and an exact tau' = 3 meet, so eta = 4 is exact
         # with no eta search, where a search alone needs ~268k nodes.
@@ -181,6 +200,25 @@ class TestPipelines:
         witness_path = tmp_path / "witness.json"
         witness_path.write_text(json.dumps(witness))
         assert main(["verify", str(witness_path), str(torus_path)]) == 0
+
+    def test_analyze_leray_number_three_with_full_witness(
+        self, torus_path, tmp_path, capsys
+    ):
+        hamming = tmp_path / "hamming.json"
+        nerve_path = tmp_path / "nerve.json"
+        assert main(["generate", "hamming", "4", "1", "--out", str(hamming)]) == 0
+        assert main(["nerve", str(hamming), "--out", str(nerve_path)]) == 0
+        capsys.readouterr()
+        for source in (torus_path, nerve_path):
+            code, report = run_cli(capsys, "analyze", str(source))
+            assert code == 0
+            assert report["results"]["leray_number"] == {"value": 3, "exact": True}
+            witness = report["certificates"]["leray_witness"]
+            assert witness["d"] == 2 and len(witness["vertices"]) == 16
+            witness_path = tmp_path / f"{source.stem}-witness.json"
+            witness_path.write_text(json.dumps(witness))
+            code, verdict = run_cli(capsys, "verify", str(witness_path), str(source))
+            assert (code, verdict["verified"]) == (0, True)
 
     def test_dichotomy_both_arms(self, sharp2_path, tmp_path, capsys):
         inst = tmp_path / "inst.json"

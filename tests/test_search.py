@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
@@ -79,6 +80,13 @@ class TestSearchBudget:
         clock = SearchBudget(max_nodes=3).clock()
         assert [clock.spend() for _ in range(5)] == [True, True, True, False, False]
         assert clock.exhausted
+
+    def test_deadline_checked_on_first_spend(self):
+        clock = SearchBudget(max_millis=0).clock()
+        while time.monotonic() <= clock.deadline:
+            pass
+        assert clock.spend() is False
+        assert clock.exhausted and clock.nodes == 1
 
 
 class TestComatchingNumber:

@@ -10,6 +10,7 @@ from comatch.search import SearchBudget
 from comatch.simplicial import SimplicialComplex, faces_of_dim, join
 from comatch.topology import (
     CollapseSequence,
+    KunnethVerdict,
     boundary_matrix,
     is_d_collapsible,
     is_d_good,
@@ -183,10 +184,16 @@ class TestKunneth:
         assert kunneth_betti_check(empty, empty).status == "ok"
 
     def test_budget_exhaustion_in_band(self, torus):
-        verdict = kunneth_betti_check(torus, torus, SearchBudget(max_nodes=5))
+        # One clock covers both sides: the two torus factors spend 158 nodes,
+        # so 200 leaves the join's homology short.
+        verdict = kunneth_betti_check(torus, torus, SearchBudget(max_nodes=200))
         assert verdict.status == "budget_exhausted"
         assert verdict.direct is None
         assert verdict.predicted[5] == 1
+
+    def test_factor_budget_exhaustion_in_band(self, torus, three_cycle):
+        verdict = kunneth_betti_check(torus, three_cycle, SearchBudget(max_nodes=5))
+        assert verdict == KunnethVerdict("budget_exhausted", (), None)
 
 
 class TestCollapsibility:
@@ -203,6 +210,23 @@ class TestCollapsibility:
         status, seq = is_d_collapsible(three_cycle, 2)
         assert status == "proved"
         assert replay_collapse_sequence(three_cycle, seq).ok
+
+    def test_exhausted_search_stops_stepping(self, torus, monkeypatch):
+        # Each collapse step is followed by one spend, so a search that runs
+        # out of budget takes at most max_nodes + 1 steps.
+        import comatch.topology as topology
+
+        steps = []
+        real_step = topology._collapse_step
+
+        def counted_step(*args):
+            steps.append(args)
+            return real_step(*args)
+
+        monkeypatch.setattr(topology, "_collapse_step", counted_step)
+        status, _ = is_d_collapsible(torus, 2, SearchBudget(max_nodes=50))
+        assert status == "budget_exhausted"
+        assert len(steps) <= 51
 
     def test_torus_not_twocollapsible_or_budget(self, torus):
         status, _ = is_d_collapsible(torus, 2, SearchBudget(max_nodes=30_000))
@@ -306,6 +330,54 @@ class TestLeray:
             else:
                 _assert_witness_replays(k, witness, value)
 
+    @pytest.mark.parametrize("seed", range(60))
+    def test_link_criterion_agrees_with_subcomplex_oracle(self, seed):
+        from oracles import oracle_max_nonzero_betti_over_subcomplexes
+        from comatch.simplicial import induced_subcomplex
+
+        k = random_complex(random.Random(seed + 2100), 9, 3)
+        worst = oracle_max_nonzero_betti_over_subcomplexes(k)
+        for d in range(k.dim + 2):
+            verdict = leray_check(k, d)
+            assert verdict.status == ("holds" if worst < d else "fails")
+            if verdict.status == "fails":
+                vertices, dim = verdict.witness
+                profile = reduced_betti(induced_subcomplex(k, vertices)).reduced_betti
+                assert dim >= d and profile[dim] != 0
+        value, exact, witness = leray_number(k)
+        assert (value, exact) == (worst + 1, True)
+        if value == 0:
+            assert witness is None
+        else:
+            assert witness == leray_check(k, value - 1)
+            _assert_witness_replays(k, witness, value)
+
+    def test_torus_and_hamming_nerve_have_leray_number_three(self, torus):
+        from comatch.constructions import gen_hamming_system
+        from comatch.simplicial import nerve
+
+        for k in (torus, nerve(gen_hamming_system(4, 1))):
+            assert leray_number(k) == (3, True, leray_check(k, 2))
+
+    def test_witness_sampled_above_the_cap(self):
+        # A cone is acyclic, so the whole complex is no witness, while its
+        # base (a 3-cycle plus 22 isolated points) is one.  With 26 vertices
+        # the links still prove "holds", but the witness search samples.
+        points = [f"p{i}" for i in range(22)]
+        base = [["x", "y"], ["y", "z"], ["z", "x"]] + [[p] for p in points]
+        cone = SimplicialComplex.from_labels(
+            ["a", "x", "y", "z"] + points, [["a"] + f for f in base]
+        )
+        assert leray_check(cone, 2).status == "holds"
+        with pytest.raises(InputError):
+            leray_number(cone)
+        with pytest.raises(InputError):
+            leray_check(cone, 1)
+        value, exact, witness = leray_number(cone, SearchBudget(max_nodes=100_000))
+        assert (value, exact) == (2, True)
+        _assert_witness_replays(cone, witness, value)
+        assert {1, 2, 3} <= witness.witness[0] and 0 not in witness.witness[0]
+
     @pytest.mark.parametrize("seed", range(15))
     def test_collapse_search_agrees_with_bfs_oracle(self, seed):
         from oracles import oracle_bfs_collapsible
@@ -356,24 +428,29 @@ class TestDoubleTorusJoin:
         assert dim == 5 and len(vertices) == 32
 
     def test_sampled_scan_needs_a_limit(self):
-        # Sampling never proves "holds", so above 24 vertices a scan with
-        # neither a node limit nor a deadline would never end.
+        # The links prove "holds" at any vertex count, and the whole complex
+        # (homology in dimensions 3, 4 and 5) is its own witness, so nothing
+        # here samples; TestLeray::test_witness_sampled_above_the_cap covers
+        # a witness search that must sample and so needs a limit.
         from comatch.constructions import gen_good_join_complex
 
         double = gen_good_join_complex(2)
-        with pytest.raises(InputError):
-            leray_number(double)
-        with pytest.raises(InputError):
-            leray_check(double, 6)
-        with pytest.raises(InputError):
-            leray_check(double, 6, SearchBudget())
-        # Past the dimension there is nothing to sample.
+        budget = SearchBudget(max_millis=60_000)
+        value, exact, witness = leray_number(double, budget)
+        assert (value, exact) == (6, True)
+        assert len(witness.witness[0]) == 32
+        _assert_witness_replays(double, witness, value)
+        assert leray_check(double, 6, budget).status == "holds"
+        assert leray_check(double, 6).status == "holds"
         assert leray_check(double, 8).status == "holds"
 
-        verdict = leray_check(double, 6, SearchBudget(max_millis=200))
+        # A node limit stops the link pass deterministically: inside the
+        # whole complex's homology (12,957 nodes) at 1,000, inside the 32
+        # vertex links (65 nodes each) at 14,000, where the whole complex
+        # already certifies the lower bound.
+        verdict = leray_check(double, 6, SearchBudget(max_nodes=1_000))
         assert verdict.status == "budget_exhausted"
-        # The full vertex set, sampled first, fails in dimensions 3, 4 and 5.
-        value, exact, witness = leray_number(double, SearchBudget(max_millis=3000))
+        value, exact, witness = leray_number(double, SearchBudget(max_nodes=14_000))
         assert (value, exact) == (6, False)
         assert witness.status == "fails" and witness.witness[1] == 5
 
