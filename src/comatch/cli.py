@@ -34,6 +34,7 @@ from .core import (
     SetSystem,
     Verdict,
     intersect_subfamily,
+    intersection_mask,
     verify_comatching,
     verify_comatching_with_intersection,
 )
@@ -45,7 +46,6 @@ from .search import (
     colorful_transversal_dichotomy,
     comatching_number,
     comatching_with_intersection_number,
-    helly_number,
     instance_admits_empty_transversal,
     minimal_empty_subfamilies,
 )
@@ -199,12 +199,22 @@ def cmd_analyze(path: str, config: RunConfig) -> dict:
 
 def _analyze_system(system: SetSystem, config: RunConfig) -> dict:
     clocks = {name: config.budget().clock() for name in ("tau", "tau_prime", "eta")}
+    minimal = minimal_empty_subfamilies(system)
+    h = max((len(s) for s in minimal), default=1)
     tau, tau_cert, tau_exact = comatching_number(system, clocks["tau"])
     taup, taup_cert, taup_exact = comatching_with_intersection_number(
         system, clocks["tau_prime"]
     )
-    minimal = minimal_empty_subfamilies(system)
-    h = max((len(s) for s in minimal), default=1)
+    if minimal and (tau < h or taup < h - 1):
+        # Only a search that ran out of budget ends below these bounds; it
+        # reports the bound instead, still inexact.
+        bound, bound_prime = _helly_bound_certificates(
+            system, next(s for s in minimal if len(s) == h)
+        )
+        if tau < h:
+            tau, tau_cert = h, bound
+        if taup < h - 1:
+            taup, taup_cert = h - 1, bound_prime
     eta, eta_exact, refuting = colorful_helly_number(
         system,
         clocks["eta"],
@@ -246,6 +256,31 @@ def _analyze_system(system: SetSystem, config: RunConfig) -> dict:
         "certificates": certificates,
         "timing": {"nodes": {name: clock.nodes for name, clock in clocks.items()}},
     }
+
+
+def _helly_bound_certificates(
+    system: SetSystem, largest: frozenset[int]
+) -> tuple[Comatching, Optional[ComatchingWithIntersection]]:
+    """Certificates of tau >= h and tau' >= h - 1 from a minimal empty
+    subfamily S of size h (None for the second when h < 2).
+
+    By minimality, for each F in S the intersection of S - {F} has a point
+    outside F; the lowest one, x_F, lies in every other member of S.  So
+    the pairs (x_F, F) form a comatching, and dropping the last pair leaves
+    members that share its point.
+    """
+    members = sorted(largest)
+    pairs = []
+    for f in members:
+        free = intersection_mask(system, [g for g in members if g != f])
+        free &= ~system.masks[f]
+        pairs.append(((free & -free).bit_length() - 1, f))
+    if len(pairs) < 2:
+        return Comatching(tuple(pairs)), None
+    common = pairs[-1][0]
+    return Comatching(tuple(pairs)), ComatchingWithIntersection(
+        Comatching(tuple(pairs[:-1])), common
+    )
 
 
 def _analyze_complex(complex_: SimplicialComplex, config: RunConfig) -> dict:
@@ -457,10 +492,11 @@ def cmd_check_theorems(config: RunConfig, n_systems: int = 120) -> tuple[dict, i
         system = random_system(rng, 7, 7)
         tau, tau_cert, e1 = comatching_number(system, budget)
         taup, taup_cert, e2 = comatching_with_intersection_number(system, budget)
-        h = helly_number(system)
+        minimal = minimal_empty_subfamilies(system)
+        h = max((len(s) for s in minimal), default=1)
         # No tau_prime here: eta is searched without the 1 + tau' cap, so the
         # eta <= 1 + tau' check below stays an independent test of the theorem.
-        eta, e3, refuting = colorful_helly_number(system, budget)
+        eta, e3, refuting = colorful_helly_number(system, budget, minimal=minimal)
         if not (e1 and e2 and e3):
             skipped += 1
             continue

@@ -17,18 +17,18 @@ reduced homology in all dimensions at least d; collapsibility at d
 implies the Leray property at d.  The Leray property is decided through
 links (Kalai-Meshulam: d-Leray iff every link, the complex itself
 included, has trivial reduced homology from dimension d up), at a cost of
-one homology per face, and a failure is then witnessed by an induced
-subcomplex that ``comatch verify`` replays.
+one homology per face.  A failing link then yields, by a Mayer-Vietoris
+descent of at most dim + 1 homologies, a failing induced subcomplex that
+``comatch verify`` replays.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Iterator, Optional
+from typing import Iterator, Optional
 
-from .core import InputError, iter_points
+from .core import InputError
 from .linalg import FIELD_PRIME, RankBudgetExceeded, _rank_sparse
 from .search import Budget, BudgetClock, as_clock
 from .simplicial import SimplicialComplex, all_faces, faces_of_dim, maximal_sets
@@ -47,11 +47,7 @@ __all__ = [
     "replay_collapse_sequence",
     "leray_check",
     "leray_number",
-    "EXHAUSTIVE_LERAY_VERTEX_CAP",
 ]
-
-EXHAUSTIVE_LERAY_VERTEX_CAP = 24
-_SAMPLING_SEED = 0x1EAF
 
 
 @dataclass(frozen=True)
@@ -393,77 +389,6 @@ def replay_collapse_sequence(
 # ---------------------------------------------------------------------------
 
 
-class _SubcomplexBettiScanner:
-    """Reduced homology of induced subcomplexes for the witness scan.
-
-    Faces are enumerated once and filtered per vertex subset; the rank of a
-    boundary submatrix depends only on its column set (every boundary entry
-    of a face inside W lies on a face inside W), so ranks are memoized per
-    (dimension, column set).
-    """
-
-    def __init__(self, complex_: SimplicialComplex):
-        self.complex = complex_
-        groups = all_faces(complex_)
-        # skip the empty face; index k holds faces of dimension k
-        self.faces = groups[1:]
-        self.face_masks = [
-            [sum(1 << v for v in f) for f in dim_faces] for dim_faces in self.faces
-        ]
-        self.rows_by_dim = [
-            _sparse_boundary_rows(groups[k], groups[k + 1])
-            for k in range(len(groups) - 1)
-        ]  # rows_by_dim[k]: boundary of dim-k faces into dim-(k-1) faces
-        self.rank_memo: dict[tuple[int, tuple[int, ...]], int] = {}
-
-    def faces_in(self, w_mask: int, k: int) -> list[int]:
-        if k >= len(self.faces):
-            return []
-        return [
-            c for c, fm in enumerate(self.face_masks[k]) if fm & ~w_mask == 0
-        ]
-
-    def boundary_rank(self, k: int, cols: list[int], clock) -> int:
-        """Rank of the dim-k boundary restricted to the given columns."""
-        if k == 0:
-            return 1 if cols else 0  # augmentation row of ones
-        key = (k, tuple(cols))
-        hit = self.rank_memo.get(key)
-        if hit is not None:
-            return hit
-        colset = set(cols)
-        rows = []
-        for row in self.rows_by_dim[k]:
-            picked = {c: v for c, v in row.items() if c in colset}
-            if picked:
-                rows.append(picked)
-        value = _rank_sparse(rows, clock, None)
-        self.rank_memo[key] = value
-        return value
-
-    def betti_from(self, w_mask: int, d: int, clock) -> Optional[int]:
-        """Smallest i >= d with nonzero reduced Betti of the subcomplex on
-        w_mask, or None when all vanish."""
-        cols_cache: dict[int, list[int]] = {}
-
-        def cols(k: int) -> list[int]:
-            if k not in cols_cache:
-                cols_cache[k] = self.faces_in(w_mask, k)
-            return cols_cache[k]
-
-        top = len(self.faces) - 1
-        for i in range(max(d, 0), top + 1):
-            ci = cols(i)
-            if not ci:
-                continue
-            r_i = self.boundary_rank(i, ci, clock)
-            upper = cols(i + 1) if i + 1 <= top else []
-            r_up = self.boundary_rank(i + 1, upper, clock) if upper else 0
-            if len(ci) - r_i - r_up:
-                return i
-        return None
-
-
 def leray_check(
     complex_: SimplicialComplex, d: int, budget: Budget = None
 ) -> LerayVerdict:
@@ -472,25 +397,19 @@ def leray_check(
 
     Decided by the link pass (:func:`_link_homology`) at any vertex count:
     "holds" when no link has reduced homology in a dimension >= d.  When
-    some link does, a failing induced subcomplex exists, and the witness is
-    the first one in the order of :func:`_leray_scan`: the whole complex
-    when it fails itself, else the first failing subset in decreasing size
-    (up to 24 vertices) or in fixed-seed sampling (above, which needs a
-    budget with a node limit or a deadline; InputError otherwise).  One
-    clock bounds both passes.
+    some link does, :func:`_descend` turns the first such link, at its
+    lowest failing dimension, into a failing induced subcomplex: the whole
+    complex when it fails itself.  One clock bounds both.
     """
     if d < 0:
         raise InputError("Leray dimension must be nonnegative")
     clock = as_clock(budget)
     for sigma, betti in _link_homology(complex_, d, clock):
         bad = next((i for i in range(d, len(betti)) if betti[i]), None)
-        if bad is None:
-            continue
-        if not sigma:
-            return LerayVerdict(d, "fails", (_all_vertices(complex_), bad))
-        witness = _leray_scan(complex_, d, clock)
-        status = "budget_exhausted" if witness is None else "fails"
-        return LerayVerdict(d, status, witness)
+        if bad is not None:
+            witness = _descend(complex_, sigma, bad, clock)
+            status = "budget_exhausted" if witness is None else "fails"
+            return LerayVerdict(d, status, witness)
     return LerayVerdict(d, "budget_exhausted" if clock.exhausted else "holds")
 
 
@@ -499,25 +418,26 @@ def leray_number(
 ) -> tuple[int, bool, Optional[LerayVerdict]]:
     """Smallest d whose Leray check holds, as (value, exact, witness).
 
-    The link pass gives the value L; the witness is the failing verdict of
-    ``leray_check(complex_, L - 1)`` (None at value 0), so an exact value
-    always comes with a replayable subset witness.  When the budget runs
-    out in either pass, the value is the lower bound that the whole
-    complex's own homology certifies (0 without one), flagged inexact.
+    The link pass gives the value L, and the witness descends from the
+    link that first raised the value to L, at dimension L - 1.  That is the
+    first link that ``leray_check(complex_, L - 1)`` finds failing, so the
+    witness is that verdict (None at value 0), and an exact value always
+    comes with a replayable subset witness.  When the budget runs out, the
+    value is the lower bound that the whole complex's own homology
+    certifies (0 without one), flagged inexact.
     """
     clock = as_clock(budget)
-    value, whole = 0, None
+    value, whole, raiser = 0, None, frozenset()
     for sigma, betti in _link_homology(complex_, 0, clock):
         top = _top_dimension(betti)
         if not sigma and top >= 0:
             whole = LerayVerdict(top, "fails", (_all_vertices(complex_), top))
-        value = max(value, top + 1)
+        if top + 1 > value:
+            value, raiser = top + 1, sigma
     if not clock.exhausted:
         if value == 0:
             return 0, True, None
-        if whole is not None and whole.d == value - 1:
-            return value, True, whole
-        witness = _leray_scan(complex_, value - 1, clock)
+        witness = _descend(complex_, raiser, value - 1, clock)
         if witness is not None:
             return value, True, LerayVerdict(value - 1, "fails", witness)
     # The budget ran out: only the whole complex's own homology is in hand.
@@ -536,11 +456,17 @@ def _top_dimension(betti: tuple[int, ...]) -> int:
 
 
 def _link(
-    complex_: SimplicialComplex, sigma: frozenset[int]
+    complex_: SimplicialComplex,
+    sigma: frozenset[int],
+    within: Optional[frozenset[int]] = None,
 ) -> Optional[SimplicialComplex]:
-    """lk sigma = {tau - sigma : tau a face containing sigma}, relabelled onto
-    its own vertices; None when it is a single simplex (acyclic)."""
+    """lk sigma = {tau - sigma : tau a face containing sigma}, in the complex
+    induced on ``within`` when given (sigma inside it), relabelled onto its
+    own vertices; None when it is a single simplex (acyclic)."""
     star = [f - sigma for f in complex_.facets if sigma <= f]
+    if within is not None:
+        # Restricted facets can become comparable, or empty.
+        star = list(maximal_sets(f & within for f in star))
     if len(star) == 1:
         return None
     # Distinct facets through sigma stay incomparable once sigma is removed.
@@ -588,51 +514,35 @@ def _link_homology(
             yield sigma, betti
 
 
-def _leray_scan(
-    complex_: SimplicialComplex, floor: int, clock: BudgetClock
+def _descend(
+    complex_: SimplicialComplex, sigma: frozenset[int], i: int, clock: BudgetClock
 ) -> Optional[tuple[frozenset[int], int]]:
-    """First induced subcomplex with reduced homology in some dimension >=
-    floor, as the witness (W, i) with i the lowest such dimension; None
-    when the budget runs out first.
+    """A failing induced subcomplex from a failing link, by Mayer-Vietoris.
 
-    Only called once the link pass has shown that such a subset exists and
-    that the whole vertex set is not one, so the scan starts below it:
-    vertex subsets in decreasing size up to 24 vertices, fixed-seed samples
-    above (InputError when the clock has neither a node limit nor a
-    deadline, since sampling ends only on a hit).
+    Given a face sigma with reduced H_i(lk sigma) != 0, returns (W, j) with
+    H_j(K[W]) != 0 and j >= i; None when the budget runs out.  For a vertex
+    v of a complex M, M is the union of M - v and the cone st v, which meet
+    in lk v; so H_i(lk_M v) != 0 gives H_{i+1}(M) != 0 or H_i(M - v) != 0.
+    With v in sigma, rho = sigma - v and M = lk_{K[W]} rho, lk_M v is
+    lk_{K[W]} sigma and M - v is lk_{K[W - v]} rho: the first case raises i
+    and the second drops v from W, and either way the invariant passes to
+    rho.  At sigma = {} the link is K[W] itself, so at most dim K + 1
+    homologies, each spending one node, give the witness.
     """
-    n = complex_.num_vertices
-    if n <= EXHAUSTIVE_LERAY_VERTEX_CAP:
-        order = _decreasing_subsets(n)
-    elif clock.max_nodes is None and clock.deadline is None:
-        raise InputError(
-            f"the Leray witness search samples above {EXHAUSTIVE_LERAY_VERTEX_CAP} "
-            f"vertices ({n} here) and needs a node limit or a deadline to end"
-        )
-    else:
-        order = _sampled_subsets(n, _SAMPLING_SEED)
-    scanner = _SubcomplexBettiScanner(complex_)
-    for w_mask in order:
-        if not clock.spend():
-            return None
-        try:
-            bad = scanner.betti_from(w_mask, floor, clock)
-        except RankBudgetExceeded:
-            return None
-        if bad is not None:
-            return frozenset(iter_points(w_mask)), bad
-    raise AssertionError(
-        f"internal: the links fail at {floor} but no induced subcomplex does"
-    )
-
-
-def _decreasing_subsets(n: int) -> Iterable[int]:
-    for size in range(n - 1, -1, -1):
-        for combo in combinations(range(n), size):
-            yield sum(1 << v for v in combo)
-
-
-def _sampled_subsets(n: int, seed: int) -> Iterable[int]:
-    rng = random.Random(seed)
-    while True:
-        yield rng.getrandbits(n)
+    w = set(_all_vertices(complex_))
+    rest = sorted(sigma)
+    while rest:
+        v = rest.pop()
+        link = _link(complex_, frozenset(rest), frozenset(w))
+        if link is not None:
+            if not clock.spend():
+                return None
+            try:
+                betti = _betti_from(link, i + 1, clock)
+            except RankBudgetExceeded:
+                return None
+            if any(betti[i + 1 : i + 2]):
+                i += 1
+                continue
+        w.discard(v)
+    return frozenset(w), i

@@ -35,6 +35,25 @@ def torus_path(tmp_path, capsys):
     return path
 
 
+def _assert_helly_bounds_verify(system):
+    from comatch.cli import _helly_bound_certificates
+    from comatch.core import verify_comatching, verify_comatching_with_intersection
+    from comatch.search import minimal_empty_subfamilies
+
+    minimal = minimal_empty_subfamilies(system)
+    if not minimal:
+        return
+    h = max(len(s) for s in minimal)
+    largest = next(s for s in minimal if len(s) == h)
+    bound, bound_prime = _helly_bound_certificates(system, largest)
+    assert len(bound) == h and verify_comatching(system, bound).ok
+    if h < 2:
+        assert bound_prime is None
+    else:
+        assert len(bound_prime) == h - 1
+        assert verify_comatching_with_intersection(system, bound_prime).ok
+
+
 class TestGenerate:
     def test_roundtrip_is_canonical(self, sharp2_path, tmp_path, capsys):
         doc = json.loads(sharp2_path.read_text())
@@ -152,6 +171,47 @@ class TestAnalyze:
         cert_path = tmp_path / "ref.json"
         cert_path.write_text(json.dumps(cert))
         assert main(["verify", str(cert_path), str(system_path)]) == 0
+
+    def test_inexact_tau_never_below_helly_bounds(self, tmp_path, capsys):
+        # Hamming(6,1) has h = 4.  A 3-node budget stops both searches at 2,
+        # below what a largest minimal empty subfamily proves: tau >= 4 and
+        # tau' >= 3.  The report gives those bounds, still inexact.
+        system_path, report_path = tmp_path / "h61.json", tmp_path / "report.json"
+        assert main(["generate", "hamming", "6", "1", "--out", str(system_path)]) == 0
+        argv = ["analyze", str(system_path), "--budget-nodes", "3"]
+        assert main([*argv, "--out", str(report_path)]) == 0
+        report = json.loads(report_path.read_text())
+        results = report["results"]
+        assert results["helly_number"] == 4
+        assert results["comatching_number"] == {"value": 4, "exact": False}
+        assert results["comatching_with_intersection_number"] == {
+            "value": 3, "exact": False,
+        }
+        for name, size in (("comatching", 4), ("comatching_with_intersection", 3)):
+            cert = report["certificates"][name]
+            assert len(cert["pairs"]) == size
+            cert_path = tmp_path / f"{name}.json"
+            cert_path.write_text(json.dumps(cert))
+            assert main(["verify", str(cert_path), str(system_path)]) == 0, name
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_helly_bound_certificates_verify(self, seed):
+        import random
+
+        from comatch.randsys import random_system
+
+        _assert_helly_bounds_verify(random_system(random.Random(seed + 3100), 10, 8))
+
+    def test_helly_bound_certificates_verify_on_named_systems(self):
+        from comatch.constructions import gen_cycle_sharpness, gen_hamming_system
+
+        for system in (
+            gen_hamming_system(4, 1),
+            gen_hamming_system(5, 1),
+            gen_hamming_system(5, 2),
+            *(gen_cycle_sharpness(m) for m in range(2, 7)),
+        ):
+            _assert_helly_bounds_verify(system)
 
 
 class TestPipelines:

@@ -262,6 +262,16 @@ class TestCollapsibility:
                 assert replay_collapse_sequence(k, seq).ok
 
 
+def _sparse_complex(rng, n):
+    """n vertices, a few random facets of 2 to 4 of them, the rest isolated."""
+    labels = [f"v{i}" for i in range(n)]
+    facets = [rng.sample(labels, rng.randint(2, 4)) for _ in range(rng.randint(3, 14))]
+    covered = {v for f in facets for v in f}
+    return SimplicialComplex.from_labels(
+        labels, facets + [[v] for v in labels if v not in covered]
+    )
+
+
 def _assert_witness_replays(k, witness, value):
     from comatch.simplicial import induced_subcomplex
 
@@ -362,21 +372,35 @@ class TestLeray:
     def test_witness_sampled_above_the_cap(self):
         # A cone is acyclic, so the whole complex is no witness, while its
         # base (a 3-cycle plus 22 isolated points) is one.  With 26 vertices
-        # the links still prove "holds", but the witness search samples.
+        # and no budget, the witness descends from the apex's failing link.
         points = [f"p{i}" for i in range(22)]
         base = [["x", "y"], ["y", "z"], ["z", "x"]] + [[p] for p in points]
         cone = SimplicialComplex.from_labels(
             ["a", "x", "y", "z"] + points, [["a"] + f for f in base]
         )
         assert leray_check(cone, 2).status == "holds"
-        with pytest.raises(InputError):
-            leray_number(cone)
-        with pytest.raises(InputError):
-            leray_check(cone, 1)
-        value, exact, witness = leray_number(cone, SearchBudget(max_nodes=100_000))
+        value, exact, witness = leray_number(cone)
         assert (value, exact) == (2, True)
         _assert_witness_replays(cone, witness, value)
         assert {1, 2, 3} <= witness.witness[0] and 0 not in witness.witness[0]
+        assert leray_check(cone, 1) == witness
+        budgeted = leray_number(cone, SearchBudget(max_nodes=100_000))
+        assert budgeted == (value, exact, witness)
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_cone_keeps_leray_number_of_base(self, seed):
+        # Induced subcomplexes of a cone a * B are those of B and cones,
+        # which are acyclic, so L(a * B) = L(B); a * B is acyclic itself, so
+        # every witness descends from a link.  Seed 0 has 26 base vertices.
+        rng = random.Random(seed + 2600)
+        base = _sparse_complex(rng, 26 if seed == 0 else rng.randint(4, 11))
+        cone = join(SimplicialComplex(("a",), (frozenset({0}),)), base)
+        value, exact, witness = leray_number(cone)
+        assert (value, exact) == leray_number(base)[:2] and exact
+        if value:
+            assert 0 not in witness.witness[0]
+            _assert_witness_replays(cone, witness, value)
+            assert witness == leray_check(cone, value - 1)
 
     @pytest.mark.parametrize("seed", range(15))
     def test_collapse_search_agrees_with_bfs_oracle(self, seed):
@@ -420,8 +444,8 @@ class TestDoubleTorusJoin:
         predicted = join_profile_from_factors(torus_profile, torus_profile)
         assert predicted[5] == 1 and all(b == 0 for b in predicted[6:])
 
-        # 32 vertices exceeds the exhaustive cap, so the scan samples; the
-        # full vertex set is sampled first and already witnesses the failure.
+        # The complex itself has homology in dimension 5, so the first
+        # failing link is the empty face's and the witness is all 32 vertices.
         verdict = leray_check(double, 5, SearchBudget(max_millis=120_000))
         assert verdict.status == "fails"
         vertices, dim = verdict.witness
@@ -429,9 +453,9 @@ class TestDoubleTorusJoin:
 
     def test_sampled_scan_needs_a_limit(self):
         # The links prove "holds" at any vertex count, and the whole complex
-        # (homology in dimensions 3, 4 and 5) is its own witness, so nothing
-        # here samples; TestLeray::test_witness_sampled_above_the_cap covers
-        # a witness search that must sample and so needs a limit.
+        # (homology in dimensions 3, 4 and 5) is its own witness, so no
+        # descent runs; the cone tests in TestLeray cover witnesses that
+        # descend from a proper link, with no budget.
         from comatch.constructions import gen_good_join_complex
 
         double = gen_good_join_complex(2)
