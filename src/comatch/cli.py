@@ -7,7 +7,8 @@ dichotomy, check-theorems, question1, verify.  Shared flags (--seed,
 flags win.
 
 Exit codes: 0 success, 1 invariant or suite failure, 2 input error,
-3 budget exhaustion where the command needed an exact answer.
+3 budget exhaustion where the command needed an exact answer: homology,
+collapse and leray, whose document then reads "status": "budget_exhausted".
 
 Reports are deterministic: identical configuration and seed produce
 byte-identical output.  Wall-clock timing is therefore opt-in
@@ -38,7 +39,6 @@ from .core import (
     verify_comatching,
     verify_comatching_with_intersection,
 )
-from .linalg import RankBudgetExceeded
 from .search import (
     DichotomyOutcome,
     SearchBudget,
@@ -61,6 +61,7 @@ from .simplicial import (
 )
 from .topology import (
     CollapseSequence,
+    HomologyProfile,
     LerayVerdict,
     is_d_collapsible,
     kunneth_betti_check,
@@ -291,11 +292,7 @@ def _analyze_complex(complex_: SimplicialComplex, config: RunConfig) -> dict:
     tau_k, cert, tau_exact = complex_comatching_number(complex_, clocks["comatching"])
     if not verify_complex_comatching(complex_, cert).ok:
         raise AssertionError("internal: complex comatching certificate failed")
-    try:
-        profile = reduced_betti(complex_, config.arith, clocks["homology"])
-        profile_doc = jsonio.profile_to_doc(profile)
-    except RankBudgetExceeded:
-        profile_doc = {"status": "budget_exhausted"}
+    profile_doc = _profile_doc(reduced_betti(complex_, config.arith, clocks["homology"]))
 
     leray_value, leray_exact, witness = leray_number(complex_, clocks["leray"])
     collapse_status, sequence = is_d_collapsible(
@@ -428,10 +425,16 @@ def cmd_nerve(path: str, config: RunConfig) -> dict:
     return jsonio.complex_to_doc(nerve(system))
 
 
-def cmd_homology(path: str, config: RunConfig) -> dict:
+def _profile_doc(profile: Optional[HomologyProfile]) -> dict:
+    if profile is None:
+        return {"status": "budget_exhausted"}
+    return jsonio.profile_to_doc(profile)
+
+
+def cmd_homology(path: str, config: RunConfig) -> tuple[dict, int]:
     complex_, _ = jsonio.complex_from_doc(_load_doc(path))
     profile = reduced_betti(complex_, config.arith, config.budget())
-    return jsonio.profile_to_doc(profile)
+    return _profile_doc(profile), EXIT_BUDGET if profile is None else EXIT_OK
 
 
 def cmd_collapse(path: str, d: int, strict: bool, config: RunConfig) -> tuple[dict, int]:
@@ -811,7 +814,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         elif args.command == "nerve":
             doc = cmd_nerve(args.path, config)
         elif args.command == "homology":
-            doc = cmd_homology(args.path, config)
+            doc, code = cmd_homology(args.path, config)
         elif args.command == "collapse":
             doc, code = cmd_collapse(args.path, args.d, args.strict_size, config)
         elif args.command == "leray":
@@ -831,9 +834,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except RankBudgetExceeded as exc:
-        print(f"budget exhausted: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
 
 
 if __name__ == "__main__":

@@ -90,17 +90,6 @@ def gen_cycle_sharpness(m: int) -> SetSystem:
     return SetSystem(tuple(ground), tuple(members))
 
 
-def cycle_sharpness_families(m: int) -> tuple[tuple[frozenset[int], ...], frozenset[int]]:
-    """The M subfamilies of the sharpness construction, as member selections:
-    M-1 copies of the even family followed by the odd family."""
-    if m == 2:
-        even, odd = frozenset({0, 1}), frozenset({2, 3})
-        return (even, odd), odd
-    even = frozenset(range(m))
-    odd = frozenset(range(m, 2 * m))
-    return tuple([even] * (m - 1) + [odd]), odd
-
-
 # ---------------------------------------------------------------------------
 # Hamming balls
 # ---------------------------------------------------------------------------

@@ -19,22 +19,22 @@ from fractions import Fraction
 from math import gcd
 from typing import Optional, Sequence
 
-from .search import Budget, BudgetClock, as_clock
+from .search import UNBOUNDED, BudgetClock
 
 __all__ = ["FIELD_PRIME", "rank_exact", "rank_mod_prime", "solve_exact"]
 
 FIELD_PRIME = 2_147_483_647  # 2^31 - 1
 
 
-class RankBudgetExceeded(RuntimeError):
-    """Raised when a rank computation runs out of budget."""
-
-
 def _rank_sparse(
     rows: list[dict[int, int]],
-    clock: Optional[BudgetClock],
+    clock: BudgetClock,
     prime: Optional[int],
-) -> int:
+) -> Optional[int]:
+    """Rank of the row dicts, over GF(prime) when a prime is given.
+
+    Each pivot spends one node of ``clock``; None when it runs out.
+    """
     rows = [dict(r) for r in rows if r]
     if prime is not None:
         for r in rows:
@@ -69,10 +69,8 @@ def _rank_sparse(
         if rlen != len(prow):
             heapq.heappush(heap, (len(prow), pi))
             continue
-        if clock is not None and not clock.spend():
-            raise RankBudgetExceeded(
-                f"rank computation exhausted its budget after {rank} pivots"
-            )
+        if not clock.spend():
+            return None
         pc = min(
             prow,
             key=lambda c: (0 if prow[c] in (1, -1) else 1, len(col_rows[c]), c),
@@ -143,22 +141,14 @@ def _reduce_gcd(row: dict[int, int]) -> None:
             row[c] //= g
 
 
-def rank_exact(
-    rows: Sequence[dict[int, int]], budget: Budget = None
-) -> int:
+def rank_exact(rows: Sequence[dict[int, int]]) -> int:
     """Rank over the rationals of a sparse integer matrix given as row dicts."""
-    clock = as_clock(budget) if budget is not None else None
-    return _rank_sparse(list(rows), clock, prime=None)
+    return _rank_sparse(list(rows), UNBOUNDED.clock(), prime=None)
 
 
-def rank_mod_prime(
-    rows: Sequence[dict[int, int]],
-    budget: Budget = None,
-    prime: int = FIELD_PRIME,
-) -> int:
-    """Rank over the prime field GF(prime); fast, flagged non-exact upstream."""
-    clock = as_clock(budget) if budget is not None else None
-    return _rank_sparse(list(rows), clock, prime=prime)
+def rank_mod_prime(rows: Sequence[dict[int, int]]) -> int:
+    """Rank over GF(FIELD_PRIME); fast, flagged non-exact upstream."""
+    return _rank_sparse(list(rows), UNBOUNDED.clock(), prime=FIELD_PRIME)
 
 
 def solve_exact(

@@ -117,9 +117,6 @@ class SimplicialComplex:
                 out.append(v)
         return tuple(out)
 
-    def has_face(self, face: frozenset[int]) -> bool:
-        return any(face <= f for f in self.facets)
-
 
 def maximal_sets(sets: Iterable[frozenset[int]]) -> tuple[frozenset[int], ...]:
     """Deduplicate and drop sets contained in another; stable, size-descending."""
@@ -399,11 +396,7 @@ def _vertex_signatures(complex_: SimplicialComplex, rounds: int = 3) -> list[tup
     return sigs
 
 
-def are_isomorphic(
-    left: SimplicialComplex,
-    right: SimplicialComplex,
-    budget: Budget = None,
-) -> bool:
+def are_isomorphic(left: SimplicialComplex, right: SimplicialComplex) -> bool:
     """Search for a vertex bijection carrying facets onto facets.
 
     Candidate images are filtered by iterated vertex signatures and by
@@ -433,13 +426,10 @@ def are_isomorphic(
         [u for u in range(n) if rsig[u] == lsig[v]] for v in range(n)
     ]
     order = sorted(range(n), key=lambda v: len(candidates[v]))
-    clock = as_clock(budget)
     mapping: dict[int, int] = {}
     used = [False] * n
 
     def assign(k: int) -> bool:
-        if not clock.spend():
-            return False
         if k == n:
             for fm, f in zip(left.facet_masks, left.facets):
                 image = 0

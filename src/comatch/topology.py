@@ -29,7 +29,7 @@ from itertools import combinations
 from typing import Iterator, Optional
 
 from .core import InputError
-from .linalg import FIELD_PRIME, RankBudgetExceeded, _rank_sparse
+from .linalg import FIELD_PRIME, _rank_sparse
 from .search import Budget, BudgetClock, as_clock
 from .simplicial import SimplicialComplex, all_faces, faces_of_dim, maximal_sets
 
@@ -142,38 +142,42 @@ def reduced_betti(
     complex_: SimplicialComplex,
     mode: str = "exact",
     budget: Budget = None,
-) -> HomologyProfile:
+) -> Optional[HomologyProfile]:
     """Reduced Betti numbers b0..b_dim via augmented boundary ranks.
 
     mode "exact" uses rational arithmetic; mode "prime" works over
-    GF(2^31 - 1) and is flagged non-exact.  A budget, when given, bounds
-    the elimination work; exhaustion raises :class:`RankBudgetExceeded`.
+    GF(2^31 - 1) and is flagged non-exact.  Each elimination pivot spends
+    one node of the budget; None when it runs out (never without a budget).
     """
     if mode not in ("exact", "prime"):
         raise InputError(f"unknown arithmetic mode {mode!r}")
     arithmetic = "exact-rational" if mode == "exact" else f"prime-field({FIELD_PRIME})"
     if complex_.num_vertices == 0:
         return HomologyProfile((), arithmetic, mode == "exact", ("empty complex",))
-    clock = as_clock(budget) if budget is not None else None
     prime = None if mode == "exact" else FIELD_PRIME
-    betti = _betti_from(complex_, 0, clock, prime)
+    betti = _betti_from(complex_, 0, as_clock(budget), prime)
+    if betti is None:
+        return None
     return HomologyProfile(betti, arithmetic, mode == "exact")
 
 
 def _betti_from(
     complex_: SimplicialComplex,
     low: int,
-    clock: Optional[BudgetClock],
+    clock: BudgetClock,
     prime: Optional[int] = None,
-) -> tuple[int, ...]:
+) -> Optional[tuple[int, ...]]:
     """Reduced Betti numbers b_low..b_dim of a nonempty complex, with zeros
-    below ``low``: only the boundary ranks those need are computed."""
+    below ``low``: only the boundary ranks those need are computed.  None
+    when ``clock`` runs out during a rank."""
     groups = all_faces(complex_)  # index k holds faces of dimension k-1
     dim = len(groups) - 2
     rank = [0] * (dim + 3)  # rank[k] = rank of boundary from dim k-1 chains
     for k in range(low + 1, len(groups)):
         rows = _sparse_boundary_rows(groups[k - 1], groups[k])
         rank[k] = _rank_sparse(rows, clock, prime)
+        if rank[k] is None:
+            return None
     return tuple(
         len(groups[i + 1]) - rank[i + 1] - rank[i + 2] if i >= low else 0
         for i in range(dim + 1)
@@ -192,14 +196,20 @@ def is_d_good(complex_: SimplicialComplex, d: int) -> bool:
 def join_profile_from_factors(
     left: tuple[int, ...], right: tuple[int, ...]
 ) -> tuple[int, ...]:
-    """Predicted join Betti numbers for nonempty factors:
-    b_k = sum over i+j=k-1 of b_i * b_j."""
-    out_len = len(left) + len(right) + 1
-    out = [0] * out_len
-    for i, a in enumerate(left):
-        for j, b in enumerate(right):
-            out[i + j + 1] += a * b
-    return tuple(out)
+    """Predicted join Betti numbers b_0..b_{len(left)+len(right)}:
+    b_k = sum over i+j=k-1 of b_i * b_j, with i and j from -1.
+
+    Each profile is extended by its dimension -1 entry, 1 exactly for the
+    empty complex's profile (), so a join with the empty complex predicts
+    the other factor's profile.
+    """
+    lext = (0 if left else 1,) + tuple(left)
+    rext = (0 if right else 1,) + tuple(right)
+    out = [0] * (len(lext) + len(rext))
+    for a, x in enumerate(lext):
+        for b, y in enumerate(rext):
+            out[a + b] += x * y
+    return tuple(out[1:])  # entry for join dimension k sits at k + 1
 
 
 def kunneth_betti_check(
@@ -215,28 +225,18 @@ def kunneth_betti_check(
     from .simplicial import join
 
     clock = as_clock(budget)
-    try:
-        lp = reduced_betti(left, "exact", clock).reduced_betti
-        rp = reduced_betti(right, "exact", clock).reduced_betti
-    except RankBudgetExceeded:
+    lp = reduced_betti(left, "exact", clock)
+    rp = None if lp is None else reduced_betti(right, "exact", clock)
+    if rp is None:
         return KunnethVerdict("budget_exhausted", (), None)
-    # Extend each profile with its dimension -1 entry (1 exactly for the
-    # empty complex), so the convolution stays correct when a factor is
-    # empty and the join degenerates to the other factor.
-    lext = (1 if left.num_vertices == 0 else 0,) + lp
-    rext = (1 if right.num_vertices == 0 else 0,) + rp
-    ext = [0] * (len(lext) + len(rext))
-    for a, x in enumerate(lext):
-        for b, y in enumerate(rext):
-            ext[a + b] += x * y
-    predicted_raw = tuple(ext[1:])  # entry for join dimension k sits at k+1
     joined = join(left, right)
     expected_len = joined.dim + 1 if joined.num_vertices else 0
-    predicted = tuple((predicted_raw + (0,) * expected_len)[:expected_len])
-    try:
-        direct = reduced_betti(joined, "exact", clock).reduced_betti
-    except RankBudgetExceeded:
+    predicted = join_profile_from_factors(lp.reduced_betti, rp.reduced_betti)
+    predicted = tuple((predicted + (0,) * expected_len)[:expected_len])
+    profile = reduced_betti(joined, "exact", clock)
+    if profile is None:
         return KunnethVerdict("budget_exhausted", predicted, None)
+    direct = profile.reduced_betti
     violations = tuple(
         f"dimension {k}: join has {direct[k]}, factors predict {predicted[k]}"
         for k in range(len(direct))
@@ -506,9 +506,8 @@ def _link_homology(
                 continue
             if not clock.spend():
                 return
-            try:
-                betti = _betti_from(link, value, clock)
-            except RankBudgetExceeded:
+            betti = _betti_from(link, value, clock)
+            if betti is None:
                 return
             value = max(value, _top_dimension(betti) + 1)
             yield sigma, betti
@@ -537,9 +536,8 @@ def _descend(
         if link is not None:
             if not clock.spend():
                 return None
-            try:
-                betti = _betti_from(link, i + 1, clock)
-            except RankBudgetExceeded:
+            betti = _betti_from(link, i + 1, clock)
+            if betti is None:
                 return None
             if any(betti[i + 1 : i + 2]):
                 i += 1

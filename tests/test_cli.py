@@ -296,6 +296,10 @@ class TestPipelines:
         code = main(["collapse", str(torus_path), "2", "--budget-nodes", "50"])
         assert code == 3
 
+    def test_homology_budget_exit(self, torus_path, capsys):
+        code, doc = run_cli(capsys, "homology", str(torus_path), "--budget-nodes", "2")
+        assert (code, doc) == (3, {"status": "budget_exhausted"})
+
 
 class TestVerify:
     def test_comatching_certificate_roundtrip(self, sharp2_path, tmp_path, capsys):

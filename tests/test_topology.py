@@ -119,11 +119,10 @@ class TestReducedBetti:
         )
         assert betti_sum == face_sum - 1
 
-    def test_budget_exhaustion_raises(self, torus):
-        from comatch.linalg import RankBudgetExceeded
-
-        with pytest.raises(RankBudgetExceeded):
-            reduced_betti(torus, budget=SearchBudget(max_nodes=2))
+    def test_budget_exhaustion_returns_none(self, torus):
+        clock = SearchBudget(max_nodes=2).clock()
+        assert reduced_betti(torus, budget=clock) is None
+        assert clock.exhausted
 
     @pytest.mark.parametrize("seed", range(30))
     def test_matches_dense_fraction_oracle(self, seed):
@@ -167,6 +166,11 @@ class TestKunneth:
             0,
             0,
         )
+        # The join with the empty complex, whose profile is (), is the other
+        # factor; the trailing entry is the same padding as above.
+        assert join_profile_from_factors((), (0, 2, 1, 0)) == (0, 2, 1, 0, 0)
+        assert join_profile_from_factors((0, 2, 1, 0), ()) == (0, 2, 1, 0, 0)
+        assert join_profile_from_factors((), ()) == (0,)
 
     @pytest.mark.parametrize("seed", range(20))
     def test_identity_on_random_pairs(self, seed):
@@ -194,6 +198,41 @@ class TestKunneth:
     def test_factor_budget_exhaustion_in_band(self, torus, three_cycle):
         verdict = kunneth_betti_check(torus, three_cycle, SearchBudget(max_nodes=5))
         assert verdict == KunnethVerdict("budget_exhausted", (), None)
+
+
+class TestBudgetInBand:
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("max_nodes", [0, 1, 2, 5, 20])
+    def test_exhaustion_never_raises(self, seed, max_nodes):
+        from comatch.simplicial import complex_comatching_number
+
+        rng = random.Random(seed + 2100)
+        k = random_complex(rng, 6, 5)
+        other = random_complex(rng, 4, 3)
+        budget = SearchBudget(max_nodes=max_nodes)
+
+        clock = budget.clock()
+        profile = reduced_betti(k, "exact", clock)
+        assert (profile is None) == clock.exhausted
+        if profile is not None:
+            assert profile == reduced_betti(k, "exact")
+
+        verdict = kunneth_betti_check(k, other, budget)
+        assert verdict.status in ("ok", "budget_exhausted")
+        for d in range(k.dim + 2):
+            assert leray_check(k, d, budget).status in (
+                "holds",
+                "fails",
+                "budget_exhausted",
+            )
+        value, exact, witness = leray_number(k, budget)
+        if exact:
+            assert (value, exact, witness) == leray_number(k)
+        for d in range(1, k.dim + 2):
+            status, _ = is_d_collapsible(k, d, budget)
+            assert status in ("proved", "refuted", "budget_exhausted")
+        tau, _, _ = complex_comatching_number(k, budget)
+        assert tau <= complex_comatching_number(k)[0]
 
 
 class TestCollapsibility:
