@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 
 from .search import UNBOUNDED, BudgetClock
 
-__all__ = ["FIELD_PRIME", "rank_exact", "rank_mod_prime", "solve_exact"]
+__all__ = ["FIELD_PRIME", "rank_exact", "solve_exact"]
 
 FIELD_PRIME = 2_147_483_647  # 2^31 - 1
 
@@ -144,11 +144,6 @@ def _reduce_gcd(row: dict[int, int]) -> None:
 def rank_exact(rows: Sequence[dict[int, int]]) -> int:
     """Rank over the rationals of a sparse integer matrix given as row dicts."""
     return _rank_sparse(list(rows), UNBOUNDED.clock(), prime=None)
-
-
-def rank_mod_prime(rows: Sequence[dict[int, int]]) -> int:
-    """Rank over GF(FIELD_PRIME); fast, flagged non-exact upstream."""
-    return _rank_sparse(list(rows), UNBOUNDED.clock(), prime=FIELD_PRIME)
 
 
 def solve_exact(

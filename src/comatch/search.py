@@ -3,7 +3,8 @@
 Everything here is exact and certificate-producing:
 
 * ``comatching_number`` / ``comatching_with_intersection_number`` run a
-  branch-and-bound over (point, member) pairs on bitset rows.
+  bit-parallel maximum-clique search on the compatibility graph of the
+  (member, point) pairs, bounded by greedy colouring.
 * ``minimal_empty_subfamilies`` enumerates the inclusion-minimal
   subfamilies with empty intersection (the minimal non-faces of the
   nerve) as minimal hitting sets of the complement hypergraph.
@@ -20,7 +21,9 @@ Everything here is exact and certificate-producing:
   intersection witness of full size.
 
 Budgets are never errors: results carry exactness flags instead, so
-property tests can filter on them.
+property tests can filter on them.  The tau, tau' and minimal-empty
+searches keep explicit stacks, so their depth is not bounded by Python's
+recursion limit.
 """
 
 from __future__ import annotations
@@ -195,67 +198,139 @@ def _comatching_candidates(system: SetSystem) -> list[tuple[int, int]]:
 def _comatching_search(
     system: SetSystem, budget: Budget, need_common_point: bool
 ) -> tuple[int, tuple[tuple[int, int], ...], int, bool]:
-    """Shared branch-and-bound.
+    """Shared maximum-clique search for tau and tau'.
 
     Returns (best size, best pairs as (point, member), common-point mask
-    of the best solution, exact flag).  Pairs are explored with member
-    indices ascending, so the reported certificate is the lexicographically
-    first optimum and reruns are reproducible.
+    of the best solution, exact flag).
+
+    A comatching is a clique in the compatibility graph on the (member,
+    point) pairs with the point outside the member: (m, p) and (m', p')
+    are compatible when p lies in m' and p' in m, which forces m != m'
+    and p != p'.  The pairs are bits in (member, point) order, and the
+    neighbours of (m, p) are ``containing[p] & inside[m]``: the pairs
+    whose member contains p, among those whose point lies in m.
+
+    The search is depth-first on an explicit stack, so its depth is not
+    bounded by the recursion limit.  Children are taken in ascending bit
+    order, each narrowing the candidates to its later neighbours.  Each
+    node greedily colours its candidates into independent sets, and a
+    clique takes at most one pair from each.  A node is not expanded when
+    its size plus its colour count cannot beat the best, and its child
+    loop stops once its size plus the number of classes with an untried
+    pair cannot.  Both rules only cut branches with no strictly larger
+    clique, and the best is replaced only by a strictly larger one, so the
+    certificate is the lexicographically first optimum and reruns are
+    reproducible.  For tau' a node also carries the intersection of its
+    members, and its children keep only the pairs whose member meets it.
     """
     masks = system.masks
     full = system.full_mask
     clock = as_clock(budget)
-    best_pairs: tuple[tuple[int, int], ...] = ()
-    best_size = 0
-    best_common = full if need_common_point else 0
-
     candidates = _comatching_candidates(system)
     if need_common_point:
         # A nonempty ground set always admits the size-0 certificate, but a
         # positive tau' needs at least one extendable pair.
         candidates = [(m, p) for (m, p) in candidates if masks[m]]
+    containing, inside = _compatibility_tables(system, candidates)
 
-    def extend(
-        chosen: list[tuple[int, int]],
-        cand: list[tuple[int, int]],
-        inter: int,
-    ) -> None:
-        nonlocal best_pairs, best_size, best_common
-        if not clock.spend():
-            return
+    best_pairs: tuple[tuple[int, int], ...] = ()
+    best_size = 0
+    best_common = full if need_common_point else 0
+    if not clock.spend():
+        return best_size, best_pairs, best_common, False
+    # stack[d] is [untried candidates, colour-class tops] of the node at
+    # depth d; its pairs are chosen[:d] and its intersection is inters[d].
+    root = (1 << len(candidates)) - 1
+    stack = [[root, _class_tops(root, containing, inside, candidates)]]
+    chosen: list[tuple[int, int]] = []
+    inters = [full]
+    while stack:
+        frame = stack[-1]
+        cand, tops = frame
+        # The untried pairs are the candidates from bit low up, and -low has
+        # every bit from low up set (none once low is 0), so a class whose
+        # top misses -low has no untried pair left.
+        low = cand & -cand
+        while tops and not tops[-1] & -low:
+            tops.pop()
         size = len(chosen)
-        if size > best_size:
-            best_size = size
-            best_pairs = tuple((p, m) for (m, p) in chosen)
+        if size + len(tops) <= best_size:
+            stack.pop()
+            if chosen:
+                chosen.pop()
+                inters.pop()
+            continue
+        frame[0] = cand = cand ^ low
+        m, p = candidates[low.bit_length() - 1]
+        if not clock.spend():
+            break
+        chosen.append((m, p))
+        inter = inters[-1] & masks[m]
+        if size + 1 > best_size:
+            best_size = size + 1
+            best_pairs = tuple((q, n) for (n, q) in chosen)
             best_common = inter
-        if not cand:
-            return
-        distinct_members = len({m for m, _ in cand})
-        distinct_points = len({p for _, p in cand})
-        if size + min(distinct_members, distinct_points) <= best_size:
-            return
-        for idx, (m, p) in enumerate(cand):
-            new_inter = inter & masks[m]
-            if need_common_point and new_inter == 0:
+        child = cand & containing[p] & inside[m]
+        if need_common_point and child:
+            meets = 0
+            rest = inter
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                meets |= containing[bit.bit_length() - 1]
+            child &= meets
+        if size + 1 + child.bit_count() > best_size:
+            tops = _class_tops(child, containing, inside, candidates)
+            if size + 1 + len(tops) > best_size:
+                stack.append([child, tops])
+                inters.append(inter)
                 continue
-            # Compatibility with the new pair: later members must contain p,
-            # later points must lie in member m, and indices stay distinct.
-            # Narrowing against every chosen pair keeps the candidate list
-            # closed under those constraints along the whole branch.
-            narrowed = [
-                (m2, p2)
-                for (m2, p2) in cand[idx + 1 :]
-                if m2 > m
-                and p2 != p
-                and (masks[m2] >> p & 1)
-                and (masks[m] >> p2 & 1)
-            ]
-            chosen.append((m, p))
-            extend(chosen, narrowed, new_inter)
-            chosen.pop()
-
-    extend([], candidates, full)
+        chosen.pop()
     return best_size, best_pairs, best_common, not clock.exhausted
+
+
+def _compatibility_tables(
+    system: SetSystem, candidates: Sequence[tuple[int, int]]
+) -> tuple[list[int], list[int]]:
+    """``containing[p]``: candidate bits whose member contains p;
+    ``inside[m]``: candidate bits whose point lies in m."""
+    by_member = [0] * system.num_members
+    by_point = [0] * system.num_points
+    for i, (m, p) in enumerate(candidates):
+        by_member[m] |= 1 << i
+        by_point[p] |= 1 << i
+    containing = [0] * system.num_points
+    inside = [0] * system.num_members
+    for m, mask in enumerate(system.masks):
+        rest = mask
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            p = bit.bit_length() - 1
+            containing[p] |= by_member[m]
+            inside[m] |= by_point[p]
+    return containing, inside
+
+
+def _class_tops(
+    cand: int,
+    containing: Sequence[int],
+    inside: Sequence[int],
+    candidates: Sequence[tuple[int, int]],
+) -> list[int]:
+    """Greedy colouring of ``cand`` into independent sets, each built from
+    the highest uncoloured pair down; returns each class's highest pair as
+    a bit, in descending order."""
+    tops = []
+    while cand:
+        free = cand
+        tops.append(1 << (free.bit_length() - 1))
+        while free:
+            i = free.bit_length() - 1
+            cand ^= 1 << i
+            m, p = candidates[i]
+            free &= ~(1 << i | containing[p] & inside[m])
+    return tops
 
 
 def comatching_number(
@@ -299,8 +374,9 @@ def minimal_empty_subfamilies(system: SetSystem) -> tuple[frozenset[int], ...]:
     A selection has empty intersection exactly when the complements of its
     members cover the ground set, so these are the minimal hitting sets of
     the hypergraph {members missing x : x in ground}.  Enumerated by a
-    depth-first search over the first unhit edge, pruned by criticality:
-    every chosen member must stay the unique chosen one hitting some edge.
+    depth-first search on an explicit stack, branching on the unhit edge
+    with the fewest allowed members and pruned by criticality: every
+    chosen member must stay the unique chosen one hitting some edge.
     """
     if system.num_points == 0:
         # Over an empty ground set even the empty selection intersects to
@@ -319,48 +395,58 @@ def minimal_empty_subfamilies(system: SetSystem) -> tuple[frozenset[int], ...]:
         edges.append(edge)
     edges = sorted(set(edges))
 
+    # A frame is [chosen, crit, uncov, excluded, untried, tried].  Every
+    # edge outside uncov is hit by some chosen member; crit[v] lists the
+    # edges hit by v alone among the chosen.  Criticality can only shrink
+    # along a branch, so an empty crit[v] kills the branch and every
+    # surviving leaf is a *minimal* hitting set.  A frame branches on the
+    # members of its fewest-choice unhit edge, and each child excludes the
+    # siblings tried before it.
     results: list[frozenset[int]] = []
-
-    def rec(
-        chosen: tuple[int, ...],
-        crit: dict[int, list[int]],
-        uncov: list[int],
-        excluded: int,
-    ) -> None:
-        # Invariants: every edge outside uncov is hit by some chosen member;
-        # crit[v] lists the edges hit by v alone among the chosen.  Criticality
-        # can only shrink along a branch, so an empty crit[v] kills the branch
-        # and every surviving leaf is a *minimal* hitting set.
-        if not uncov:
-            results.append(frozenset(chosen))
-            return
-        edge = min(uncov, key=lambda e: (e & ~excluded).bit_count())
-        allowed = edge & ~excluded
-        veto = 0
-        while allowed:
-            bit = allowed & -allowed
-            allowed ^= bit
+    stack = [[(), {}, edges, 0, _fewest_choices(edges, 0), 0]]
+    while stack:
+        frame = stack[-1]
+        chosen, crit, uncov, excluded, untried, tried = frame
+        while untried:
+            bit = untried & -untried
+            untried ^= bit
             j = bit.bit_length() - 1
             new_crit = {}
-            ok = True
             for v, critical_edges in crit.items():
                 reduced = [e for e in critical_edges if not (e >> j & 1)]
                 if not reduced:
-                    ok = False
                     break
                 new_crit[v] = reduced
-            if ok:
+            else:
                 new_crit[j] = [e for e in uncov if e >> j & 1]
-                rec(
-                    chosen + (j,),
-                    new_crit,
-                    [e for e in uncov if not (e >> j & 1)],
-                    excluded | veto,
-                )
-            veto |= bit
+                rest = [e for e in uncov if not (e >> j & 1)]
+                if not rest:
+                    results.append(frozenset(chosen + (j,)))
+                else:
+                    child_excluded = excluded | tried
+                    frame[4], frame[5] = untried, tried | bit
+                    stack.append(
+                        [
+                            chosen + (j,),
+                            new_crit,
+                            rest,
+                            child_excluded,
+                            _fewest_choices(rest, child_excluded),
+                            0,
+                        ]
+                    )
+                    break
+            tried |= bit
+        else:
+            stack.pop()
 
-    rec((), {}, edges, 0)
     return tuple(sorted(results, key=lambda s: (len(s), sorted(s))))
+
+
+def _fewest_choices(uncov: list[int], excluded: int) -> int:
+    """The allowed members of the unhit edge with the fewest of them."""
+    edge = min(uncov, key=lambda e: (e & ~excluded).bit_count())
+    return edge & ~excluded
 
 
 def helly_number(system: SetSystem) -> int:

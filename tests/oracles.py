@@ -3,7 +3,7 @@
 Everything here is deliberately naive: plain enumeration over subsets,
 bijections, and transversal products, and textbook dense Gaussian
 elimination over Fraction, sharing no code path with the library's
-branch-and-bound, hitting-set search, or sparse elimination.
+clique search, hitting-set search, or sparse elimination.
 """
 
 from __future__ import annotations
@@ -43,6 +43,40 @@ def oracle_comatching_with_intersection_number(system: SetSystem):
                     if _pattern_holds(system, pts, perm):
                         return k, list(zip(pts, perm)), common[0]
     return 0, [], None
+
+
+def oracle_lex_first_comatching(system: SetSystem, common_point: bool = False):
+    """The lexicographically first maximum comatching, as (size, pairs as
+    (point, member), lowest common point or None).
+
+    Every increasing member tuple is paired with every choice of points
+    outside its members; the valid ones of the largest size are compared
+    as sequences of (member, point) pairs.  With ``common_point`` only
+    member tuples sharing a point count, and size 0 has no certificate.
+    """
+    n, m = system.num_points, system.num_members
+    for k in range(min(n, m), 0, -1):
+        found = []
+        for mems in combinations(range(m), k):
+            shared = [
+                p
+                for p in range(n)
+                if all(p in system.member_elements(j) for j in mems)
+            ]
+            if common_point and not shared:
+                continue
+            outside = [
+                [p for p in range(n) if p not in system.member_elements(j)]
+                for j in mems
+            ]
+            for pts in product(*outside):
+                if _pattern_holds(system, pts, mems):
+                    found.append((tuple(zip(mems, pts)), shared))
+        if found:
+            first, shared = min(found)
+            pairs = tuple((p, j) for j, p in first)
+            return k, pairs, shared[0] if common_point else None
+    return 0, (), None
 
 
 def _pattern_holds(system: SetSystem, pts, mems) -> bool:

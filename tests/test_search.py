@@ -1,10 +1,13 @@
+import json
 import random
+import sys
 import time
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
 import pytest
 
+from comatch import cli, jsonio
 from comatch.core import (
     SetSystem,
     InputError,
@@ -33,6 +36,7 @@ from oracles import (
     oracle_comatching_with_intersection_number,
     oracle_helly_number,
     oracle_instance_admits_empty_transversal,
+    oracle_lex_first_comatching,
     oracle_minimal_empty_subfamilies,
 )
 
@@ -151,6 +155,101 @@ class TestComatchingWithIntersectionNumber:
         assert taup in (tau - 1, tau)
         if cert is not None:
             assert verify_comatching_with_intersection(system, cert).ok
+
+
+class TestLexFirstCertificates:
+    """The certificates are the lexicographically first optimum, not just
+    some optimum that verifies."""
+
+    @pytest.mark.parametrize(
+        "system",
+        [random_system(random.Random(seed + 7000), 6, 6) for seed in range(40)]
+        + [density_system(seed + 7100) for seed in range(20)],
+    )
+    def test_certificates_equal_oracle(self, system):
+        tau, cert, exact = comatching_number(system)
+        assert exact
+        assert (tau, cert.pairs) == oracle_lex_first_comatching(system)[:2]
+        taup, cert, exact = comatching_with_intersection_number(system)
+        size, pairs, common = oracle_lex_first_comatching(system, common_point=True)
+        assert exact and taup == size
+        if size == 0:
+            assert cert is None
+        else:
+            assert (cert.base.pairs, cert.common_point) == (pairs, common)
+
+
+def square_system(seed, n):
+    """n points and n members, each point in a member with probability 1/2."""
+    rng = random.Random(seed)
+    members = [
+        (f"F{j}", [p for p in range(n) if rng.random() < 0.5]) for j in range(n)
+    ]
+    return SetSystem.build([f"x{p}" for p in range(n)], members)
+
+
+class TestNodeBudgetSweep:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_every_budget_gives_a_verified_certificate(self, seed):
+        system = square_system(seed + 8000, 8)
+        tau = comatching_number(system)[0]
+        taup = comatching_with_intersection_number(system)[0]
+        inexact = 0
+        for nodes in range(31):
+            budget = SearchBudget(max_nodes=nodes)
+            value, cert, exact = comatching_number(system, budget)
+            assert len(cert) == value and verify_comatching(system, cert).ok
+            assert value <= tau and (not exact or value == tau), nodes
+            inexact += not exact
+            value, cert, exact = comatching_with_intersection_number(system, budget)
+            if cert is None:
+                assert value == 0
+            else:
+                assert len(cert) == value
+                assert verify_comatching_with_intersection(system, cert).ok
+            assert value <= taup and (not exact or value == taup), nodes
+            inexact += not exact
+        assert inexact > 0
+
+
+class TestDeepSearch:
+    """The members X - {i} of an n-point X, with n past the recursion
+    limit: tau = n, tau' = n - 1, and X is the one minimal empty
+    subfamily, each found at depth about n."""
+
+    N = sys.getrecursionlimit() + 100
+
+    @pytest.fixture(scope="class")
+    def system(self):
+        n = self.N
+        return SetSystem.build(
+            [f"x{p}" for p in range(n)],
+            [(f"F{i}", [p for p in range(n) if p != i]) for i in range(n)],
+        )
+
+    def test_comatching_number(self, system):
+        tau, cert, exact = comatching_number(system)
+        assert (tau, exact) == (self.N, True)
+        assert verify_comatching(system, cert).ok
+
+    def test_comatching_with_intersection_number(self, system):
+        taup, cert, exact = comatching_with_intersection_number(system)
+        assert (taup, exact) == (self.N - 1, True)
+        assert verify_comatching_with_intersection(system, cert).ok
+
+    def test_minimal_empty_subfamilies(self, system):
+        assert minimal_empty_subfamilies(system) == (frozenset(range(self.N)),)
+
+    def test_analyze(self, system, tmp_path):
+        path, out = tmp_path / "deep.json", tmp_path / "report.json"
+        path.write_text(jsonio.dump_canonical(jsonio.set_system_to_doc(system)))
+        assert cli.main(["analyze", str(path), "--out", str(out)]) == 0
+        results = json.loads(out.read_text())["results"]
+        assert results["comatching_number"] == {"value": self.N, "exact": True}
+        assert results["comatching_with_intersection_number"] == {
+            "value": self.N - 1,
+            "exact": True,
+        }
 
 
 class TestMinimalEmptySubfamilies:

@@ -4,7 +4,7 @@ import pytest
 
 from comatch.core import InputError
 from comatch.constructions import gen_torus_grid_complex
-from comatch.linalg import rank_exact, rank_mod_prime
+from comatch.linalg import FIELD_PRIME, _rank_sparse, rank_exact
 from comatch.randsys import random_complex
 from comatch.search import SearchBudget
 from comatch.simplicial import SimplicialComplex, faces_of_dim, join
@@ -530,7 +530,9 @@ class TestRankKernels:
                 if rng.random() < 0.7
             }
             rows.append({c: v for c, v in row.items() if v})
-        assert rank_exact(rows) == rank_mod_prime(rows)
+        # The prime-mode kernel that reduced_betti(..., "prime") runs.
+        prime_rank = _rank_sparse(rows, SearchBudget().clock(), FIELD_PRIME)
+        assert rank_exact(rows) == prime_rank
 
     def test_rank_with_non_unit_pivots(self):
         rows = [{0: 2, 1: 4}, {0: 4, 1: 8}, {0: 2, 1: 5}]
