@@ -12,9 +12,16 @@ A d-collapse removes a free face of cardinality at most d together with
 all faces containing it; a facet of cardinality at most d is its own
 unique maximal coface and may be deleted.  A complex is d-collapsible
 when some sequence of d-collapses removes every face of cardinality at
-least d.  A complex is d-Leray when every induced subcomplex has trivial
-reduced homology in all dimensions at least d; collapsibility at d
-implies the Leray property at d.  The Leray property is decided through
+least d.  The search for such a sequence is depth-first on an explicit
+stack.  It keeps the number of facets containing each face of legal
+cardinality, changes only the coface's faces per step and undoes them on
+backtrack, and tries free faces in lexicographic order, so the sequence
+it proves is the lexicographically least.  ``replay_collapse_sequence``
+checks a sequence from the definitions alone.
+
+A complex is d-Leray when every induced subcomplex has trivial reduced
+homology in all dimensions at least d; collapsibility at d implies the
+Leray property at d.  The Leray property is decided through
 links (Kalai-Meshulam: d-Leray iff every link, the complex itself
 included, has trivial reduced homology from dimension d up), at a cost of
 one homology per face.  A failing link then yields, by a Mayer-Vietoris
@@ -24,7 +31,9 @@ descent of at most dim + 1 homologies, a failing induced subcomplex that
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
+from heapq import heapify, heappop
 from itertools import combinations
 from typing import Iterator, Optional
 
@@ -251,42 +260,94 @@ def kunneth_betti_check(
 # ---------------------------------------------------------------------------
 
 
-def _free_faces(
-    facets: tuple[frozenset[int], ...], d: int, strict_size: bool
-) -> list[tuple[frozenset[int], frozenset[int]]]:
-    """Collapsible (face, unique maximal coface) pairs, lexicographic order."""
-    sizes = range(d, d + 1) if strict_size else range(1, d + 1)
-    out = []
-    seen: dict[tuple[int, ...], int] = {}
-    for t in facets:
-        base = sorted(t)
-        for size in sizes:
-            if size > len(base):
-                continue
-            for c in combinations(base, size):
-                seen[c] = seen.get(c, 0) + 1
-    for t in facets:
-        base = sorted(t)
-        for size in sizes:
-            if size > len(base):
-                continue
-            for c in combinations(base, size):
-                if seen[c] == 1:
-                    out.append((frozenset(c), t))
-    out.sort(key=lambda pair: (sorted(pair[0]), sorted(pair[1])))
-    return out
-
-
 def _collapse_step(
     facets: tuple[frozenset[int], ...], face: frozenset[int], coface: frozenset[int]
 ) -> tuple[frozenset[int], ...]:
+    """The facets after collapsing ``face`` into ``coface``: the coface gives
+    way to the sets coface - v, v in face, that lie in no other facet.  The
+    other facets stay maximal, since none of them lies in the coface."""
     remaining = [t for t in facets if t != coface]
-    remaining.extend(coface - {v} for v in face)
-    return maximal_sets(t for t in remaining if t)
+    added = [
+        g
+        for g in (coface - {v} for v in face)
+        if g and not any(g <= t for t in remaining)
+    ]
+    return tuple(remaining + added)
 
 
 def _is_collapsed(facets: tuple[frozenset[int], ...], d: int) -> bool:
     return all(len(t) < d for t in facets)
+
+
+class _FaceCounts:
+    """The facets of a complex under d-collapses, with the number of facets
+    containing each face of collapsible cardinality.
+
+    ``free`` holds the faces (sorted vertex tuples) with count 1: those
+    have a unique maximal coface.  A step and its undo touch only the faces
+    of the coface and of the facets that replace it.  ``large`` counts the
+    facets of cardinality >= d.
+    """
+
+    def __init__(
+        self, facets: tuple[frozenset[int], ...], d: int, strict_size: bool
+    ) -> None:
+        self.d = d
+        self.sizes = (d,) if strict_size else range(1, d + 1)
+        self.facets: set[frozenset[int]] = set()
+        self.count: defaultdict[tuple[int, ...], int] = defaultdict(int)
+        self.free: set[tuple[int, ...]] = set()
+        self.large = 0
+        self.steps: list[tuple[frozenset[int], frozenset[int]]] = []
+        self.added: list[list[frozenset[int]]] = []  # per step, the new facets
+        for t in facets:
+            self._shift(t, 1)
+
+    def _faces(self, facet: frozenset[int]) -> Iterator[tuple[int, ...]]:
+        base = sorted(facet)
+        for size in self.sizes:
+            if size > len(base):
+                return
+            yield from combinations(base, size)
+
+    def _shift(self, facet: frozenset[int], delta: int) -> None:
+        """Add (delta 1) or remove (delta -1) one facet and its faces."""
+        count, free = self.count, self.free
+        for c in self._faces(facet):
+            old = count[c]
+            count[c] = old + delta
+            if old + delta == 1:
+                free.add(c)
+            elif old == 1:
+                free.remove(c)
+        if delta > 0:
+            self.facets.add(facet)
+        else:
+            self.facets.remove(facet)
+        if len(facet) >= self.d:
+            self.large += delta
+
+    def collapse(self, face: tuple[int, ...]) -> None:
+        """Collapse a free face: its coface gives way to the maximal ones
+        among coface - v, v in face."""
+        removed = frozenset(face)
+        coface = next(t for t in self.facets if removed <= t)
+        self._shift(coface, -1)
+        added = [
+            g
+            for g in (coface - {v} for v in face)
+            if g and not any(g <= t for t in self.facets)
+        ]
+        for g in added:
+            self._shift(g, 1)
+        self.steps.append((removed, coface))
+        self.added.append(added)
+
+    def undo(self) -> None:
+        _, coface = self.steps.pop()
+        for g in self.added.pop():
+            self._shift(g, -1)
+        self._shift(coface, 1)
 
 
 def is_d_collapsible(
@@ -296,52 +357,61 @@ def is_d_collapsible(
     *,
     strict_size: bool = False,
 ) -> tuple[str, Optional[CollapseSequence]]:
-    """Backtracking search for a collapse sequence removing all faces of
+    """Depth-first search for a collapse sequence removing all faces of
     cardinality >= d.
 
     Returns ("proved", sequence), ("refuted", None) after exhausting every
     free-face choice, or ("budget_exhausted", None).  strict_size=True
     restricts steps to free faces of cardinality exactly d (the stricter
     published variant); the default allows cardinality <= d.
+
+    Each complex reached that is not yet collapsed spends one node and is
+    expanded at most once, by a memo keyed by its facet set.  Its children
+    are its free faces in increasing order of sorted vertex tuples: the
+    least by ``min``, the rest from a heap built only when the first fails.
+    Every step shrinks the complex, so one met again was already searched
+    in full without success, and a proved sequence is the lexicographically
+    least, comparing steps by free face, among the sequences that stop at
+    their first collapsed complex.  Face counts are updated per step and
+    undone on backtrack (:class:`_FaceCounts`), and the path is an explicit
+    stack, so no depth reaches the recursion limit.
     """
     if d < 1:
         raise InputError("collapse dimension must be at least 1")
     clock = as_clock(budget)
-    visited: set[tuple[frozenset[int], ...]] = set()
-    steps: list[tuple[frozenset[int], frozenset[int]]] = []
-
-    def canonical(facets: tuple[frozenset[int], ...]) -> tuple[frozenset[int], ...]:
-        return tuple(sorted(facets, key=sorted))
-
-    def search(facets: tuple[frozenset[int], ...]) -> Optional[bool]:
-        # True: collapsed; False: dead end; None: budget exhausted.
-        if _is_collapsed(facets, d):
-            return True
+    state = _FaceCounts(complex_.facets, d, strict_size)
+    visited: set[frozenset[frozenset[int]]] = set()
+    # One entry per step taken: the first child tried at that node, turned
+    # into a heap of its untried children when a second one is needed.  The
+    # state is back at the node whenever its next child is chosen, so its
+    # free faces need no snapshot on entry.
+    stack: list[tuple[int, ...] | list[tuple[int, ...]]] = []
+    while True:
+        if not state.large:
+            return "proved", CollapseSequence(d, strict_size, tuple(state.steps))
         if not clock.spend():
-            return None
-        key = canonical(facets)
-        if key in visited:
-            return False
-        visited.add(key)
-        for face, coface in _free_faces(facets, d, strict_size):
-            nxt = _collapse_step(facets, face, coface)
-            steps.append((face, coface))
-            result = search(nxt)
-            if result:
-                return True
-            steps.pop()
-            if result is None:
-                # Out of budget: each remaining sibling would still cost an
-                # unbudgeted collapse step.
-                return None
-        return False
-
-    result = search(complex_.facets)
-    if result:
-        return "proved", CollapseSequence(d, strict_size, tuple(steps))
-    if result is None or clock.exhausted:
-        return "budget_exhausted", None
-    return "refuted", None
+            return "budget_exhausted", None
+        key = frozenset(state.facets)
+        face = None
+        if key not in visited:
+            visited.add(key)
+            face = min(state.free, default=None)
+            if face is not None:
+                stack.append(face)
+        while face is None:  # a dead end: back up to an untried child
+            if not stack:
+                return "refuted", None
+            state.undo()
+            if isinstance(stack[-1], tuple):
+                children = list(state.free)
+                heapify(children)
+                heappop(children)  # the first child, already tried
+                stack[-1] = children
+            if stack[-1]:
+                face = heappop(stack[-1])
+            else:
+                stack.pop()
+        state.collapse(face)
 
 
 def replay_collapse_sequence(
@@ -377,7 +447,7 @@ def replay_collapse_sequence(
         facets = _collapse_step(facets, face, coface)
     else:
         if not _is_collapsed(facets, sequence.d):
-            big = [sorted(t) for t in facets if len(t) >= sequence.d]
+            big = [sorted(t) for t in maximal_sets(facets) if len(t) >= sequence.d]
             violations.append(
                 f"replay ends with faces of cardinality >= {sequence.d}: {big}"
             )

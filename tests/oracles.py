@@ -3,7 +3,8 @@
 Everything here is deliberately naive: plain enumeration over subsets,
 bijections, and transversal products, and textbook dense Gaussian
 elimination over Fraction, sharing no code path with the library's
-clique search, hitting-set search, or sparse elimination.
+clique search, hitting-set search, sparse elimination, or incremental
+collapse search.
 """
 
 from __future__ import annotations
@@ -209,25 +210,98 @@ def oracle_max_nonzero_betti_over_subcomplexes(complex_) -> int:
     return worst
 
 
+def naive_free_pairs(facets, d: int, strict_size: bool = False):
+    """Every (face, unique facet containing it) with the face of legal
+    cardinality, by a containment test against every facet, ordered by the
+    face's sorted vertices."""
+    sizes = (d,) if strict_size else range(1, d + 1)
+    pairs = []
+    for t in facets:
+        for size in sizes:
+            for c in combinations(sorted(t), size):
+                face = frozenset(c)
+                if [u for u in facets if face <= u] == [t]:
+                    pairs.append((face, t))
+    return sorted(pairs, key=lambda pair: sorted(pair[0]))
+
+
+def naive_collapse(facets, face):
+    """Facets left after deleting every face that contains ``face``: all
+    faces are listed, filtered, and the maximal survivors kept."""
+    faces = {
+        frozenset(c)
+        for t in facets
+        for size in range(1, len(t) + 1)
+        for c in combinations(sorted(t), size)
+    }
+    kept = [f for f in faces if not face <= f]
+    return frozenset(f for f in kept if not any(f < g for g in kept))
+
+
+def _naive_collapsed(facets, d: int) -> bool:
+    return all(len(t) < d for t in facets)
+
+
 def oracle_bfs_collapsible(complex_, d: int) -> bool:
     """Breadth-first reachability over all collapse moves, no memo tricks."""
     from collections import deque
 
-    from comatch.topology import _collapse_step, _free_faces, _is_collapsed
-
-    start = tuple(sorted(complex_.facets, key=sorted))
+    start = frozenset(complex_.facets)
     seen = {start}
     queue = deque([start])
     while queue:
         facets = queue.popleft()
-        if _is_collapsed(facets, d):
+        if _naive_collapsed(facets, d):
             return True
-        for face, coface in _free_faces(facets, d, False):
-            nxt = tuple(sorted(_collapse_step(facets, face, coface), key=sorted))
+        for face, _ in naive_free_pairs(facets, d):
+            nxt = naive_collapse(facets, face)
             if nxt not in seen:
                 seen.add(nxt)
                 queue.append(nxt)
     return False
+
+
+def oracle_lex_first_collapse(complex_, d: int, strict_size: bool = False):
+    """(status, steps, nodes): ("proved", steps) for the lexicographically
+    least collapse sequence, comparing steps by sorted free face and
+    stopping at the first complex with no face of cardinality >= d;
+    ("refuted", None) when none exists.
+
+    A plain recursive depth-first search over free pairs in that order,
+    memoised on the facet sets known to lead nowhere.  ``nodes`` counts the
+    complexes reached that are not collapsed, each time they are reached.
+    """
+    dead = set()
+    nodes = 0
+
+    def first(facets):
+        nonlocal nodes
+        if _naive_collapsed(facets, d):
+            return ()
+        nodes += 1
+        if facets in dead:
+            return None
+        for face, coface in naive_free_pairs(facets, d, strict_size):
+            rest = first(naive_collapse(facets, face))
+            if rest is not None:
+                return ((face, coface),) + rest
+        dead.add(facets)
+        return None
+
+    steps = first(frozenset(complex_.facets))
+    return ("refuted" if steps is None else "proved"), steps, nodes
+
+
+def oracle_collapse_replays(complex_, d: int, strict_size: bool, steps) -> bool:
+    """Whether each step is a free pair of legal cardinality in the complex
+    left by the steps before it, and the last complex has no face of
+    cardinality >= d."""
+    facets = frozenset(complex_.facets)
+    for face, coface in steps:
+        if (face, coface) not in naive_free_pairs(facets, d, strict_size):
+            return False
+        facets = naive_collapse(facets, face)
+    return _naive_collapsed(facets, d)
 
 
 def oracle_colorful_helly_number(system: SetSystem, max_n: int = 6) -> int:

@@ -256,13 +256,13 @@ class TestCollapsibility:
         import comatch.topology as topology
 
         steps = []
-        real_step = topology._collapse_step
+        real_step = topology._FaceCounts.collapse
 
         def counted_step(*args):
             steps.append(args)
             return real_step(*args)
 
-        monkeypatch.setattr(topology, "_collapse_step", counted_step)
+        monkeypatch.setattr(topology._FaceCounts, "collapse", counted_step)
         status, _ = is_d_collapsible(torus, 2, SearchBudget(max_nodes=50))
         assert status == "budget_exhausted"
         assert len(steps) <= 51
@@ -291,6 +291,80 @@ class TestCollapsibility:
         status, seq = is_d_collapsible(three_cycle, 2)
         truncated = CollapseSequence(seq.d, seq.strict_size, seq.steps[:1])
         assert not replay_collapse_sequence(three_cycle, truncated).ok
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_search_equals_lex_first_oracle(self, seed):
+        # The search must return the oracle's status, its exact sequence
+        # (the lexicographically least, comparing steps by face) and its
+        # node count.
+        from oracles import oracle_lex_first_collapse
+
+        k = random_complex(random.Random(seed + 3300), 6, 5)
+        for d in range(1, k.dim + 2):
+            for strict in (False, True):
+                status, steps, nodes = oracle_lex_first_collapse(k, d, strict)
+                expected = None if steps is None else CollapseSequence(d, strict, steps)
+                clock = SearchBudget().clock()
+                assert is_d_collapsible(k, d, clock, strict_size=strict) == (
+                    status,
+                    expected,
+                )
+                assert clock.nodes == nodes
+
+    def test_memo_expands_each_complex_once(self):
+        # A hollow triangle with a pendant edge at each corner: the three
+        # pendant collapses commute, so the 8 complexes they pass through
+        # are reached 13 times (the start, then one per edge of the cube of
+        # orders), and none is expanded twice.
+        from oracles import oracle_lex_first_collapse
+
+        k = SimplicialComplex.from_labels(
+            ["a", "b", "c", "x", "y", "z"],
+            [["a", "b"], ["b", "c"], ["c", "a"], ["a", "x"], ["b", "y"], ["c", "z"]],
+        )
+        clock = SearchBudget().clock()
+        assert is_d_collapsible(k, 1, clock) == ("refuted", None)
+        assert clock.nodes == 13 == oracle_lex_first_collapse(k, 1)[2]
+
+    def test_deep_path_needs_no_recursion(self):
+        # One step per edge and one for the last vertex: a sequence longer
+        # than the recursion limit.
+        import sys
+
+        n = sys.getrecursionlimit() + 100
+        path = SimplicialComplex(
+            tuple(f"v{i}" for i in range(n)),
+            tuple(frozenset({i, i + 1}) for i in range(n - 1)),
+        )
+        status, seq = is_d_collapsible(path, 1)
+        assert status == "proved" and len(seq.steps) == n
+        assert replay_collapse_sequence(path, seq).ok
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_replay_agrees_with_oracle(self, seed):
+        # Random walks over free pairs of any cardinality, with an
+        # occasional pair that need not be free, stopped at a random length.
+        from oracles import naive_collapse, naive_free_pairs, oracle_collapse_replays
+
+        rng = random.Random(seed + 3700)
+        k = random_complex(rng, 6, 5)
+        facets, steps = frozenset(k.facets), []
+        while facets and rng.random() < 0.9:
+            pairs = naive_free_pairs(facets, k.dim + 1)
+            if rng.random() < 0.15 or not pairs:
+                coface = sorted(rng.choice(sorted(facets, key=sorted)))
+                face = frozenset(rng.sample(coface, rng.randint(1, len(coface))))
+                coface = frozenset(coface)
+            else:
+                face, coface = rng.choice(pairs)
+            steps.append((face, coface))
+            facets = naive_collapse(facets, face)
+        for d in range(1, k.dim + 2):
+            for strict in (False, True):
+                seq = CollapseSequence(d, strict, tuple(steps))
+                assert replay_collapse_sequence(k, seq).ok == oracle_collapse_replays(
+                    k, d, strict, steps
+                )
 
     @pytest.mark.parametrize("seed", range(15))
     def test_proved_sequences_always_replay(self, seed):
