@@ -60,6 +60,7 @@ from .simplicial import (
     verify_complex_comatching,
 )
 from .topology import (
+    ARITH_MODES,
     CollapseSequence,
     HomologyProfile,
     LerayVerdict,
@@ -93,6 +94,10 @@ class RunConfig:
     out: Optional[str] = None
     wall_clock: bool = False
 
+    def __post_init__(self) -> None:
+        if self.arith not in ARITH_MODES:
+            raise InputError(f"unknown arithmetic mode {self.arith!r}")
+
     def budget(self) -> SearchBudget:
         return SearchBudget(self.budget_nodes, self.budget_millis)
 
@@ -121,7 +126,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--budget-nodes", type=int, default=None)
     parser.add_argument("--budget-ms", type=int, default=None)
-    parser.add_argument("--arith", choices=("exact", "prime"), default=None)
+    parser.add_argument("--arith", choices=ARITH_MODES, default=None)
     parser.add_argument("--cap-ground", type=int, default=None)
     parser.add_argument("--cap-vertices", type=int, default=None)
     parser.add_argument("--out", default=None)
@@ -133,13 +138,13 @@ def _config(args: argparse.Namespace) -> RunConfig:
         return flag if flag is not None else _env(env_name, cast, fallback)
 
     return RunConfig(
-        seed=pick(args.seed, "SEED", int, 0),
-        budget_nodes=pick(args.budget_nodes, "BUDGET_NODES", int, 2_000_000),
-        budget_millis=pick(args.budget_ms, "BUDGET_MS", int, 120_000),
-        arith=pick(args.arith, "ARITH", str, "exact"),
-        cap_ground=pick(args.cap_ground, "CAP_GROUND", int, 4096),
-        cap_vertices=pick(args.cap_vertices, "CAP_VERTICES", int, 64),
-        out=pick(args.out, "OUT", str, None),
+        seed=pick(args.seed, "SEED", int, RunConfig.seed),
+        budget_nodes=pick(args.budget_nodes, "BUDGET_NODES", int, RunConfig.budget_nodes),
+        budget_millis=pick(args.budget_ms, "BUDGET_MS", int, RunConfig.budget_millis),
+        arith=pick(args.arith, "ARITH", str, RunConfig.arith),
+        cap_ground=pick(args.cap_ground, "CAP_GROUND", int, RunConfig.cap_ground),
+        cap_vertices=pick(args.cap_vertices, "CAP_VERTICES", int, RunConfig.cap_vertices),
+        out=pick(args.out, "OUT", str, RunConfig.out),
         wall_clock=args.wall_clock,
     )
 

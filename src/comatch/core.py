@@ -19,7 +19,7 @@ functions, so concurrent use on shared inputs is safe.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable
 
 __all__ = [
     "InputError",
@@ -277,13 +277,3 @@ def complement_incidence(system: SetSystem) -> tuple[tuple[int, int], ...]:
             if not (mask >> i & 1):
                 edges.append((i, j))
     return tuple(edges)
-
-
-def iter_points(mask: int) -> Iterator[int]:
-    """Indices of set bits, ascending."""
-    i = 0
-    while mask:
-        if mask & 1:
-            yield i
-        mask >>= 1
-        i += 1

@@ -16,9 +16,9 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Iterable, Optional
+from typing import Iterable
 
-from .core import InputError, SetSystem, iter_points
+from .core import InputError, SetSystem
 from .search import Budget, as_clock
 
 __all__ = [
@@ -249,45 +249,43 @@ def complex_comatching_number(
     """Largest vertex set M where every v in M has a facet meeting M in M - {v}.
 
     Subsets of comatchings are comatchings (the witnessing equation
-    restricts), so the search extends partial comatchings vertex by vertex
-    in ascending order, pruning extensions that strand some vertex without
-    a witness.
+    restricts), so a depth-first search on an explicit stack extends
+    partial comatchings vertex by vertex in ascending order.  Witnesses
+    are kept incrementally as facet bitsets; each vertex's certificate
+    facet is its lowest-indexed witness.
     """
-    facet_masks = complex_.facet_masks
     n = complex_.num_vertices
+    containing = [0] * n
+    for i, facet in enumerate(complex_.facets):
+        for v in facet:
+            containing[v] |= 1 << i
     clock = as_clock(budget)
     best: tuple[tuple[int, int], ...] = ()
-
-    def witnesses(m_mask: int) -> Optional[tuple[tuple[int, int], ...]]:
-        pairs = []
-        for v in iter_points(m_mask):
-            want = m_mask & ~(1 << v)
-            found = next(
-                (i for i, fm in enumerate(facet_masks) if fm & m_mask == want),
-                None,
-            )
-            if found is None:
-                return None
-            pairs.append((v, found))
-        return tuple(pairs)
-
-    def extend(m_mask: int, size: int, start: int) -> None:
-        nonlocal best
-        if not clock.spend():
-            return
-        if size > len(best):
-            found = witnesses(m_mask)
-            if found is None:
-                return
-            best = found
-        if size + (n - start) <= len(best):
-            return
+    # A frame is [next vertex to try, M, witnesses per vertex of M, facets
+    # containing M]; the witnesses of u avoid u and contain M - {u}.  Adding
+    # v narrows them to facets containing v, and fails if one set empties.
+    # A found child spends a node; it is pushed only if it can beat best.
+    stack = [[0, (), [], (1 << len(complex_.facets)) - 1]] if clock.spend() else []
+    while stack:
+        frame = stack[-1]
+        start, m, wits, meet = frame
         for v in range(start, n):
-            new_mask = m_mask | (1 << v)
-            if witnesses(new_mask) is not None:
-                extend(new_mask, size + 1, v + 1)
-
-    extend(0, 0, 0)
+            own = meet & ~containing[v]
+            narrowed = [w & containing[v] for w in wits]
+            if not own or not all(narrowed):
+                continue
+            frame[0] = v + 1
+            if not clock.spend():
+                stack.clear()
+                break
+            m, wits = m + (v,), narrowed + [own]
+            if len(m) > len(best):
+                best = tuple((u, (w & -w).bit_length() - 1) for u, w in zip(m, wits))
+            if len(m) + n - v - 1 > len(best):
+                stack.append([v + 1, m, wits, meet & containing[v]])
+            break
+        else:
+            stack.pop()
     return len(best), ComplexComatching(best), not clock.exhausted
 
 

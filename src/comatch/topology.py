@@ -56,7 +56,11 @@ __all__ = [
     "replay_collapse_sequence",
     "leray_check",
     "leray_number",
+    "ARITH_MODES",
 ]
+
+#: Arithmetic modes of ``reduced_betti``: exact rationals, or GF(FIELD_PRIME).
+ARITH_MODES = ("exact", "prime")
 
 
 @dataclass(frozen=True)
@@ -158,7 +162,7 @@ def reduced_betti(
     GF(2^31 - 1) and is flagged non-exact.  Each elimination pivot spends
     one node of the budget; None when it runs out (never without a budget).
     """
-    if mode not in ("exact", "prime"):
+    if mode not in ARITH_MODES:
         raise InputError(f"unknown arithmetic mode {mode!r}")
     arithmetic = "exact-rational" if mode == "exact" else f"prime-field({FIELD_PRIME})"
     if complex_.num_vertices == 0:

@@ -3,8 +3,8 @@
 Everything here is deliberately naive: plain enumeration over subsets,
 bijections, and transversal products, and textbook dense Gaussian
 elimination over Fraction, sharing no code path with the library's
-clique search, hitting-set search, sparse elimination, or incremental
-collapse search.
+clique search, hitting-set search, sparse elimination, incremental
+collapse search, or witness-bitset search for comatchings of complexes.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from fractions import Fraction
 from itertools import combinations, permutations, product
 
 from comatch.core import SetSystem
+from comatch.simplicial import ComplexComatching
 
 
 def oracle_comatching_number(system: SetSystem):
@@ -78,6 +79,25 @@ def oracle_lex_first_comatching(system: SetSystem, common_point: bool = False):
             pairs = tuple((p, j) for j, p in first)
             return k, pairs, shared[0] if common_point else None
     return 0, (), None
+
+
+def oracle_lex_first_complex_comatching(complex_) -> ComplexComatching:
+    """The first comatching of a complex, walking vertex sets M by
+    decreasing size and in ``combinations`` order within a size; each v in
+    M is paired with the lowest-indexed facet F with F & M == M - {v}."""
+    facets = complex_.facets
+    n = complex_.num_vertices
+    for k in range(n, -1, -1):
+        for m in combinations(range(n), k):
+            ms = frozenset(m)
+            pairs = []
+            for v in m:
+                found = [i for i, f in enumerate(facets) if f & ms == ms - {v}]
+                if not found:
+                    break
+                pairs.append((v, found[0]))
+            else:
+                return ComplexComatching(tuple(pairs))
 
 
 def _pattern_holds(system: SetSystem, pts, mems) -> bool:

@@ -398,3 +398,14 @@ class TestSuites:
         monkeypatch.setenv("COMATCH_OUT", str(out))
         assert main(["analyze", str(sharp2_path)]) == 0
         assert out.exists()
+
+    def test_bad_arith_is_an_input_error_by_flag_and_env(
+        self, sharp2_path, capsys, monkeypatch
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", str(sharp2_path), "--arith", "bogus"])
+        assert exc.value.code == 2
+        monkeypatch.setenv("COMATCH_ARITH", "bogus")
+        assert main(["analyze", str(sharp2_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "bogus" in captured.err

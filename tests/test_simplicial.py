@@ -3,9 +3,13 @@ import random
 import pytest
 
 from comatch.core import InputError, SetSystem, verify_comatching
-from comatch.constructions import gen_cycle_sharpness, gen_torus_grid_complex
+from comatch.constructions import (
+    gen_cycle_sharpness,
+    gen_hamming_system,
+    gen_torus_grid_complex,
+)
 from comatch.randsys import random_complex, random_system
-from comatch.search import comatching_number
+from comatch.search import SearchBudget, comatching_number
 from comatch.simplicial import (
     ComplexComatching,
     SimplicialComplex,
@@ -101,6 +105,38 @@ class TestComplexComatching:
         # facet {a,b} meets {a,c} in {a}, not {c}
         cert = ComplexComatching(((0, 0), (2, 0)))
         assert not verify_complex_comatching(three_cycle, cert).ok
+
+    def test_empty_complex(self):
+        k = SimplicialComplex((), ())
+        assert complex_comatching_number(k) == (0, ComplexComatching(()), True)
+
+    def test_certificate_equals_oracle(self, torus):
+        # The certificate is the first comatching of the largest size in
+        # combinations order, each vertex with its lowest-indexed witness.
+        from oracles import oracle_lex_first_complex_comatching
+
+        cases = [random_complex(random.Random(seed + 4400), 7, 5) for seed in range(60)]
+        cases += [torus, nerve(gen_hamming_system(4, 1))]
+        for k in cases:
+            expected = oracle_lex_first_complex_comatching(k)
+            assert complex_comatching_number(k) == (len(expected), expected, True)
+
+    def test_node_counts(self, torus):
+        for k, nodes in ((torus, 136), (nerve(gen_hamming_system(4, 1)), 312)):
+            clock = SearchBudget().clock()
+            complex_comatching_number(k, clock)
+            assert clock.nodes == nodes
+
+    @pytest.mark.filterwarnings("ignore:members with no points")
+    @pytest.mark.parametrize("seed", range(8))
+    def test_node_budget_sweep(self, seed):
+        # Nerves of random systems: full searches of 1 to 58 nodes.
+        k = nerve(random_system(random.Random(seed + 4500), 9, 9))
+        tau = complex_comatching_number(k)[0]
+        for nodes in range(31):
+            value, cert, exact = complex_comatching_number(k, SearchBudget(nodes))
+            assert len(cert) == value and verify_complex_comatching(k, cert).ok
+            assert value <= tau and (not exact or value == tau), nodes
 
 
 class TestConversion:
