@@ -19,6 +19,7 @@ only.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -739,7 +740,11 @@ def _verify_leray_witness(complex_: SimplicialComplex, cert: LerayVerdict):
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and reused after it:
+    parsing leaves the parser unchanged, and building it costs far more
+    than a parse."""
     parser = argparse.ArgumentParser(
         prog="comatch",
         description="Exact Helly-type invariants of finite set systems and complexes",

@@ -13,8 +13,8 @@ Everything here is exact and certificate-producing:
   empty intersection.  It sandwiches the value first, h <= eta <= 1 + tau'
   (the upper end when the caller passes an exact ``tau_prime``), and
   returns at once when the ends meet; otherwise it enumerates refuting
-  multisets level by level with Apriori pruning, each carrying the
-  inclusion-minimal antichain of its transversal intersections.
+  multisets level by level with Apriori pruning, and scores each candidate
+  by whether its positions match a minimal empty subfamily perfectly.
 * ``colorful_transversal_dichotomy`` is the constructive step behind
   the bound eta <= 1 + tau': given subfamilies with empty intersections
   it returns either an empty transversal or a comatching-with-
@@ -530,12 +530,18 @@ def colorful_helly_number(
     lexicographic order, up to size tau' when it is known.  Refuting
     multisets are closed under sub-multisets, so a candidate with a
     one-element-dropped sub-multiset outside the previous level is skipped
-    unscored (the Apriori rule).  Each refuting multiset carries the
-    inclusion-minimal antichain of its transversal intersections: extending
-    by a family is the set of r & m over antichain masks r and members m,
-    and the extension refutes exactly when 0 is not among them.  Each scored
-    candidate spends one budget node.  An antichain is kept packed into one
-    int and dropped once its children are generated, which bounds memory.
+    unscored (the Apriori rule).  Each scored candidate spends one budget
+    node and is scored by a matching test.  A multiset admits an empty
+    transversal exactly when some minimal empty subfamily S maps one to one
+    into its positions, each member to a position whose family contains it.
+    For a scored N-candidate every one-dropped sub-multiset refutes, so
+    such a map must use every position: |S| = N and the map is a perfect
+    matching.  Hence ``key + (i,)`` refutes exactly when family i contains
+    none of the members s of size-N subfamilies S for which the positions
+    of ``key`` match S - {s} perfectly.  That member set is computed once
+    per key, from the subfamilies that meet every position of the key.
+    Levels keep their keys only, so memory is one tuple per refuting
+    multiset of the current and the previous size.
 
     Over a finite ground set every descending chain of intersections
     stabilizes, so restricting the definition to finite subfamilies loses
@@ -559,46 +565,52 @@ def colorful_helly_number(
         if h == 1 + tau_prime:
             return h, True, floor_instance
     clock = as_clock(budget)
-    width, full = system.num_points, system.full_mask
-    family_masks = [[system.masks[j] for j in sorted(sel)] for sel in minimal]
+    member_bits = [sum(1 << j for j in sel) for sel in minimal]
 
-    # Refuting multisets of the current size, as sorted index tuples, mapped
-    # to their packed antichains.  A parent's antichain is dropped once its
-    # children are generated; its key stays for the Apriori test.
-    level: dict[tuple[int, ...], int] = {}
+    # Refuting multisets of the current size, as sorted index tuples in
+    # lexicographic order; the values are unused.
+    level: dict[tuple[int, ...], None] = {(): None}
 
     def lower_bound(size: int) -> tuple[int, bool, Optional[ColorfulInstance]]:
         if size < h:
             return h, False, floor_instance
         return size + 1, False, _instance_of(minimal, next(iter(level)))
 
-    for i, masks in enumerate(family_masks):
-        if not clock.spend():
-            return lower_bound(0)
-        packed = _minimal_extension([full], masks, width)
-        if packed:
-            level[(i,)] = packed
-    if not level:
-        return 1, True, None
-    size = 1
+    size = 0
     while size != tau_prime:
-        next_level: dict[tuple[int, ...], int] = {}
-        for key, packed in level.items():
-            chain = _unpack(packed, width, full)
-            for i in range(key[-1], len(minimal)):
+        next_level: dict[tuple[int, ...], None] = {}
+        # The minimal empty subfamilies of size + 1 as member bitsets, and
+        # per family the bitset of the indices of those it meets; built when
+        # the level scores its first candidate.
+        groups: list[int] = []
+        meets: list[int] = []
+        for key in level:
+            completions = None
+            for i in range(key[-1] if key else 0, len(minimal)):
                 cand = key + (i,)
                 if any(cand[:j] + cand[j + 1 :] not in level for j in range(size)):
                     continue
                 if not clock.spend():
                     return lower_bound(size)
-                extended = _minimal_extension(chain, family_masks[i], width)
-                if extended:
-                    next_level[cand] = extended
-            level[key] = 0
+                if completions is None:
+                    if not meets:
+                        groups = [
+                            b for b, sel in zip(member_bits, minimal)
+                            if len(sel) == size + 1
+                        ]
+                        meets = [
+                            sum(1 << g for g, group in enumerate(groups) if group & b)
+                            for b in member_bits
+                        ]
+                    completions = _completions(key, member_bits, groups, meets)
+                if not member_bits[i] & completions:
+                    next_level[cand] = None
         if not next_level:
             break
         level = next_level
         size += 1
+    if not size:
+        return 1, True, None  # no single subfamily refutes
     return size + 1, True, _instance_of(minimal, next(iter(level)))
 
 
@@ -608,34 +620,92 @@ def _instance_of(
     return ColorfulInstance(tuple(minimal[i] for i in key))
 
 
-def _minimal_extension(chain: Sequence[int], members: Sequence[int], width: int) -> int:
-    """The inclusion-minimal masks among r & m over r in chain and m in
-    members, packed ``width`` bits apiece into one int; 0 as soon as one of
-    them is empty.  Every packed mask is nonempty, so 0 packs nothing."""
-    reach = set()
-    for m in members:
-        for r in chain:
-            x = r & m
-            if not x:
-                return 0
-            reach.add(x)
-    packed = 0
-    kept: list[int] = []
-    for x in sorted(reach, key=int.bit_count):
-        for k in kept:
-            if k & x == k:
-                break
-        else:
-            kept.append(x)
-            packed = packed << width | x
-    return packed
+def _completions(
+    key: tuple[int, ...],
+    member_bits: Sequence[int],
+    groups: Sequence[int],
+    meets: Sequence[int],
+) -> int:
+    """The members s of some group S, a minimal empty subfamily of size
+    len(key) + 1 as a member bitset, such that the positions of ``key`` can
+    be matched one to one onto S - {s}, each to a member of its own family.
+    Only groups that meet every position can qualify, and a group whose
+    members are all found already can add none."""
+    common = (1 << len(groups)) - 1
+    for j in key:
+        common &= meets[j]
+    out = 0
+    while common:
+        bit = common & -common
+        common ^= bit
+        group = groups[bit.bit_length() - 1]
+        if group & ~out:
+            out |= _exposable_members([member_bits[j] & group for j in key], group)
+    return out
 
 
-def _unpack(packed: int, width: int, full: int) -> list[int]:
-    out = []
-    while packed:
-        out.append(packed & full)
-        packed >>= width
+def _exposable_members(adjacency: Sequence[int], members: int) -> int:
+    """The members left uncovered by some matching that covers every
+    position, where position p may take the members in ``adjacency[p]``;
+    0 when no matching covers every position.
+
+    Positions are matched in turn, each by a breadth-first search for an
+    augmenting path.  Under the final matching, a member can be left
+    uncovered exactly when an alternating path leads to it from a member
+    that is uncovered now.  Both searches are loops, so long paths do not
+    reach Python's recursion limit.
+    """
+    owner = [0] * len(adjacency)  # the member bit matched to each position
+    holder: dict[int, int] = {}  # the position holding each matched member bit
+    taken = 0
+    for root, adj in enumerate(adjacency):
+        direct = adj & ~taken
+        if direct:  # the common case: a free member needs no search
+            bit = direct & -direct
+            owner[root] = bit
+            holder[bit] = root
+            taken |= bit
+            continue
+        via: dict[int, int] = {}  # member bit -> the position that reached it
+        seen = 0
+        frontier = [root]
+        free = 0
+        while frontier and not free:
+            reached = []
+            for p in frontier:
+                new = adjacency[p] & ~seen
+                seen |= new
+                while new:
+                    bit = new & -new
+                    new ^= bit
+                    via[bit] = p
+                    if not bit & taken:
+                        free = bit
+                        break
+                    reached.append(holder[bit])
+                if free:
+                    break
+            frontier = reached
+        if not free:
+            return 0
+        taken |= free
+        while free:
+            p = via[free]
+            holder[free] = p
+            owner[p], free = free, owner[p]
+    # Positions next to a newly reached member hand over their own member.
+    out = fresh = members & ~taken
+    pending = range(len(adjacency))
+    while fresh:
+        fresh = 0
+        rest = []
+        for p in pending:
+            if adjacency[p] & out:
+                fresh |= owner[p]
+            else:
+                rest.append(p)
+        pending = rest
+        out |= fresh
     return out
 
 

@@ -178,6 +178,53 @@ def oracle_instance_admits_empty_transversal(system: SetSystem, families) -> boo
     return False
 
 
+def oracle_eta_level_search(system: SetSystem, tau_prime=None, max_nodes=None):
+    """The level search of ``colorful_helly_number`` with every candidate
+    scored by the plain product scan above.
+
+    Same sandwich, same lexicographic levels of multisets of minimal empty
+    subfamilies, same Apriori skip and one node per scored candidate; the
+    budget runs out on the node past ``max_nodes``.  Returns (eta, exact,
+    refuting families or None, nodes spent).
+    """
+    if system.num_points == 0:
+        return 1, True, None, 0
+    minimal = oracle_minimal_empty_subfamilies(system)
+    if not minimal:
+        return 1, True, None, 0
+    h = max(len(s) for s in minimal)
+    largest = next(s for s in minimal if len(s) == h)
+    floor = (largest,) * (h - 1) if h >= 2 else None
+    if tau_prime is not None and h == 1 + tau_prime:
+        return h, True, floor, 0
+    nodes = 0
+    level = [()]
+    size = 0
+    while size != tau_prime:
+        refuting = set(level)
+        next_level = []
+        for key in level:
+            for i in range(key[-1] if key else 0, len(minimal)):
+                cand = key + (i,)
+                if any(cand[:j] + cand[j + 1 :] not in refuting for j in range(size)):
+                    continue
+                nodes += 1
+                if max_nodes is not None and nodes > max_nodes:
+                    if size < h:
+                        return h, False, floor, nodes
+                    return size + 1, False, tuple(minimal[k] for k in level[0]), nodes
+                families = [minimal[k] for k in cand]
+                if not oracle_instance_admits_empty_transversal(system, families):
+                    next_level.append(cand)
+        if not next_level:
+            break
+        level = next_level
+        size += 1
+    if size == 0:
+        return 1, True, None, nodes
+    return size + 1, True, tuple(minimal[k] for k in level[0]), nodes
+
+
 def dense_rank_fraction(matrix) -> int:
     """Textbook Gaussian elimination over Fraction, no pivot heuristics."""
     m = [[Fraction(v) for v in row] for row in matrix]

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from comatch.cli import main
+from comatch.cli import _build_parser, main
 from comatch.jsonio import set_system_from_doc
 from comatch.search import (
     colorful_helly_number,
@@ -409,3 +413,51 @@ class TestSuites:
         assert main(["analyze", str(sharp2_path)]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "bogus" in captured.err
+
+
+class TestParserReuse:
+    """One parser serves every ``main`` call in a process."""
+
+    def test_parser_is_built_once(self, sharp2_path, capsys):
+        run_cli(capsys, "analyze", str(sharp2_path))
+        assert _build_parser() is _build_parser()
+
+    def test_flags_do_not_leak_into_the_next_call(self, sharp2_path, capsys):
+        code, first = run_cli(
+            capsys, "analyze", str(sharp2_path), "--wall-clock", "--budget-nodes", "40"
+        )
+        assert code == 0
+        assert "wall_ms" in first["timing"]
+        assert first["config"]["budget_nodes"] == 40
+        code, second = run_cli(capsys, "analyze", str(sharp2_path))
+        assert code == 0
+        assert "wall_ms" not in second["timing"]
+        assert second["config"]["budget_nodes"] == 2_000_000
+
+    def test_valid_call_after_an_argparse_error(self, sharp2_path, capsys):
+        _, expected = run_cli(capsys, "analyze", str(sharp2_path))
+        for bad in (["analyze"], ["analyze", str(sharp2_path), "--budget-nodes", "x"]):
+            with pytest.raises(SystemExit) as exc:
+                main(bad)
+            assert exc.value.code == 2
+            capsys.readouterr()
+            code, report = run_cli(capsys, "analyze", str(sharp2_path))
+            assert (code, report) == (0, expected)
+
+
+def test_python_dash_m_comatch(sharp2_path, capsys):
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(root / "src"), env.get("PYTHONPATH")])
+    )
+    done = subprocess.run(
+        [sys.executable, "-m", "comatch", "analyze", str(sharp2_path)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert main(["analyze", str(sharp2_path)]) == 0
+    assert done.stdout == capsys.readouterr().out

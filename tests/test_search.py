@@ -3,7 +3,7 @@ import random
 import sys
 import time
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, permutations
 
 import pytest
 
@@ -29,10 +29,12 @@ from comatch.search import (
     instance_admits_empty_transversal,
     minimal_empty_subfamilies,
 )
+from comatch.search import _exposable_members
 
 from oracles import (
     oracle_colorful_helly_number,
     oracle_comatching_number,
+    oracle_eta_level_search,
     oracle_comatching_with_intersection_number,
     oracle_helly_number,
     oracle_instance_admits_empty_transversal,
@@ -404,6 +406,84 @@ class TestColorfulHellyNumber:
         assert not oracle_instance_admits_empty_transversal(
             sharp2, refuting.families
         )
+
+    def test_cycle_sharpness_m5_pinned(self):
+        # h = 6 > 1 + tau' fails to close the sandwich without tau', so the
+        # level search runs to size 5 and stops at an empty level 6.
+        system = gen_cycle_sharpness(5)
+        clock = SearchBudget().clock()
+        eta, exact, refuting = colorful_helly_number(system, clock)
+        assert (eta, exact, clock.nodes) == (6, True, 27_356)
+        low, high = frozenset(range(5)), frozenset(range(5, 10))
+        assert refuting.families == (low,) * 4 + (high,)
+        assert_refutes(system, refuting, eta)
+
+    @pytest.mark.parametrize(
+        "system",
+        [random_system(random.Random(seed + 7000), 6, 6) for seed in range(40)]
+        + [density_system(seed) for seed in range(120)]
+        + [density_system(seed) for seed in ABOVE_HELLY_SEEDS]
+        + [gen_cycle_sharpness(3), gen_cycle_sharpness(4)],
+    )
+    def test_equals_level_search_with_product_scan(self, system):
+        tau_prime, _, tau_prime_exact = comatching_with_intersection_number(system)
+        assert tau_prime_exact
+        for given in (None, tau_prime):
+            for nodes in (None, 1, 5, 50):
+                clock = SearchBudget(max_nodes=nodes).clock()
+                eta, exact, refuting = colorful_helly_number(system, clock, given)
+                families = refuting.families if refuting else None
+                assert (eta, exact, families, clock.nodes) == oracle_eta_level_search(
+                    system, given, nodes
+                ), (given, nodes)
+
+
+def brute_exposable(adjacency, members):
+    """Members missed by some position-covering matching, by trying every
+    assignment of distinct members to the positions."""
+    bits = [1 << k for k in range(members.bit_length()) if members >> k & 1]
+    out = 0
+    for chosen in permutations(bits, len(adjacency)):
+        if all(adj & bit for adj, bit in zip(adjacency, chosen)):
+            out |= members & ~sum(chosen)
+    return out
+
+
+class TestExposableMembers:
+    @pytest.mark.parametrize("seed", range(200))
+    def test_matches_brute_force(self, seed):
+        rng = random.Random(seed)
+        n_members = rng.randint(0, 6)
+        members = (1 << n_members) - 1
+        adjacency = [
+            rng.getrandbits(n_members) if n_members else 0
+            for _ in range(rng.randint(0, n_members + 1))
+        ]
+        assert _exposable_members(adjacency, members) == brute_exposable(
+            adjacency, members
+        )
+
+    def test_long_augmenting_path(self):
+        # Positions 0..n-2 first take member k each; position n-1 can only
+        # take member 0, so every earlier position must shift up by one, an
+        # augmenting path through all n positions.  Position n-2 may also
+        # take member n, which stays uncovered or swaps with member n-1.
+        n = sys.getrecursionlimit() + 10
+        adjacency = [0b11 << k for k in range(n - 1)] + [1]
+        adjacency[n - 2] |= 1 << n
+        members = (1 << (n + 1)) - 1
+        assert _exposable_members(adjacency, members) == 0b11 << (n - 1)
+
+    def test_long_alternating_path(self):
+        # A path of n positions over n + 1 members: any member can be the
+        # uncovered one, reached from member n through all n positions.
+        n = sys.getrecursionlimit() + 10
+        adjacency = [0b11 << k for k in range(n)]
+        members = (1 << (n + 1)) - 1
+        assert _exposable_members(adjacency, members) == members
+
+    def test_no_covering_matching(self):
+        assert _exposable_members([0b1, 0b1], 0b11) == 0
 
 
 class TestDichotomy:
