@@ -189,28 +189,20 @@ class Verdict:
         return cls(False, v)
 
 
-def _check_selection(system: SetSystem, selection: Iterable[int]) -> frozenset[int]:
-    sel = frozenset(selection)
-    for j in sel:
-        system.check_member(j)
-    return sel
-
-
 def intersect_subfamily(system: SetSystem, selection: Iterable[int]) -> frozenset[int]:
     """Intersection of the selected members, as a set of ground indices.
 
     The empty selection intersects to the full ground set.
     """
-    sel = _check_selection(system, selection)
-    mask = system.full_mask
-    for j in sel:
-        mask &= system.masks[j]
+    mask = intersection_mask(system, selection)
     return frozenset(i for i in range(system.num_points) if mask >> i & 1)
 
 
 def intersection_mask(system: SetSystem, selection: Iterable[int]) -> int:
     """Bitmask form of :func:`intersect_subfamily` (hot-path helper)."""
-    sel = _check_selection(system, selection)
+    sel = frozenset(selection)
+    for j in sel:
+        system.check_member(j)
     mask = system.full_mask
     for j in sel:
         mask &= system.masks[j]

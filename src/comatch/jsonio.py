@@ -205,18 +205,21 @@ def certificate_to_doc(cert, system=None, complex_=None) -> dict:
     raise InputError(f"cannot serialize certificate of type {type(cert).__name__}")
 
 
-def _member_index(system: SetSystem, name: str) -> int:
-    for j in range(system.num_members):
-        if system.member_name(j) == name:
-            return j
-    raise InputError(f"unknown member name {name!r}")
+def _indexer(labels, what: str):
+    """Label -> index lookup over ``labels``, built once per document."""
+    index = {label: i for i, label in enumerate(labels)}
+
+    def lookup(label) -> int:
+        try:
+            return index[label]
+        except (KeyError, TypeError):
+            raise InputError(f"unknown {what} {label!r}") from None
+
+    return lookup
 
 
-def _point_index(system: SetSystem, label: str) -> int:
-    try:
-        return system.ground.index(label)
-    except ValueError:
-        raise InputError(f"unknown ground element {label!r}") from None
+def _member_indexer(system: SetSystem):
+    return _indexer((name for name, _ in system.members), "member name")
 
 
 def certificate_from_doc(doc: dict, system=None, complex_=None):
@@ -224,67 +227,48 @@ def certificate_from_doc(doc: dict, system=None, complex_=None):
     if "kind" not in doc:
         raise InputError("certificate document needs a 'kind'")
     kind = doc["kind"]
-    if kind == "comatching":
+    if kind in ("comatching", "comatching_with_intersection"):
         _need(system, kind)
-        return Comatching(
-            tuple(
-                (_point_index(system, p["point"]), _member_index(system, p["member"]))
-                for p in doc["pairs"]
-            )
-        )
-    if kind == "comatching_with_intersection":
-        _need(system, kind)
+        point = _indexer(system.ground, "ground element")
+        member = _member_indexer(system)
         base = Comatching(
-            tuple(
-                (_point_index(system, p["point"]), _member_index(system, p["member"]))
-                for p in doc["pairs"]
-            )
+            tuple((point(p["point"]), member(p["member"])) for p in doc["pairs"])
         )
-        return ComatchingWithIntersection(base, _point_index(system, doc["common_point"]))
+        if kind == "comatching":
+            return base
+        return ComatchingWithIntersection(base, point(doc["common_point"]))
     if kind == "empty_transversal":
         _need(system, kind)
-        return DichotomyOutcome(
-            transversal=tuple(_member_index(system, m) for m in doc["members"])
-        )
-    if kind == "complex_comatching":
+        member = _member_indexer(system)
+        return DichotomyOutcome(transversal=tuple(member(m) for m in doc["members"]))
+    if kind in ("complex_comatching", "collapse_sequence", "leray_witness"):
         _need(complex_, kind)
-        vindex = {v: i for i, v in enumerate(complex_.vertices)}
+        vertex = _indexer(complex_.vertices, "vertex")
+    if kind == "complex_comatching":
+        facet_index = {f: i for i, f in enumerate(complex_.facets)}
         pairs = []
         for p in doc["pairs"]:
-            if p["vertex"] not in vindex:
-                raise InputError(f"unknown vertex {p['vertex']!r}")
-            facet = frozenset(_vertex_index(vindex, v) for v in p["facet"])
-            try:
-                fi = complex_.facets.index(facet)
-            except ValueError:
+            v = vertex(p["vertex"])
+            facet = frozenset(vertex(u) for u in p["facet"])
+            if facet not in facet_index:
                 raise InputError(
                     f"certificate facet {sorted(p['facet'])} is not a facet"
-                ) from None
-            pairs.append((vindex[p["vertex"]], fi))
+                )
+            pairs.append((v, facet_index[facet]))
         return ComplexComatching(tuple(pairs))
     if kind == "collapse_sequence":
-        _need(complex_, kind)
-        vindex = {v: i for i, v in enumerate(complex_.vertices)}
         steps = tuple(
             (
-                frozenset(_vertex_index(vindex, v) for v in s["free_face"]),
-                frozenset(_vertex_index(vindex, v) for v in s["coface"]),
+                frozenset(vertex(v) for v in s["free_face"]),
+                frozenset(vertex(v) for v in s["coface"]),
             )
             for s in doc["steps"]
         )
         return CollapseSequence(int(doc["d"]), bool(doc.get("strict_size", False)), steps)
     if kind == "leray_witness":
-        _need(complex_, kind)
-        vindex = {v: i for i, v in enumerate(complex_.vertices)}
-        vertices = frozenset(_vertex_index(vindex, v) for v in doc["vertices"])
+        vertices = frozenset(vertex(v) for v in doc["vertices"])
         return LerayVerdict(int(doc["d"]), "fails", (vertices, int(doc["homology_dim"])))
     raise InputError(f"unknown certificate kind {kind!r}")
-
-
-def _vertex_index(vindex: dict, label: str) -> int:
-    if label not in vindex:
-        raise InputError(f"unknown vertex {label!r}")
-    return vindex[label]
 
 
 def _need(obj, kind: str) -> None:
@@ -295,8 +279,9 @@ def _need(obj, kind: str) -> None:
 def instance_from_doc(doc: dict, system: SetSystem) -> ColorfulInstance:
     if "families" not in doc:
         raise InputError("instance document needs 'families'")
+    member = _member_indexer(system)
     return ColorfulInstance.build(
-        [_member_index(system, name) for name in fam] for fam in doc["families"]
+        [member(name) for name in fam] for fam in doc["families"]
     )
 
 

@@ -93,7 +93,7 @@ def _rank_sparse(
             elif pval == -1:
                 _axpy(row, prow, factor, i, col_rows)
             else:
-                _scale(row, pval, i, col_rows)
+                _scale(row, pval)
                 _axpy(row, prow, -factor, i, col_rows)
                 _reduce_gcd(row)
             heapq.heappush(heap, (len(row), i))
@@ -125,7 +125,7 @@ def _axpy_mod(row, src, scale, prime, i, col_rows) -> None:
             col_rows[c].discard(i)
 
 
-def _scale(row: dict[int, int], factor: int, i, col_rows) -> None:
+def _scale(row: dict[int, int], factor: int) -> None:
     for c in row:
         row[c] *= factor
 

@@ -41,6 +41,7 @@ from .core import (
     InputError,
     SetSystem,
     SubfamilySelection,
+    complement_incidence,
     intersection_mask,
 )
 
@@ -184,17 +185,6 @@ class FractionalHellyProfile:
 # ---------------------------------------------------------------------------
 
 
-def _comatching_candidates(system: SetSystem) -> list[tuple[int, int]]:
-    # (member, point) pairs with point outside member; deterministic order.
-    out = []
-    for m in range(system.num_members):
-        mask = system.masks[m]
-        for p in range(system.num_points):
-            if not (mask >> p & 1):
-                out.append((m, p))
-    return out
-
-
 def _comatching_search(
     system: SetSystem, budget: Budget, need_common_point: bool
 ) -> tuple[int, tuple[tuple[int, int], ...], int, bool]:
@@ -226,7 +216,7 @@ def _comatching_search(
     masks = system.masks
     full = system.full_mask
     clock = as_clock(budget)
-    candidates = _comatching_candidates(system)
+    candidates = [(m, p) for p, m in complement_incidence(system)]
     if need_common_point:
         # A nonempty ground set always admits the size-0 certificate, but a
         # positive tau' needs at least one extendable pair.

@@ -14,11 +14,12 @@ of the complex).
 from __future__ import annotations
 
 import warnings
+from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Iterable
+from typing import Iterable, Iterator
 
-from .core import InputError, SetSystem
+from .core import InputError, SetSystem, Verdict
 from .search import Budget, as_clock
 
 __all__ = [
@@ -43,40 +44,41 @@ class SimplicialComplex:
     Facets are nonempty, pairwise incomparable vertex-index sets, and every
     vertex lies in at least one facet.  A vertex whose only facet is its own
     singleton is *isolated*; loaders flag these because the set-system
-    conversion excludes them.
+    conversion excludes them.  ``containing[v]`` is the bitset of the facet
+    indices whose facets contain vertex v.
     """
 
     vertices: tuple[str, ...]
     facets: tuple[frozenset[int], ...]
-    facet_masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    containing: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(set(self.vertices)) != len(self.vertices):
             raise InputError("vertex labels must be distinct")
         n = len(self.vertices)
-        covered = set()
-        masks = []
-        for f in self.facets:
+        containing = [0] * n
+        for i, f in enumerate(self.facets):
             if not f:
                 raise InputError("facets must be nonempty")
-            mask = 0
             for v in f:
                 if not (0 <= v < n):
                     raise InputError(f"facet vertex index {v} out of range")
-                mask |= 1 << v
-            masks.append(mask)
-            covered |= f
-        for i, a in enumerate(masks):
-            for j, b in enumerate(masks):
-                if i != j and a & ~b == 0:
-                    raise InputError(
-                        f"facet {sorted(self.facets[i])} is contained in "
-                        f"facet {sorted(self.facets[j])}"
-                    )
-        if covered != set(range(n)):
-            missing = sorted(set(range(n)) - covered)
+                containing[v] |= 1 << i
+        # Facet i lies in facet j exactly when bit j survives the AND over
+        # its vertices; the lowest such j is the first container.
+        full = (1 << len(self.facets)) - 1
+        for i, f in enumerate(self.facets):
+            others = _facets_through(containing, f, full) & ~(1 << i)
+            if others:
+                j = (others & -others).bit_length() - 1
+                raise InputError(
+                    f"facet {sorted(f)} is contained in "
+                    f"facet {sorted(self.facets[j])}"
+                )
+        missing = [v for v in range(n) if not containing[v]]
+        if missing:
             raise InputError(f"vertices {missing} lie in no facet")
-        object.__setattr__(self, "facet_masks", tuple(masks))
+        object.__setattr__(self, "containing", tuple(containing))
 
     @classmethod
     def build(
@@ -110,20 +112,42 @@ class SimplicialComplex:
 
     def isolated_vertices(self) -> tuple[int, ...]:
         """Vertices whose only facet is their own singleton."""
-        out = []
-        for v in range(self.num_vertices):
-            containing = [f for f in self.facets if v in f]
-            if containing == [frozenset([v])]:
-                out.append(v)
-        return tuple(out)
+        return tuple(
+            v
+            for v, c in enumerate(self.containing)
+            if not c & (c - 1) and len(self.facets[c.bit_length() - 1]) == 1
+        )
+
+
+def _facets_through(containing, face: Iterable[int], full: int) -> int:
+    """AND of ``containing[v]`` over v in face, starting from ``full``."""
+    for v in face:
+        full &= containing[v]
+    return full
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """Indices of the set bits of ``mask``, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def maximal_sets(sets: Iterable[frozenset[int]]) -> tuple[frozenset[int], ...]:
-    """Deduplicate and drop sets contained in another; stable, size-descending."""
+    """Deduplicate and drop sets contained in another; stable, size-descending.
+
+    Sets arrive largest first, so a set is dropped exactly when some kept set
+    contains all its elements: when the AND of its elements' kept-set bitsets
+    is nonzero.
+    """
     unique = sorted(set(sets), key=lambda s: (-len(s), sorted(s)))
     kept: list[frozenset[int]] = []
+    containing: defaultdict[int, int] = defaultdict(int)
     for s in unique:
-        if not any(s <= t for t in kept):
+        if not _facets_through(containing, s, (1 << len(kept)) - 1):
+            for v in s:
+                containing[v] |= 1 << len(kept)
             kept.append(s)
     return tuple(kept)
 
@@ -137,17 +161,11 @@ class ComplexComatching:
     def __len__(self) -> int:
         return len(self.pairs)
 
-    @property
-    def vertex_set(self) -> frozenset[int]:
-        return frozenset(v for v, _ in self.pairs)
-
 
 def verify_complex_comatching(
     complex_: SimplicialComplex, cert: ComplexComatching
 ):
     """Check the witnessing equation facet ∩ M = M - {v} for every pair."""
-    from .core import Verdict
-
     for v, f in cert.pairs:
         if not (0 <= v < complex_.num_vertices):
             raise InputError(f"vertex index {v} out of range")
@@ -228,14 +246,11 @@ def complex_to_set_system(complex_: SimplicialComplex) -> SetSystem:
         taken.add(label)
         facet_ground_index.append(len(ground))
         ground.append(label)
-    members = []
-    for v in range(complex_.num_vertices):
-        elems = {v}
-        for i, f in enumerate(complex_.facets):
-            if v in f:
-                elems.add(facet_ground_index[i])
-        members.append((complex_.vertices[v], frozenset(elems)))
-    return SetSystem(tuple(ground), tuple(members))
+    members = tuple(
+        (label, frozenset([v, *(facet_ground_index[i] for i in _bits(c))]))
+        for v, (label, c) in enumerate(zip(complex_.vertices, complex_.containing))
+    )
+    return SetSystem(tuple(ground), members)
 
 
 # ---------------------------------------------------------------------------
@@ -255,10 +270,7 @@ def complex_comatching_number(
     facet is its lowest-indexed witness.
     """
     n = complex_.num_vertices
-    containing = [0] * n
-    for i, facet in enumerate(complex_.facets):
-        for v in facet:
-            containing[v] |= 1 << i
+    containing = complex_.containing
     clock = as_clock(budget)
     best: tuple[tuple[int, int], ...] = ()
     # A frame is [next vertex to try, M, witnesses per vertex of M, facets
@@ -379,18 +391,13 @@ def all_faces(complex_: SimplicialComplex) -> list[tuple[frozenset[int], ...]]:
 
 
 def _vertex_signatures(complex_: SimplicialComplex, rounds: int = 3) -> list[tuple]:
-    sigs: list[tuple] = [
-        tuple(sorted(len(f) for f in complex_.facets if v in f))
-        for v in range(complex_.num_vertices)
-    ]
+    star = [[complex_.facets[i] for i in _bits(c)] for c in complex_.containing]
+    sigs: list[tuple] = [tuple(sorted(len(f) for f in fs)) for fs in star]
     for _ in range(rounds):
-        fresh = []
-        for v in range(complex_.num_vertices):
-            neighbour = sorted(
-                tuple(sorted(sigs[u] for u in f)) for f in complex_.facets if v in f
-            )
-            fresh.append((sigs[v], tuple(neighbour)))
-        sigs = fresh
+        sigs = [
+            (sigs[v], tuple(sorted(tuple(sorted(sigs[u] for u in f)) for f in fs)))
+            for v, fs in enumerate(star)
+        ]
     return sigs
 
 
@@ -419,7 +426,7 @@ def are_isomorphic(left: SimplicialComplex, right: SimplicialComplex) -> bool:
         for a, b in combinations(sorted(f), 2):
             radj[a][b] = radj[b][a] = True
 
-    right_facets = set(right.facet_masks)
+    right_facets = set(right.facets)
     candidates = [
         [u for u in range(n) if rsig[u] == lsig[v]] for v in range(n)
     ]
@@ -429,13 +436,9 @@ def are_isomorphic(left: SimplicialComplex, right: SimplicialComplex) -> bool:
 
     def assign(k: int) -> bool:
         if k == n:
-            for fm, f in zip(left.facet_masks, left.facets):
-                image = 0
-                for v in f:
-                    image |= 1 << mapping[v]
-                if image not in right_facets:
-                    return False
-            return True
+            return all(
+                frozenset(mapping[v] for v in f) in right_facets for f in left.facets
+            )
         v = order[k]
         for u in candidates[v]:
             if used[u]:

@@ -37,10 +37,18 @@ from heapq import heapify, heappop
 from itertools import combinations
 from typing import Iterator, Optional
 
-from .core import InputError
+from .core import InputError, Verdict
 from .linalg import FIELD_PRIME, _rank_sparse
 from .search import Budget, BudgetClock, as_clock
-from .simplicial import SimplicialComplex, all_faces, faces_of_dim, maximal_sets
+from .simplicial import (
+    SimplicialComplex,
+    _bits,
+    _facets_through,
+    all_faces,
+    faces_of_dim,
+    join,
+    maximal_sets,
+)
 
 __all__ = [
     "HomologyProfile",
@@ -235,8 +243,6 @@ def kunneth_betti_check(
     The factor homology and then the join's run exactly under one clock;
     exhaustion on either side is reported in-band.
     """
-    from .simplicial import join
-
     clock = as_clock(budget)
     lp = reduced_betti(left, "exact", clock)
     rp = None if lp is None else reduced_betti(right, "exact", clock)
@@ -424,8 +430,6 @@ def replay_collapse_sequence(
     """Independent replay: each step must name a currently-free face of legal
     cardinality with that exact unique maximal coface, and the final complex
     must contain no face of cardinality >= d."""
-    from .core import Verdict
-
     facets = complex_.facets
     violations = []
     for n, (face, coface) in enumerate(sequence.steps):
@@ -537,7 +541,9 @@ def _link(
     """lk sigma = {tau - sigma : tau a face containing sigma}, in the complex
     induced on ``within`` when given (sigma inside it), relabelled onto its
     own vertices; None when it is a single simplex (acyclic)."""
-    star = [f - sigma for f in complex_.facets if sigma <= f]
+    facets = complex_.facets
+    through = _facets_through(complex_.containing, sigma, (1 << len(facets)) - 1)
+    star = [facets[i] - sigma for i in _bits(through)]
     if within is not None:
         # Restricted facets can become comparable, or empty.
         star = list(maximal_sets(f & within for f in star))

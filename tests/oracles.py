@@ -100,6 +100,71 @@ def oracle_lex_first_complex_comatching(complex_) -> ComplexComatching:
                 return ComplexComatching(tuple(pairs))
 
 
+def oracle_maximal_sets(sets):
+    """Deduplicate, sort size-descending, and keep each set that no kept set
+    contains, by a subset test against every kept set."""
+    unique = sorted(set(sets), key=lambda s: (-len(s), sorted(s)))
+    kept = []
+    for s in unique:
+        if not any(s <= t for t in kept):
+            kept.append(s)
+    return tuple(kept)
+
+
+def oracle_first_contained_pair(facets):
+    """The first (i, j), i != j, with facet i inside facet j, comparing every
+    ordered pair with i outer and j inner; None when the facets are
+    pairwise incomparable."""
+    for i, a in enumerate(facets):
+        for j, b in enumerate(facets):
+            if i != j and a <= b:
+                return i, j
+    return None
+
+
+def oracle_complex_error(vertices, facets):
+    """The text of the InputError that building a complex from these
+    vertices and facets raises, checked one condition at a time; None when
+    the input is valid."""
+    n = len(vertices)
+    if len(set(vertices)) != n:
+        return "vertex labels must be distinct"
+    for f in facets:
+        if not f:
+            return "facets must be nonempty"
+        for v in f:
+            if not 0 <= v < n:
+                return f"facet vertex index {v} out of range"
+    pair = oracle_first_contained_pair(facets)
+    if pair is not None:
+        i, j = pair
+        return (
+            f"facet {sorted(facets[i])} is contained in "
+            f"facet {sorted(facets[j])}"
+        )
+    missing = [v for v in range(n) if not any(v in f for f in facets)]
+    if missing:
+        return f"vertices {missing} lie in no facet"
+    return None
+
+
+def oracle_containing(complex_):
+    """Per vertex, the sum of 2**i over the facets i that contain it."""
+    return tuple(
+        sum(2**i for i, f in enumerate(complex_.facets) if v in f)
+        for v in range(complex_.num_vertices)
+    )
+
+
+def oracle_isolated_vertices(complex_):
+    """Vertices whose list of containing facets is exactly [{v}]."""
+    return tuple(
+        v
+        for v in range(complex_.num_vertices)
+        if [f for f in complex_.facets if v in f] == [frozenset([v])]
+    )
+
+
 def _pattern_holds(system: SetSystem, pts, mems) -> bool:
     for i, p in enumerate(pts):
         for j, mm in enumerate(mems):

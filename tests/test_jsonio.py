@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from comatch.core import Comatching, InputError
+from comatch.core import Comatching, ComatchingWithIntersection, InputError, SetSystem
 from comatch.constructions import gen_cycle_sharpness, gen_torus_grid_complex
 from comatch.jsonio import (
     certificate_from_doc,
@@ -15,11 +15,18 @@ from comatch.jsonio import (
     detect_kind,
     dump_canonical,
     instance_from_doc,
+    instance_to_doc,
     set_system_from_doc,
     set_system_to_doc,
 )
 from comatch.randsys import random_system
-from comatch.search import comatching_with_intersection_number
+from comatch.search import (
+    ColorfulInstance,
+    DichotomyOutcome,
+    comatching_with_intersection_number,
+)
+from comatch.simplicial import ComplexComatching
+from comatch.topology import CollapseSequence, LerayVerdict
 
 
 def systems():
@@ -117,3 +124,119 @@ class TestCertificates:
             {"families": [["A", "B"], ["C", "D"]]}, system
         )
         assert instance.families == (frozenset({0, 1}), frozenset({2, 3}))
+
+
+class TestNameLookups:
+    """Certificates and instances over the 300 members X - {i} of a
+    300-point X, whose refuting instance names every member 299 times."""
+
+    N = 300
+
+    @pytest.fixture(scope="class")
+    def system(self):
+        n = self.N
+        return SetSystem.build(
+            [f"x{p}" for p in range(n)],
+            [(f"F{i}", [p for p in range(n) if p != i]) for i in range(n)],
+        )
+
+    def test_instance_roundtrip(self, system):
+        instance = ColorfulInstance.build([range(self.N)] * (self.N - 1))
+        doc = json.loads(dump_canonical(instance_to_doc(instance, system)))
+        assert instance_from_doc(doc, system) == instance
+
+    def test_certificate_roundtrips(self, system):
+        comatching = Comatching(tuple((i, i) for i in range(self.N)))
+        with_point = ComatchingWithIntersection(
+            Comatching(tuple((i, i) for i in range(self.N - 1))), self.N - 1
+        )
+        transversal = DichotomyOutcome(transversal=tuple(range(self.N - 1, -1, -1)))
+        for cert in (comatching, with_point, transversal):
+            doc = certificate_to_doc(cert, system=system)
+            assert certificate_from_doc(doc, system=system) == cert
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            (
+                {"kind": "comatching", "pairs": [{"point": "x0", "member": "G"}]},
+                "unknown member name 'G'",
+            ),
+            (
+                {"kind": "comatching", "pairs": [{"point": "y", "member": "F0"}]},
+                "unknown ground element 'y'",
+            ),
+            (
+                {
+                    "kind": "comatching_with_intersection",
+                    "pairs": [{"point": "x0", "member": "F0"}],
+                    "common_point": "y",
+                },
+                "unknown ground element 'y'",
+            ),
+            (
+                {"kind": "empty_transversal", "members": ["F1", ["F2"]]},
+                "unknown member name ['F2']",
+            ),
+        ],
+    )
+    def test_unknown_names_in_certificates(self, system, doc, message):
+        with pytest.raises(InputError) as err:
+            certificate_from_doc(doc, system=system)
+        assert str(err.value) == message
+
+    def test_unknown_name_in_instance(self, system):
+        with pytest.raises(InputError) as err:
+            instance_from_doc({"families": [["F0", "F1"], ["F2", "F300"]]}, system)
+        assert str(err.value) == "unknown member name 'F300'"
+
+
+class TestComplexCertificateLookups:
+    @pytest.fixture
+    def torus(self):
+        return gen_torus_grid_complex(4, 2)
+
+    def test_roundtrips(self, torus):
+        facet = sorted(torus.facets[3])
+        certs = [
+            ComplexComatching(((facet[0], 5), (facet[1], 3))),
+            CollapseSequence(2, False, ((frozenset(facet[:1]), torus.facets[3]),)),
+        ]
+        for cert in certs:
+            doc = certificate_to_doc(cert, complex_=torus)
+            assert certificate_from_doc(doc, complex_=torus) == cert
+        labels = [torus.vertices[v] for v in facet]
+        doc = {"kind": "leray_witness", "d": 1, "vertices": labels, "homology_dim": 1}
+        verdict = certificate_from_doc(doc, complex_=torus)
+        assert verdict == LerayVerdict(1, "fails", (frozenset(facet), 1))
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            (
+                {"kind": "complex_comatching", "pairs": [{"vertex": "?", "facet": []}]},
+                "unknown vertex '?'",
+            ),
+            (
+                {"kind": "collapse_sequence", "d": 1, "steps": [
+                    {"free_face": ["?"], "coface": []}
+                ]},
+                "unknown vertex '?'",
+            ),
+            (
+                {"kind": "leray_witness", "d": 1, "vertices": ["?"], "homology_dim": 1},
+                "unknown vertex '?'",
+            ),
+        ],
+    )
+    def test_unknown_vertices(self, torus, doc, message):
+        with pytest.raises(InputError) as err:
+            certificate_from_doc(doc, complex_=torus)
+        assert str(err.value) == message
+
+    def test_non_facet_rejected(self, torus):
+        v = torus.vertices[0]
+        doc = {"kind": "complex_comatching", "pairs": [{"vertex": v, "facet": [v]}]}
+        with pytest.raises(InputError) as err:
+            certificate_from_doc(doc, complex_=torus)
+        assert str(err.value) == f"certificate facet {[v]} is not a facet"

@@ -19,6 +19,7 @@ from comatch.simplicial import (
     faces_of_dim,
     induced_subcomplex,
     join,
+    maximal_sets,
     nerve,
     verify_complex_comatching,
 )
@@ -52,6 +53,60 @@ class TestSimplicialComplex:
     def test_isolated_vertices_reported(self):
         k = SimplicialComplex.from_labels(["a", "b", "c"], [["a", "b"], ["c"]])
         assert k.isolated_vertices() == (2,)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_incidence_equals_naive_references(self, seed):
+        # Random facet lists with empty sets, duplicates and out-of-range
+        # vertices: maximal_sets, the constructor's error text, containing
+        # and isolated_vertices all agree with pairwise and per-vertex scans.
+        from oracles import (
+            oracle_complex_error,
+            oracle_containing,
+            oracle_isolated_vertices,
+            oracle_maximal_sets,
+        )
+
+        rng = random.Random(seed + 5200)
+        for _ in range(300):
+            n = rng.randint(0, 8)
+            raw = []
+            for _ in range(rng.randint(0, 9)):
+                raw.append(
+                    frozenset(
+                        rng.randint(-1, n) if rng.random() < 0.05 else rng.randrange(n or 1)
+                        for _ in range(rng.randint(0, n or 1))
+                    )
+                )
+            if raw and rng.random() < 0.3:
+                raw.append(rng.choice(raw))
+            vertices = tuple(f"v{i}" for i in range(n))
+            assert maximal_sets(raw) == oracle_maximal_sets(raw)
+            candidates = (
+                tuple(raw),
+                tuple(dict.fromkeys(f for f in raw if f)),
+                maximal_sets(raw),
+            )
+            for facets in candidates:
+                expected = oracle_complex_error(vertices, facets)
+                try:
+                    k = SimplicialComplex(vertices, facets)
+                except InputError as exc:
+                    assert str(exc) == expected
+                    continue
+                assert expected is None
+                assert k.containing == oracle_containing(k)
+                assert k.isolated_vertices() == oracle_isolated_vertices(k)
+
+    def test_large_path_builds(self):
+        # Construction is not pairwise over facets: 20,000 facets build and
+        # a dominated one is still found.
+        n = 20_000
+        facets = tuple(frozenset({i, i + 1}) for i in range(n))
+        k = SimplicialComplex(tuple(map(str, range(n + 1))), facets)
+        assert k.containing[0] == 1 and k.containing[n] == 1 << (n - 1)
+        assert bin(k.containing[7]) == bin(0b11 << 6)
+        with pytest.raises(InputError, match=r"facet \[5\] is contained in facet \[4, 5\]"):
+            SimplicialComplex(k.vertices, facets + (frozenset({5}),))
 
 
 class TestNerve:
