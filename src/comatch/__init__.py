@@ -14,6 +14,7 @@ from .core import (
     Comatching,
     ComatchingWithIntersection,
     InputError,
+    SearchBudget,
     SetSystem,
     SubfamilySelection,
     Verdict,
@@ -26,7 +27,6 @@ from .search import (
     ColorfulInstance,
     DichotomyOutcome,
     FractionalHellyProfile,
-    SearchBudget,
     colorful_helly_number,
     colorful_transversal_dichotomy,
     comatching_number,

@@ -33,6 +33,7 @@ from .core import (
     Comatching,
     ComatchingWithIntersection,
     InputError,
+    SearchBudget,
     SetSystem,
     Verdict,
     intersect_subfamily,
@@ -42,7 +43,6 @@ from .core import (
 )
 from .search import (
     DichotomyOutcome,
-    SearchBudget,
     colorful_helly_number,
     colorful_transversal_dichotomy,
     comatching_number,
@@ -100,6 +100,7 @@ class RunConfig:
             raise InputError(f"unknown arithmetic mode {self.arith!r}")
 
     def budget(self) -> SearchBudget:
+        """A fresh budget with the run's limits, its deadline starting now."""
         return SearchBudget(self.budget_nodes, self.budget_millis)
 
     def doc(self) -> dict:
@@ -111,6 +112,16 @@ class RunConfig:
             "cap_ground": self.cap_ground,
             "cap_vertices": self.cap_vertices,
         }
+
+
+def _capped_budget(
+    config: RunConfig, max_nodes: Optional[int], max_millis: Optional[int] = None
+) -> SearchBudget:
+    """A fresh budget within both the given limits and the run's; None caps nothing."""
+    pairs = ((max_nodes, config.budget_nodes), (max_millis, config.budget_millis))
+    return SearchBudget(
+        *(min((x for x in pair if x is not None), default=None) for pair in pairs)
+    )
 
 
 def _env(name: str, cast, fallback):
@@ -205,12 +216,12 @@ def cmd_analyze(path: str, config: RunConfig) -> dict:
 
 
 def _analyze_system(system: SetSystem, config: RunConfig) -> dict:
-    clocks = {name: config.budget().clock() for name in ("tau", "tau_prime", "eta")}
+    budgets = {name: config.budget() for name in ("tau", "tau_prime", "eta")}
     minimal = minimal_empty_subfamilies(system)
     h = max((len(s) for s in minimal), default=1)
-    tau, tau_cert, tau_exact = comatching_number(system, clocks["tau"])
+    tau, tau_cert, tau_exact = comatching_number(system, budgets["tau"])
     taup, taup_cert, taup_exact = comatching_with_intersection_number(
-        system, clocks["tau_prime"]
+        system, budgets["tau_prime"]
     )
     if minimal and (tau < h or taup < h - 1):
         # Only a search that ran out of budget ends below these bounds; it
@@ -224,7 +235,7 @@ def _analyze_system(system: SetSystem, config: RunConfig) -> dict:
             taup, taup_cert = h - 1, bound_prime
     eta, eta_exact, refuting = colorful_helly_number(
         system,
-        clocks["eta"],
+        budgets["eta"],
         tau_prime=taup if taup_exact else None,
         minimal=minimal,
     )
@@ -261,7 +272,7 @@ def _analyze_system(system: SetSystem, config: RunConfig) -> dict:
             "minimal_empty_subfamily_count": len(minimal),
         },
         "certificates": certificates,
-        "timing": {"nodes": {name: clock.nodes for name, clock in clocks.items()}},
+        "timing": {"nodes": {name: budget.nodes for name, budget in budgets.items()}},
     }
 
 
@@ -291,18 +302,16 @@ def _helly_bound_certificates(
 
 
 def _analyze_complex(complex_: SimplicialComplex, config: RunConfig) -> dict:
-    clocks = {
-        name: config.budget().clock()
-        for name in ("comatching", "homology", "leray", "collapse")
-    }
-    tau_k, cert, tau_exact = complex_comatching_number(complex_, clocks["comatching"])
+    phases = ("comatching", "homology", "leray", "collapse")
+    budgets = {name: config.budget() for name in phases}
+    tau_k, cert, tau_exact = complex_comatching_number(complex_, budgets["comatching"])
     if not verify_complex_comatching(complex_, cert).ok:
         raise AssertionError("internal: complex comatching certificate failed")
-    profile_doc = _profile_doc(reduced_betti(complex_, config.arith, clocks["homology"]))
+    profile_doc = _profile_doc(reduced_betti(complex_, config.arith, budgets["homology"]))
 
-    leray_value, leray_exact, witness = leray_number(complex_, clocks["leray"])
+    leray_value, leray_exact, witness = leray_number(complex_, budgets["leray"])
     collapse_status, sequence = is_d_collapsible(
-        complex_, max(leray_value, 1), clocks["collapse"]
+        complex_, max(leray_value, 1), budgets["collapse"]
     )
     certificates = {
         "complex_comatching": jsonio.certificate_to_doc(cert, complex_=complex_)
@@ -329,7 +338,7 @@ def _analyze_complex(complex_: SimplicialComplex, config: RunConfig) -> dict:
             "collapsible_at_leray_number": collapse_status,
         },
         "certificates": certificates,
-        "timing": {"nodes": {name: clock.nodes for name, clock in clocks.items()}},
+        "timing": {"nodes": {name: budget.nodes for name, budget in budgets.items()}},
     }
 
 
@@ -493,19 +502,20 @@ def cmd_check_theorems(config: RunConfig, n_systems: int = 120) -> tuple[dict, i
     colorful Helly number.  Nonzero exit on any violation.
     """
     rng = random.Random(config.seed)
-    budget = config.budget()
     violations: list[str] = []
     checked = 0
     skipped = 0
     for index in range(n_systems):
         system = random_system(rng, 7, 7)
-        tau, tau_cert, e1 = comatching_number(system, budget)
-        taup, taup_cert, e2 = comatching_with_intersection_number(system, budget)
+        tau, tau_cert, e1 = comatching_number(system, config.budget())
+        taup, taup_cert, e2 = comatching_with_intersection_number(system, config.budget())
         minimal = minimal_empty_subfamilies(system)
         h = max((len(s) for s in minimal), default=1)
         # No tau_prime here: eta is searched without the 1 + tau' cap, so the
         # eta <= 1 + tau' check below stays an independent test of the theorem.
-        eta, e3, refuting = colorful_helly_number(system, budget, minimal=minimal)
+        eta, e3, refuting = colorful_helly_number(
+            system, config.budget(), minimal=minimal
+        )
         if not (e1 and e2 and e3):
             skipped += 1
             continue
@@ -556,7 +566,7 @@ def cmd_check_theorems(config: RunConfig, n_systems: int = 120) -> tuple[dict, i
                 f"disagrees with exact {exact_profile.reduced_betti} (torsion?)"
             )
         other = random_complex(rng, 4, 3)
-        kv = kunneth_betti_check(complex_, other, budget)
+        kv = kunneth_betti_check(complex_, other, config.budget())
         if kv.status == "mismatch":
             violations.append(f"{tag}: join profile identity fails: {kv.violations}")
 
@@ -564,11 +574,12 @@ def cmd_check_theorems(config: RunConfig, n_systems: int = 120) -> tuple[dict, i
         if any(not elems for _, elems in system.members):
             continue
         nerve_complex = nerve(system)
-        eta, eta_exact, _ = colorful_helly_number(system, budget)
+        eta, eta_exact, _ = colorful_helly_number(system, config.budget())
         if not eta_exact:
             continue
         for d in (1, 2, 3):
-            status, _ = is_d_collapsible(nerve_complex, d, SearchBudget(max_nodes=20_000))
+            probe = _capped_budget(config, max_nodes=20_000)
+            status, _ = is_d_collapsible(nerve_complex, d, probe)
             if status == "proved":
                 if eta > d + 1:
                     violations.append(
@@ -608,18 +619,17 @@ def cmd_question1(
     underlying question is open.
     """
     rng = random.Random(config.seed)
-    budget = config.budget()
     records = []
     running_max = 0
     attempts = 0
     while len(records) < samples and attempts < samples * 50:
         attempts += 1
         system = random_system(rng, 6, 6)
-        tau, _, exact = comatching_number(system, budget)
+        tau, _, exact = comatching_number(system, config.budget())
         if not exact or tau > 2:
             continue
         nerve_complex = nerve(system)
-        value, value_exact, _ = leray_number(nerve_complex, budget)
+        value, value_exact, _ = leray_number(nerve_complex, config.budget())
         running_max = max(running_max, value)
         records.append(
             {
@@ -632,8 +642,8 @@ def cmd_question1(
     if include_torus:
         torus = constructions.gen_torus_grid_complex(4, 2)
         system = complex_to_set_system(torus)
-        tau, _, exact = comatching_number(system, budget)
-        small_budget = SearchBudget(max_nodes=20_000, max_millis=30_000)
+        tau, _, exact = comatching_number(system, config.budget())
+        small_budget = _capped_budget(config, max_nodes=20_000, max_millis=30_000)
         value, value_exact, _ = leray_number(nerve(system), small_budget)
         running_max = max(running_max, value)
         records.append(

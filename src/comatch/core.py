@@ -1,4 +1,4 @@
-"""Finite set systems and certificate verification.
+"""Finite set systems, certificate verification and the search budget.
 
 A set system is a finite ground set together with an indexed family of
 subsets.  The family is a sequence, not a set: repeated subsets under
@@ -13,13 +13,16 @@ of the incidence graph.  A comatching *with intersection* additionally
 carries a common point lying in every matched member.
 
 All values are immutable after construction and all operations are pure
-functions, so concurrent use on shared inputs is safe.
+functions, so concurrent use on shared inputs is safe, except that every
+search counts its nodes into the :class:`SearchBudget` it is passed: a
+caller shares a budget by passing one object to several searches.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Optional
 
 __all__ = [
     "InputError",
@@ -28,6 +31,7 @@ __all__ = [
     "ComatchingWithIntersection",
     "SubfamilySelection",
     "Verdict",
+    "SearchBudget",
     "intersect_subfamily",
     "verify_comatching",
     "verify_comatching_with_intersection",
@@ -41,6 +45,38 @@ class InputError(ValueError):
     Deliberately distinct from a failing Verdict: a Verdict judges a
     well-formed certificate, an InputError rejects a malformed one.
     """
+
+
+class SearchBudget:
+    """Optional node and wall-clock limits (absent means unbounded) and the
+    nodes spent against them; the deadline starts when the budget is built."""
+
+    __slots__ = ("max_nodes", "deadline", "nodes", "exhausted")
+
+    def __init__(
+        self, max_nodes: Optional[int] = None, max_millis: Optional[int] = None
+    ) -> None:
+        if max_nodes is not None and max_nodes < 0:
+            raise InputError("max_nodes must be nonnegative")
+        if max_millis is not None and max_millis < 0:
+            raise InputError("max_millis must be nonnegative")
+        self.max_nodes = max_nodes
+        self.deadline = (
+            None if max_millis is None else time.monotonic() + max_millis / 1000.0
+        )
+        self.nodes = 0
+        self.exhausted = False
+
+    def spend(self, amount: int = 1) -> bool:
+        if self.exhausted:
+            return False
+        self.nodes += amount
+        if self.max_nodes is not None and self.nodes > self.max_nodes:
+            self.exhausted = True
+        elif self.deadline is not None and time.monotonic() > self.deadline:
+            # Checked on every spend: one node can cost a tenth of a second.
+            self.exhausted = True
+        return not self.exhausted
 
 
 #: A selection of member indices; the empty selection is allowed and its

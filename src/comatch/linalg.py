@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Optional, Sequence
 
-from .search import UNBOUNDED, BudgetClock
+from .core import SearchBudget
 
 __all__ = ["FIELD_PRIME", "rank_exact", "solve_exact"]
 
@@ -28,12 +28,12 @@ FIELD_PRIME = 2_147_483_647  # 2^31 - 1
 
 def _rank_sparse(
     rows: list[dict[int, int]],
-    clock: BudgetClock,
+    budget: SearchBudget,
     prime: Optional[int],
 ) -> Optional[int]:
     """Rank of the row dicts, over GF(prime) when a prime is given.
 
-    Each pivot spends one node of ``clock``; None when it runs out.
+    Each pivot spends one node of ``budget``; None when it runs out.
     """
     rows = [dict(r) for r in rows if r]
     if prime is not None:
@@ -69,7 +69,7 @@ def _rank_sparse(
         if rlen != len(prow):
             heapq.heappush(heap, (len(prow), pi))
             continue
-        if not clock.spend():
+        if not budget.spend():
             return None
         pc = min(
             prow,
@@ -143,7 +143,7 @@ def _reduce_gcd(row: dict[int, int]) -> None:
 
 def rank_exact(rows: Sequence[dict[int, int]]) -> int:
     """Rank over the rationals of a sparse integer matrix given as row dicts."""
-    return _rank_sparse(list(rows), UNBOUNDED.clock(), prime=None)
+    return _rank_sparse(list(rows), SearchBudget(), prime=None)
 
 
 def solve_exact(

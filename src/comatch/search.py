@@ -20,15 +20,15 @@ Everything here is exact and certificate-producing:
   it returns either an empty transversal or a comatching-with-
   intersection witness of full size.
 
-Budgets are never errors: results carry exactness flags instead, so
-property tests can filter on them.  The tau, tau' and minimal-empty
-searches keep explicit stacks, so their depth is not bounded by Python's
-recursion limit.
+Every search takes an optional :class:`comatch.core.SearchBudget` and
+counts its nodes into it.  Budgets are never errors: results carry
+exactness flags instead, so property tests can filter on them.  The tau,
+tau' and minimal-empty searches keep explicit stacks, so their depth is
+not bounded by Python's recursion limit.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -39,6 +39,7 @@ from .core import (
     Comatching,
     ComatchingWithIntersection,
     InputError,
+    SearchBudget,
     SetSystem,
     SubfamilySelection,
     complement_incidence,
@@ -46,7 +47,6 @@ from .core import (
 )
 
 __all__ = [
-    "SearchBudget",
     "ColorfulInstance",
     "DichotomyOutcome",
     "FractionalHellyProfile",
@@ -59,67 +59,6 @@ __all__ = [
     "instance_admits_empty_transversal",
     "fractional_helly_profile",
 ]
-
-
-@dataclass(frozen=True)
-class SearchBudget:
-    """Optional node and wall-clock limits; absent means unbounded."""
-
-    max_nodes: Optional[int] = None
-    max_millis: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        if self.max_nodes is not None and self.max_nodes < 0:
-            raise InputError("max_nodes must be nonnegative")
-        if self.max_millis is not None and self.max_millis < 0:
-            raise InputError("max_millis must be nonnegative")
-
-    def clock(self) -> "BudgetClock":
-        return BudgetClock(self)
-
-
-UNBOUNDED = SearchBudget()
-
-
-class BudgetClock:
-    """Per-call budget tracker.  ``spend`` returns False once exhausted.
-
-    Search entry points also accept a clock in place of a budget, so a
-    caller can observe node counts or share one budget across phases.
-    """
-
-    __slots__ = ("max_nodes", "deadline", "nodes", "exhausted")
-
-    def __init__(self, budget: Optional[SearchBudget]):
-        budget = budget or UNBOUNDED
-        self.max_nodes = budget.max_nodes
-        self.deadline = (
-            None
-            if budget.max_millis is None
-            else time.monotonic() + budget.max_millis / 1000.0
-        )
-        self.nodes = 0
-        self.exhausted = False
-
-    def spend(self, amount: int = 1) -> bool:
-        if self.exhausted:
-            return False
-        self.nodes += amount
-        if self.max_nodes is not None and self.nodes > self.max_nodes:
-            self.exhausted = True
-        elif self.deadline is not None and time.monotonic() > self.deadline:
-            # Checked on every spend: one node can cost a tenth of a second.
-            self.exhausted = True
-        return not self.exhausted
-
-
-Budget = Optional["SearchBudget | BudgetClock"]
-
-
-def as_clock(budget: Budget) -> BudgetClock:
-    if isinstance(budget, BudgetClock):
-        return budget
-    return BudgetClock(budget)
 
 
 @dataclass(frozen=True)
@@ -186,7 +125,7 @@ class FractionalHellyProfile:
 
 
 def _comatching_search(
-    system: SetSystem, budget: Budget, need_common_point: bool
+    system: SetSystem, budget: Optional[SearchBudget], need_common_point: bool
 ) -> tuple[int, tuple[tuple[int, int], ...], int, bool]:
     """Shared maximum-clique search for tau and tau'.
 
@@ -215,7 +154,7 @@ def _comatching_search(
     """
     masks = system.masks
     full = system.full_mask
-    clock = as_clock(budget)
+    budget = budget or SearchBudget()
     candidates = [(m, p) for p, m in complement_incidence(system)]
     if need_common_point:
         # A nonempty ground set always admits the size-0 certificate, but a
@@ -226,7 +165,7 @@ def _comatching_search(
     best_pairs: tuple[tuple[int, int], ...] = ()
     best_size = 0
     best_common = full if need_common_point else 0
-    if not clock.spend():
+    if not budget.spend():
         return best_size, best_pairs, best_common, False
     # stack[d] is [untried candidates, colour-class tops] of the node at
     # depth d; its pairs are chosen[:d] and its intersection is inters[d].
@@ -252,7 +191,7 @@ def _comatching_search(
             continue
         frame[0] = cand = cand ^ low
         m, p = candidates[low.bit_length() - 1]
-        if not clock.spend():
+        if not budget.spend():
             break
         chosen.append((m, p))
         inter = inters[-1] & masks[m]
@@ -276,7 +215,7 @@ def _comatching_search(
                 inters.append(inter)
                 continue
         chosen.pop()
-    return best_size, best_pairs, best_common, not clock.exhausted
+    return best_size, best_pairs, best_common, not budget.exhausted
 
 
 def _compatibility_tables(
@@ -324,7 +263,7 @@ def _class_tops(
 
 
 def comatching_number(
-    system: SetSystem, budget: Budget = None
+    system: SetSystem, budget: Optional[SearchBudget] = None
 ) -> tuple[int, Comatching, bool]:
     """Largest induced matching in the bipartite complement, with certificate.
 
@@ -337,7 +276,7 @@ def comatching_number(
 
 
 def comatching_with_intersection_number(
-    system: SetSystem, budget: Budget = None
+    system: SetSystem, budget: Optional[SearchBudget] = None
 ) -> tuple[int, Optional[ComatchingWithIntersection], bool]:
     """Largest comatching whose members share a common point.
 
@@ -491,7 +430,7 @@ def instance_admits_empty_transversal(
 
 def colorful_helly_number(
     system: SetSystem,
-    budget: Budget = None,
+    budget: Optional[SearchBudget] = None,
     tau_prime: Optional[int] = None,
     minimal: Optional[Sequence[frozenset[int]]] = None,
 ) -> tuple[int, bool, Optional[ColorfulInstance]]:
@@ -554,7 +493,7 @@ def colorful_helly_number(
             raise InputError(f"tau_prime={tau_prime} is below h - 1 = {h - 1}")
         if h == 1 + tau_prime:
             return h, True, floor_instance
-    clock = as_clock(budget)
+    budget = budget or SearchBudget()
     member_bits = [sum(1 << j for j in sel) for sel in minimal]
 
     # Refuting multisets of the current size, as sorted index tuples in
@@ -580,7 +519,7 @@ def colorful_helly_number(
                 cand = key + (i,)
                 if any(cand[:j] + cand[j + 1 :] not in level for j in range(size)):
                     continue
-                if not clock.spend():
+                if not budget.spend():
                     return lower_bound(size)
                 if completions is None:
                     if not meets:

@@ -17,10 +17,9 @@ import warnings
 from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Optional
 
-from .core import InputError, SetSystem, Verdict
-from .search import Budget, as_clock
+from .core import InputError, SearchBudget, SetSystem, Verdict
 
 __all__ = [
     "SimplicialComplex",
@@ -259,7 +258,7 @@ def complex_to_set_system(complex_: SimplicialComplex) -> SetSystem:
 
 
 def complex_comatching_number(
-    complex_: SimplicialComplex, budget: Budget = None
+    complex_: SimplicialComplex, budget: Optional[SearchBudget] = None
 ) -> tuple[int, ComplexComatching, bool]:
     """Largest vertex set M where every v in M has a facet meeting M in M - {v}.
 
@@ -267,38 +266,40 @@ def complex_comatching_number(
     restricts), so a depth-first search on an explicit stack extends
     partial comatchings vertex by vertex in ascending order.  Witnesses
     are kept incrementally as facet bitsets; each vertex's certificate
-    facet is its lowest-indexed witness.
+    facet is its lowest-indexed witness.  A frame tries a vertex v only
+    while M plus the n - v vertices from v on could beat the best found,
+    and the best is replaced only by a larger comatching, so the
+    certificate is the first largest one in that order.
     """
     n = complex_.num_vertices
     containing = complex_.containing
-    clock = as_clock(budget)
+    budget = budget or SearchBudget()
     best: tuple[tuple[int, int], ...] = ()
     # A frame is [next vertex to try, M, witnesses per vertex of M, facets
     # containing M]; the witnesses of u avoid u and contain M - {u}.  Adding
     # v narrows them to facets containing v, and fails if one set empties.
-    # A found child spends a node; it is pushed only if it can beat best.
-    stack = [[0, (), [], (1 << len(complex_.facets)) - 1]] if clock.spend() else []
+    # A found child spends a node.  Every frame's M is no larger than best.
+    stack = [[0, (), [], (1 << len(complex_.facets)) - 1]] if budget.spend() else []
     while stack:
         frame = stack[-1]
         start, m, wits, meet = frame
-        for v in range(start, n):
+        for v in range(start, n + len(m) - len(best)):
             own = meet & ~containing[v]
             narrowed = [w & containing[v] for w in wits]
             if not own or not all(narrowed):
                 continue
             frame[0] = v + 1
-            if not clock.spend():
+            if not budget.spend():
                 stack.clear()
                 break
             m, wits = m + (v,), narrowed + [own]
             if len(m) > len(best):
                 best = tuple((u, (w & -w).bit_length() - 1) for u, w in zip(m, wits))
-            if len(m) + n - v - 1 > len(best):
-                stack.append([v + 1, m, wits, meet & containing[v]])
+            stack.append([v + 1, m, wits, meet & containing[v]])
             break
         else:
             stack.pop()
-    return len(best), ComplexComatching(best), not clock.exhausted
+    return len(best), ComplexComatching(best), not budget.exhausted
 
 
 # ---------------------------------------------------------------------------
@@ -433,26 +434,33 @@ def are_isomorphic(left: SimplicialComplex, right: SimplicialComplex) -> bool:
     order = sorted(range(n), key=lambda v: len(candidates[v]))
     mapping: dict[int, int] = {}
     used = [False] * n
-
-    def assign(k: int) -> bool:
+    # Depth-first on an explicit stack: tried[k] counts the candidates of
+    # order[k] tried so far, and order[:len(tried) - 1] is mapped.
+    tried = [0]
+    while tried:
+        k = len(tried) - 1
         if k == n:
-            return all(
+            if all(
                 frozenset(mapping[v] for v in f) in right_facets for f in left.facets
-            )
-        v = order[k]
-        for u in candidates[v]:
-            if used[u]:
-                continue
-            if any(
-                ladj[v][w] != radj[u][mapping[w]] for w in mapping
             ):
-                continue
-            mapping[v] = u
-            used[u] = True
-            if assign(k + 1):
                 return True
-            del mapping[v]
-            used[u] = False
-        return False
-
-    return assign(0)
+        else:
+            v = order[k]
+            options = candidates[v]
+            while tried[k] < len(options):
+                u = options[tried[k]]
+                tried[k] += 1
+                if not used[u] and not any(
+                    ladj[v][w] != radj[u][mapping[w]] for w in mapping
+                ):
+                    mapping[v] = u
+                    used[u] = True
+                    tried.append(0)
+                    break
+            if len(tried) > k + 1:
+                continue
+        # Position k is exhausted: undo the assignment before it.
+        tried.pop()
+        if tried:
+            used[mapping.pop(order[k - 1])] = False
+    return False

@@ -37,9 +37,8 @@ from heapq import heapify, heappop
 from itertools import combinations
 from typing import Iterator, Optional
 
-from .core import InputError, Verdict
+from .core import InputError, SearchBudget, Verdict
 from .linalg import FIELD_PRIME, _rank_sparse
-from .search import Budget, BudgetClock, as_clock
 from .simplicial import (
     SimplicialComplex,
     _bits,
@@ -162,7 +161,7 @@ def _sparse_boundary_rows(
 def reduced_betti(
     complex_: SimplicialComplex,
     mode: str = "exact",
-    budget: Budget = None,
+    budget: Optional[SearchBudget] = None,
 ) -> Optional[HomologyProfile]:
     """Reduced Betti numbers b0..b_dim via augmented boundary ranks.
 
@@ -176,7 +175,7 @@ def reduced_betti(
     if complex_.num_vertices == 0:
         return HomologyProfile((), arithmetic, mode == "exact", ("empty complex",))
     prime = None if mode == "exact" else FIELD_PRIME
-    betti = _betti_from(complex_, 0, as_clock(budget), prime)
+    betti = _betti_from(complex_, 0, budget or SearchBudget(), prime)
     if betti is None:
         return None
     return HomologyProfile(betti, arithmetic, mode == "exact")
@@ -185,18 +184,18 @@ def reduced_betti(
 def _betti_from(
     complex_: SimplicialComplex,
     low: int,
-    clock: BudgetClock,
+    budget: SearchBudget,
     prime: Optional[int] = None,
 ) -> Optional[tuple[int, ...]]:
     """Reduced Betti numbers b_low..b_dim of a nonempty complex, with zeros
     below ``low``: only the boundary ranks those need are computed.  None
-    when ``clock`` runs out during a rank."""
+    when ``budget`` runs out during a rank."""
     groups = all_faces(complex_)  # index k holds faces of dimension k-1
     dim = len(groups) - 2
     rank = [0] * (dim + 3)  # rank[k] = rank of boundary from dim k-1 chains
     for k in range(low + 1, len(groups)):
         rows = _sparse_boundary_rows(groups[k - 1], groups[k])
-        rank[k] = _rank_sparse(rows, clock, prime)
+        rank[k] = _rank_sparse(rows, budget, prime)
         if rank[k] is None:
             return None
     return tuple(
@@ -236,23 +235,23 @@ def join_profile_from_factors(
 def kunneth_betti_check(
     left: SimplicialComplex,
     right: SimplicialComplex,
-    budget: Budget = None,
+    budget: Optional[SearchBudget] = None,
 ) -> KunnethVerdict:
     """Compare the join's Betti profile against the factor convolution.
 
-    The factor homology and then the join's run exactly under one clock;
+    The factor homology and then the join's run exactly under one budget;
     exhaustion on either side is reported in-band.
     """
-    clock = as_clock(budget)
-    lp = reduced_betti(left, "exact", clock)
-    rp = None if lp is None else reduced_betti(right, "exact", clock)
+    budget = budget or SearchBudget()
+    lp = reduced_betti(left, "exact", budget)
+    rp = None if lp is None else reduced_betti(right, "exact", budget)
     if rp is None:
         return KunnethVerdict("budget_exhausted", (), None)
     joined = join(left, right)
     expected_len = joined.dim + 1 if joined.num_vertices else 0
     predicted = join_profile_from_factors(lp.reduced_betti, rp.reduced_betti)
     predicted = tuple((predicted + (0,) * expected_len)[:expected_len])
-    profile = reduced_betti(joined, "exact", clock)
+    profile = reduced_betti(joined, "exact", budget)
     if profile is None:
         return KunnethVerdict("budget_exhausted", predicted, None)
     direct = profile.reduced_betti
@@ -363,7 +362,7 @@ class _FaceCounts:
 def is_d_collapsible(
     complex_: SimplicialComplex,
     d: int,
-    budget: Budget = None,
+    budget: Optional[SearchBudget] = None,
     *,
     strict_size: bool = False,
 ) -> tuple[str, Optional[CollapseSequence]]:
@@ -388,7 +387,7 @@ def is_d_collapsible(
     """
     if d < 1:
         raise InputError("collapse dimension must be at least 1")
-    clock = as_clock(budget)
+    budget = budget or SearchBudget()
     state = _FaceCounts(complex_.facets, d, strict_size)
     visited: set[frozenset[frozenset[int]]] = set()
     # One entry per step taken: the first child tried at that node, turned
@@ -399,7 +398,7 @@ def is_d_collapsible(
     while True:
         if not state.large:
             return "proved", CollapseSequence(d, strict_size, tuple(state.steps))
-        if not clock.spend():
+        if not budget.spend():
             return "budget_exhausted", None
         key = frozenset(state.facets)
         face = None
@@ -468,7 +467,7 @@ def replay_collapse_sequence(
 
 
 def leray_check(
-    complex_: SimplicialComplex, d: int, budget: Budget = None
+    complex_: SimplicialComplex, d: int, budget: Optional[SearchBudget] = None
 ) -> LerayVerdict:
     """Whether every induced subcomplex has vanishing reduced homology in
     all dimensions >= d.
@@ -477,22 +476,22 @@ def leray_check(
     "holds" when no link has reduced homology in a dimension >= d.  When
     some link does, :func:`_descend` turns the first such link, at its
     lowest failing dimension, into a failing induced subcomplex: the whole
-    complex when it fails itself.  One clock bounds both.
+    complex when it fails itself.  One budget bounds both.
     """
     if d < 0:
         raise InputError("Leray dimension must be nonnegative")
-    clock = as_clock(budget)
-    for sigma, betti in _link_homology(complex_, d, clock):
+    budget = budget or SearchBudget()
+    for sigma, betti in _link_homology(complex_, d, budget):
         bad = next((i for i in range(d, len(betti)) if betti[i]), None)
         if bad is not None:
-            witness = _descend(complex_, sigma, bad, clock)
+            witness = _descend(complex_, sigma, bad, budget)
             status = "budget_exhausted" if witness is None else "fails"
             return LerayVerdict(d, status, witness)
-    return LerayVerdict(d, "budget_exhausted" if clock.exhausted else "holds")
+    return LerayVerdict(d, "budget_exhausted" if budget.exhausted else "holds")
 
 
 def leray_number(
-    complex_: SimplicialComplex, budget: Budget = None
+    complex_: SimplicialComplex, budget: Optional[SearchBudget] = None
 ) -> tuple[int, bool, Optional[LerayVerdict]]:
     """Smallest d whose Leray check holds, as (value, exact, witness).
 
@@ -504,18 +503,18 @@ def leray_number(
     value is the lower bound that the whole complex's own homology
     certifies (0 without one), flagged inexact.
     """
-    clock = as_clock(budget)
+    budget = budget or SearchBudget()
     value, whole, raiser = 0, None, frozenset()
-    for sigma, betti in _link_homology(complex_, 0, clock):
+    for sigma, betti in _link_homology(complex_, 0, budget):
         top = _top_dimension(betti)
         if not sigma and top >= 0:
             whole = LerayVerdict(top, "fails", (_all_vertices(complex_), top))
         if top + 1 > value:
             value, raiser = top + 1, sigma
-    if not clock.exhausted:
+    if not budget.exhausted:
         if value == 0:
             return 0, True, None
-        witness = _descend(complex_, raiser, value - 1, clock)
+        witness = _descend(complex_, raiser, value - 1, budget)
         if witness is not None:
             return value, True, LerayVerdict(value - 1, "fails", witness)
     # The budget ran out: only the whole complex's own homology is in hand.
@@ -559,7 +558,7 @@ def _link(
 
 
 def _link_homology(
-    complex_: SimplicialComplex, floor: int, clock: BudgetClock
+    complex_: SimplicialComplex, floor: int, budget: SearchBudget
 ) -> Iterator[tuple[frozenset[int], tuple[int, ...]]]:
     """Reduced Betti numbers of the links that can hold homology >= floor.
 
@@ -574,7 +573,7 @@ def _link_homology(
     pass ends at the first size at which no link can raise the value.
     Links with one facet are simplices and are skipped.  Each link spends
     one node plus the pivots of its ranks; the pass ends early, with
-    ``clock.exhausted`` set, when the budget runs out.
+    ``budget.exhausted`` set, when the budget runs out.
     """
     value = floor
     for size in range(complex_.dim - floor + 1):
@@ -584,9 +583,9 @@ def _link_homology(
             link = _link(complex_, sigma)
             if link is None:
                 continue
-            if not clock.spend():
+            if not budget.spend():
                 return
-            betti = _betti_from(link, value, clock)
+            betti = _betti_from(link, value, budget)
             if betti is None:
                 return
             value = max(value, _top_dimension(betti) + 1)
@@ -594,7 +593,7 @@ def _link_homology(
 
 
 def _descend(
-    complex_: SimplicialComplex, sigma: frozenset[int], i: int, clock: BudgetClock
+    complex_: SimplicialComplex, sigma: frozenset[int], i: int, budget: SearchBudget
 ) -> Optional[tuple[frozenset[int], int]]:
     """A failing induced subcomplex from a failing link, by Mayer-Vietoris.
 
@@ -614,9 +613,9 @@ def _descend(
         v = rest.pop()
         link = _link(complex_, frozenset(rest), frozenset(w))
         if link is not None:
-            if not clock.spend():
+            if not budget.spend():
                 return None
-            betti = _betti_from(link, i + 1, clock)
+            betti = _betti_from(link, i + 1, budget)
             if betti is None:
                 return None
             if any(betti[i + 1 : i + 2]):

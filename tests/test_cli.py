@@ -388,6 +388,24 @@ class TestSuites:
         assert torus_record["nerve_leray_number"]["value"] >= 3
         assert doc["max_nerve_leray_number_seen"] >= 3
 
+    def test_question1_torus_leray_within_run_budget(self, capsys):
+        # The torus Leray call has its own limits, capped by the run's.
+        code, doc = run_cli(
+            capsys,
+            "question1",
+            "--samples",
+            "2",
+            "--seed",
+            "3",
+            "--include-torus",
+            "--budget-nodes",
+            "5",
+        )
+        assert code == 0
+        torus_record = doc["records"][-1]
+        assert torus_record["system"] == "torus-grid conversion"
+        assert torus_record["nerve_leray_number"]["exact"] is False
+
     def test_question1_deterministic(self, tmp_path, capsys):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         for target in (a, b):

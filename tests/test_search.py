@@ -83,16 +83,16 @@ class TestSearchBudget:
             SearchBudget(max_millis=-5)
 
     def test_node_budget_counts(self):
-        clock = SearchBudget(max_nodes=3).clock()
-        assert [clock.spend() for _ in range(5)] == [True, True, True, False, False]
-        assert clock.exhausted
+        budget = SearchBudget(max_nodes=3)
+        assert [budget.spend() for _ in range(5)] == [True, True, True, False, False]
+        assert budget.exhausted
 
     def test_deadline_checked_on_first_spend(self):
-        clock = SearchBudget(max_millis=0).clock()
-        while time.monotonic() <= clock.deadline:
+        budget = SearchBudget(max_millis=0)
+        while time.monotonic() <= budget.deadline:
             pass
-        assert clock.spend() is False
-        assert clock.exhausted and clock.nodes == 1
+        assert budget.spend() is False
+        assert budget.exhausted and budget.nodes == 1
 
 
 class TestComatchingNumber:
@@ -198,12 +198,15 @@ class TestNodeBudgetSweep:
         taup = comatching_with_intersection_number(system)[0]
         inexact = 0
         for nodes in range(31):
-            budget = SearchBudget(max_nodes=nodes)
-            value, cert, exact = comatching_number(system, budget)
+            value, cert, exact = comatching_number(
+                system, SearchBudget(max_nodes=nodes)
+            )
             assert len(cert) == value and verify_comatching(system, cert).ok
             assert value <= tau and (not exact or value == tau), nodes
             inexact += not exact
-            value, cert, exact = comatching_with_intersection_number(system, budget)
+            value, cert, exact = comatching_with_intersection_number(
+                system, SearchBudget(max_nodes=nodes)
+            )
             if cert is None:
                 assert value == 0
             else:
@@ -368,9 +371,9 @@ class TestColorfulHellyNumber:
         system = gen_cycle_sharpness(4)
         minimal = minimal_empty_subfamilies(system)
         h = helly_number(system)
-        clock = SearchBudget().clock()
-        eta, exact, refuting = colorful_helly_number(system, clock, tau_prime=4)
-        assert (eta, exact, clock.nodes) == (h, True, 0)
+        budget = SearchBudget()
+        eta, exact, refuting = colorful_helly_number(system, budget, tau_prime=4)
+        assert (eta, exact, budget.nodes) == (h, True, 0)
         assert len(set(refuting.families)) == 1
         assert refuting.families[0] in minimal and len(refuting.families[0]) == h
         assert_refutes(system, refuting, eta)
@@ -411,9 +414,9 @@ class TestColorfulHellyNumber:
         # h = 6 > 1 + tau' fails to close the sandwich without tau', so the
         # level search runs to size 5 and stops at an empty level 6.
         system = gen_cycle_sharpness(5)
-        clock = SearchBudget().clock()
-        eta, exact, refuting = colorful_helly_number(system, clock)
-        assert (eta, exact, clock.nodes) == (6, True, 27_356)
+        budget = SearchBudget()
+        eta, exact, refuting = colorful_helly_number(system, budget)
+        assert (eta, exact, budget.nodes) == (6, True, 27_356)
         low, high = frozenset(range(5)), frozenset(range(5, 10))
         assert refuting.families == (low,) * 4 + (high,)
         assert_refutes(system, refuting, eta)
@@ -430,10 +433,10 @@ class TestColorfulHellyNumber:
         assert tau_prime_exact
         for given in (None, tau_prime):
             for nodes in (None, 1, 5, 50):
-                clock = SearchBudget(max_nodes=nodes).clock()
-                eta, exact, refuting = colorful_helly_number(system, clock, given)
+                budget = SearchBudget(max_nodes=nodes)
+                eta, exact, refuting = colorful_helly_number(system, budget, given)
                 families = refuting.families if refuting else None
-                assert (eta, exact, families, clock.nodes) == oracle_eta_level_search(
+                assert (eta, exact, families, budget.nodes) == oracle_eta_level_search(
                     system, given, nodes
                 ), (given, nodes)
 

@@ -1,4 +1,9 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +28,8 @@ from comatch.simplicial import (
     nerve,
     verify_complex_comatching,
 )
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 @pytest.fixture
@@ -177,10 +184,18 @@ class TestComplexComatching:
             assert complex_comatching_number(k) == (len(expected), expected, True)
 
     def test_node_counts(self, torus):
-        for k, nodes in ((torus, 136), (nerve(gen_hamming_system(4, 1)), 312)):
-            clock = SearchBudget().clock()
-            complex_comatching_number(k, clock)
-            assert clock.nodes == nodes
+        # A frame stops trying vertices once the rest cannot beat the best:
+        # the boundary of a simplex on n vertices is itself a comatching,
+        # found by the root and one node per vertex, n + 1 nodes in all.
+        boundary = SimplicialComplex(
+            tuple(str(v) for v in range(100)),
+            tuple(frozenset(range(100)) - {v} for v in range(100)),
+        )
+        cases = ((torus, 120), (nerve(gen_hamming_system(4, 1)), 227), (boundary, 101))
+        for k, nodes in cases:
+            budget = SearchBudget()
+            complex_comatching_number(k, budget)
+            assert budget.nodes == nodes
 
     @pytest.mark.filterwarnings("ignore:members with no points")
     @pytest.mark.parametrize("seed", range(8))
@@ -329,3 +344,31 @@ class TestIsomorphism:
             ["a", "b", "c"], [["a", "b"], ["b", "c"]]
         )
         assert not are_isomorphic(three_cycle, path)
+
+    def test_deep_path_needs_no_recursion(self):
+        # One search position per vertex: a path with twice as many vertices
+        # as the recursion limit still maps onto a relabelled copy.
+        code = textwrap.dedent(
+            """
+            import random, sys
+            from comatch.simplicial import SimplicialComplex, are_isomorphic
+
+            n = 200
+            perm = list(range(n))
+            random.Random(0).shuffle(perm)
+            labels = tuple(str(v) for v in range(n))
+            edges = [(v, v + 1) for v in range(n - 1)]
+            path = SimplicialComplex(labels, tuple(map(frozenset, edges)))
+            relabelled = SimplicialComplex(
+                labels, tuple(frozenset((perm[a], perm[b])) for a, b in edges)
+            )
+            sys.setrecursionlimit(n // 2)
+            print(are_isomorphic(path, relabelled))
+            """
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True
+        )
+        assert (done.returncode, done.stdout) == (0, "True\n"), done.stderr

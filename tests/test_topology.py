@@ -120,9 +120,9 @@ class TestReducedBetti:
         assert betti_sum == face_sum - 1
 
     def test_budget_exhaustion_returns_none(self, torus):
-        clock = SearchBudget(max_nodes=2).clock()
-        assert reduced_betti(torus, budget=clock) is None
-        assert clock.exhausted
+        budget = SearchBudget(max_nodes=2)
+        assert reduced_betti(torus, budget=budget) is None
+        assert budget.exhausted
 
     @pytest.mark.parametrize("seed", range(30))
     def test_matches_dense_fraction_oracle(self, seed):
@@ -188,7 +188,7 @@ class TestKunneth:
         assert kunneth_betti_check(empty, empty).status == "ok"
 
     def test_budget_exhaustion_in_band(self, torus):
-        # One clock covers both sides: the two torus factors spend 158 nodes,
+        # One budget covers both sides: the two torus factors spend 158 nodes,
         # so 200 leaves the join's homology short.
         verdict = kunneth_betti_check(torus, torus, SearchBudget(max_nodes=200))
         assert verdict.status == "budget_exhausted"
@@ -209,29 +209,28 @@ class TestBudgetInBand:
         rng = random.Random(seed + 2100)
         k = random_complex(rng, 6, 5)
         other = random_complex(rng, 4, 3)
-        budget = SearchBudget(max_nodes=max_nodes)
 
-        clock = budget.clock()
-        profile = reduced_betti(k, "exact", clock)
-        assert (profile is None) == clock.exhausted
+        budget = SearchBudget(max_nodes=max_nodes)
+        profile = reduced_betti(k, "exact", budget)
+        assert (profile is None) == budget.exhausted
         if profile is not None:
             assert profile == reduced_betti(k, "exact")
 
-        verdict = kunneth_betti_check(k, other, budget)
+        verdict = kunneth_betti_check(k, other, SearchBudget(max_nodes=max_nodes))
         assert verdict.status in ("ok", "budget_exhausted")
         for d in range(k.dim + 2):
-            assert leray_check(k, d, budget).status in (
+            assert leray_check(k, d, SearchBudget(max_nodes=max_nodes)).status in (
                 "holds",
                 "fails",
                 "budget_exhausted",
             )
-        value, exact, witness = leray_number(k, budget)
+        value, exact, witness = leray_number(k, SearchBudget(max_nodes=max_nodes))
         if exact:
             assert (value, exact, witness) == leray_number(k)
         for d in range(1, k.dim + 2):
-            status, _ = is_d_collapsible(k, d, budget)
+            status, _ = is_d_collapsible(k, d, SearchBudget(max_nodes=max_nodes))
             assert status in ("proved", "refuted", "budget_exhausted")
-        tau, _, _ = complex_comatching_number(k, budget)
+        tau, _, _ = complex_comatching_number(k, SearchBudget(max_nodes=max_nodes))
         assert tau <= complex_comatching_number(k)[0]
 
 
@@ -304,12 +303,12 @@ class TestCollapsibility:
             for strict in (False, True):
                 status, steps, nodes = oracle_lex_first_collapse(k, d, strict)
                 expected = None if steps is None else CollapseSequence(d, strict, steps)
-                clock = SearchBudget().clock()
-                assert is_d_collapsible(k, d, clock, strict_size=strict) == (
+                budget = SearchBudget()
+                assert is_d_collapsible(k, d, budget, strict_size=strict) == (
                     status,
                     expected,
                 )
-                assert clock.nodes == nodes
+                assert budget.nodes == nodes
 
     def test_memo_expands_each_complex_once(self):
         # A hollow triangle with a pendant edge at each corner: the three
@@ -322,9 +321,9 @@ class TestCollapsibility:
             ["a", "b", "c", "x", "y", "z"],
             [["a", "b"], ["b", "c"], ["c", "a"], ["a", "x"], ["b", "y"], ["c", "z"]],
         )
-        clock = SearchBudget().clock()
-        assert is_d_collapsible(k, 1, clock) == ("refuted", None)
-        assert clock.nodes == 13 == oracle_lex_first_collapse(k, 1)[2]
+        budget = SearchBudget()
+        assert is_d_collapsible(k, 1, budget) == ("refuted", None)
+        assert budget.nodes == 13 == oracle_lex_first_collapse(k, 1)[2]
 
     def test_deep_path_needs_no_recursion(self):
         # One step per edge and one for the last vertex: a sequence longer
@@ -572,12 +571,11 @@ class TestDoubleTorusJoin:
         from comatch.constructions import gen_good_join_complex
 
         double = gen_good_join_complex(2)
-        budget = SearchBudget(max_millis=60_000)
-        value, exact, witness = leray_number(double, budget)
+        value, exact, witness = leray_number(double, SearchBudget(max_millis=60_000))
         assert (value, exact) == (6, True)
         assert len(witness.witness[0]) == 32
         _assert_witness_replays(double, witness, value)
-        assert leray_check(double, 6, budget).status == "holds"
+        assert leray_check(double, 6, SearchBudget(max_millis=60_000)).status == "holds"
         assert leray_check(double, 6).status == "holds"
         assert leray_check(double, 8).status == "holds"
 
@@ -605,7 +603,7 @@ class TestRankKernels:
             }
             rows.append({c: v for c, v in row.items() if v})
         # The prime-mode kernel that reduced_betti(..., "prime") runs.
-        prime_rank = _rank_sparse(rows, SearchBudget().clock(), FIELD_PRIME)
+        prime_rank = _rank_sparse(rows, SearchBudget(), FIELD_PRIME)
         assert rank_exact(rows) == prime_rank
 
     def test_rank_with_non_unit_pivots(self):
