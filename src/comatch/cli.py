@@ -42,6 +42,7 @@ from .core import (
     verify_comatching_with_intersection,
 )
 from .search import (
+    ColorfulInstance,
     DichotomyOutcome,
     colorful_helly_number,
     colorful_transversal_dichotomy,
@@ -240,11 +241,9 @@ def _analyze_system(system: SetSystem, config: RunConfig) -> dict:
         minimal=minimal,
     )
 
-    if not verify_comatching(system, tau_cert).ok:
+    if not _check(tau_cert, system).ok:
         raise AssertionError("internal: comatching certificate failed re-verification")
-    if taup_cert is not None and not verify_comatching_with_intersection(
-        system, taup_cert
-    ).ok:
+    if taup_cert is not None and not _check(taup_cert, system).ok:
         raise AssertionError("internal: tau' certificate failed re-verification")
 
     certificates = {"comatching": jsonio.certificate_to_doc(tau_cert, system=system)}
@@ -305,7 +304,7 @@ def _analyze_complex(complex_: SimplicialComplex, config: RunConfig) -> dict:
     phases = ("comatching", "homology", "leray", "collapse")
     budgets = {name: config.budget() for name in phases}
     tau_k, cert, tau_exact = complex_comatching_number(complex_, budgets["comatching"])
-    if not verify_complex_comatching(complex_, cert).ok:
+    if not _check(cert, complex_=complex_).ok:
         raise AssertionError("internal: complex comatching certificate failed")
     profile_doc = _profile_doc(reduced_betti(complex_, config.arith, budgets["homology"]))
 
@@ -321,7 +320,7 @@ def _analyze_complex(complex_: SimplicialComplex, config: RunConfig) -> dict:
             witness, complex_=complex_
         )
     if sequence is not None:
-        if not replay_collapse_sequence(complex_, sequence).ok:
+        if not _check(sequence, complex_=complex_).ok:
             raise AssertionError("internal: collapse sequence failed replay")
         certificates["collapse_sequence"] = jsonio.certificate_to_doc(
             sequence, complex_=complex_
@@ -478,12 +477,8 @@ def cmd_dichotomy(system_path: str, instance_path: str, config: RunConfig) -> di
     outcome = colorful_transversal_dichotomy(system, instance)
     doc = jsonio.certificate_to_doc(outcome, system=system)
     doc["instance"] = jsonio.instance_to_doc(instance, system)
-    if outcome.is_transversal:
-        if intersect_subfamily(system, outcome.transversal):
-            raise AssertionError("internal: transversal arm fails re-verification")
-    else:
-        if not verify_comatching_with_intersection(system, outcome.witness).ok:
-            raise AssertionError("internal: witness arm fails re-verification")
+    if not _check(outcome, system).ok:
+        raise AssertionError("internal: dichotomy outcome fails re-verification")
     return doc
 
 
@@ -499,7 +494,10 @@ def cmd_check_theorems(config: RunConfig, n_systems: int = 120) -> tuple[dict, i
     h <= eta <= 1 + tau' <= 1 + tau, eta = tau when tau' = tau - 1,
     dichotomy soundness, prime-field/rational homology agreement, the
     join profile identity, and collapsibility of the nerve bounding the
-    colorful Helly number.  Nonzero exit on any violation.
+    colorful Helly number.  Nonzero exit on any violation.  Each search gets
+    the run's budget; a system or complex counts as checked only when all
+    its searches finished.  The dichotomy ends within |ground| rounds, so
+    it needs no budget.
     """
     rng = random.Random(config.seed)
     violations: list[str] = []
@@ -521,11 +519,9 @@ def cmd_check_theorems(config: RunConfig, n_systems: int = 120) -> tuple[dict, i
             continue
         checked += 1
         tag = f"system {index} (seed {config.seed})"
-        if not verify_comatching(system, tau_cert).ok:
+        if not _check(tau_cert, system).ok:
             violations.append(f"{tag}: comatching certificate invalid")
-        if taup_cert is not None and not verify_comatching_with_intersection(
-            system, taup_cert
-        ).ok:
+        if taup_cert is not None and not _check(taup_cert, system).ok:
             violations.append(f"{tag}: comatching-with-intersection certificate invalid")
         if taup not in (tau - 1, tau):
             violations.append(f"{tag}: tau'={taup} outside {{tau-1, tau}} with tau={tau}")
@@ -540,56 +536,52 @@ def cmd_check_theorems(config: RunConfig, n_systems: int = 120) -> tuple[dict, i
         instance = random_refutable_instance(rng, system)
         if instance is not None:
             outcome = colorful_transversal_dichotomy(system, instance)
-            if outcome.is_transversal:
-                if intersect_subfamily(system, outcome.transversal):
-                    violations.append(f"{tag}: dichotomy transversal not empty")
-            else:
-                if not verify_comatching_with_intersection(system, outcome.witness).ok:
-                    violations.append(f"{tag}: dichotomy witness invalid")
-                if len(outcome.witness) != len(instance):
-                    violations.append(f"{tag}: witness size mismatch")
-                if len(instance) > taup:
-                    violations.append(
-                        f"{tag}: witness arm on {len(instance)} positions > tau'={taup}"
-                    )
+            verdict = _check(outcome, system, instance=instance)
+            violations.extend(f"{tag}: dichotomy {v}" for v in verdict.violations)
+            if not outcome.is_transversal and len(instance) > taup:
+                violations.append(
+                    f"{tag}: witness arm on {len(instance)} positions > tau'={taup}"
+                )
 
     complexes_checked = 0
     for index in range(max(10, n_systems // 4)):
         tag = f"complex {index} (seed {config.seed})"
         complex_ = random_complex(rng, 5, 4)
-        exact_profile = reduced_betti(complex_, "exact")
-        prime_profile = reduced_betti(complex_, "prime")
-        complexes_checked += 1
-        if exact_profile.reduced_betti != prime_profile.reduced_betti:
+        other = random_complex(rng, 4, 3)
+        system = random_system(rng, 5, 5)
+        exact_profile = reduced_betti(complex_, "exact", config.budget())
+        prime_profile = reduced_betti(complex_, "prime", config.budget())
+        finished = exact_profile is not None and prime_profile is not None
+        if finished and exact_profile.reduced_betti != prime_profile.reduced_betti:
             violations.append(
                 f"{tag}: prime-field profile {prime_profile.reduced_betti} "
                 f"disagrees with exact {exact_profile.reduced_betti} (torsion?)"
             )
-        other = random_complex(rng, 4, 3)
         kv = kunneth_betti_check(complex_, other, config.budget())
+        finished &= kv.status != "budget_exhausted"
         if kv.status == "mismatch":
             violations.append(f"{tag}: join profile identity fails: {kv.violations}")
-
-        system = random_system(rng, 5, 5)
         if any(not elems for _, elems in system.members):
+            complexes_checked += finished
             continue
         nerve_complex = nerve(system)
         eta, eta_exact, _ = colorful_helly_number(system, config.budget())
-        if not eta_exact:
-            continue
-        for d in (1, 2, 3):
+        finished &= eta_exact
+        for d in (1, 2, 3) if eta_exact else ():
             probe = _capped_budget(config, max_nodes=20_000)
             status, _ = is_d_collapsible(nerve_complex, d, probe)
+            finished &= status != "budget_exhausted"
             if status == "proved":
                 if eta > d + 1:
                     violations.append(
                         f"{tag}: nerve {d}-collapsible but eta={eta} > {d + 1}"
                     )
-                if leray_check(nerve_complex, d).status != "holds":
-                    violations.append(
-                        f"{tag}: nerve {d}-collapsible but not {d}-Leray"
-                    )
+                leray = leray_check(nerve_complex, d, config.budget()).status
+                finished &= leray != "budget_exhausted"
+                if leray == "fails":
+                    violations.append(f"{tag}: nerve {d}-collapsible but not {d}-Leray")
                 break
+        complexes_checked += finished
 
     doc = {
         "schema": REPORT_SCHEMA,
@@ -676,7 +668,7 @@ def cmd_verify(cert_path: str, object_path: str) -> tuple[dict, int]:
             cert_doc = cert_doc[wrapper]
     obj_doc = _load_doc(object_path)
     kind = jsonio.detect_kind(obj_doc)
-    system = complex_ = None
+    system = complex_ = instance = None
     if kind == "set_system":
         system = jsonio.set_system_from_doc(obj_doc)
     elif kind == "complex":
@@ -688,61 +680,66 @@ def cmd_verify(cert_path: str, object_path: str) -> tuple[dict, int]:
     if cert_kind == "refuting_instance":
         if system is None:
             raise InputError("a refuting instance certifies against a set system")
-        instance = jsonio.instance_from_doc(cert_doc, system)
-        instance.validate(system)
-        ok = not instance_admits_empty_transversal(system, instance)
-        detail = "no transversal empties" if ok else "an empty transversal exists"
-        return {"verified": ok, "kind": cert_kind, "detail": detail}, (
-            EXIT_OK if ok else EXIT_FAILURE
-        )
-
-    cert = jsonio.certificate_from_doc(cert_doc, system=system, complex_=complex_)
-    if isinstance(cert, Comatching):
-        verdict = verify_comatching(system, cert)
-    elif isinstance(cert, ComatchingWithIntersection):
-        verdict = verify_comatching_with_intersection(system, cert)
-    elif isinstance(cert, ComplexComatching):
-        verdict = verify_complex_comatching(complex_, cert)
-    elif isinstance(cert, CollapseSequence):
-        verdict = replay_collapse_sequence(complex_, cert)
-    elif isinstance(cert, DichotomyOutcome):
-        problems = []
-        if intersect_subfamily(system, cert.transversal):
-            problems.append("transversal intersection is nonempty")
-        if "instance" in cert_doc:
-            instance = jsonio.instance_from_doc(cert_doc["instance"], system)
-            if len(instance.families) != len(cert.transversal):
-                problems.append("transversal length does not match the instance")
-            for k, (j, fam) in enumerate(zip(cert.transversal, instance.families)):
-                if j not in fam:
-                    problems.append(f"position {k} picks a member outside its family")
-        verdict = Verdict.passed() if not problems else Verdict.failed(problems)
-    elif isinstance(cert, LerayVerdict):
-        verdict = _verify_leray_witness(complex_, cert)
+        cert = jsonio.instance_from_doc(cert_doc, system)
     else:
-        raise InputError(f"cannot verify certificate kind {cert_kind!r}")
+        cert = jsonio.certificate_from_doc(cert_doc, system=system, complex_=complex_)
+        if isinstance(cert, DichotomyOutcome) and "instance" in cert_doc:
+            instance = jsonio.instance_from_doc(cert_doc["instance"], system)
+    verdict = _check(cert, system, complex_, instance)
     doc = {"verified": verdict.ok, "kind": cert_kind}
-    if not verdict.ok:
+    if cert_kind == "refuting_instance":
+        doc["detail"] = "no transversal empties" if verdict.ok else verdict.violations[0]
+    elif not verdict.ok:
         doc["violations"] = list(verdict.violations)
     return doc, EXIT_OK if verdict.ok else EXIT_FAILURE
 
 
-def _verify_leray_witness(complex_: SimplicialComplex, cert: LerayVerdict):
-    vertices, dim = cert.witness
-    sub = induced_subcomplex(complex_, vertices)
-    profile = reduced_betti(sub, "exact")
-    if dim < cert.d:
-        return Verdict.failed(
-            [f"witness dimension {dim} is below the Leray threshold {cert.d}"]
-        )
-    if dim < len(profile.reduced_betti) and profile.reduced_betti[dim] != 0:
+def _check(cert, system=None, complex_=None, instance=None) -> Verdict:
+    """Replay a certificate against its set system or complex.  A refuting
+    instance passes when no transversal of it empties; a dichotomy outcome
+    with its ``instance`` must also pick from each position's family."""
+    if isinstance(cert, ColorfulInstance):
+        cert.validate(system)
+        if instance_admits_empty_transversal(system, cert):
+            return Verdict.failed(["an empty transversal exists"])
         return Verdict.passed()
-    return Verdict.failed(
-        [
-            f"induced subcomplex on {len(vertices)} vertices has trivial reduced "
-            f"homology in dimension {dim}"
-        ]
-    )
+    if isinstance(cert, Comatching):
+        return verify_comatching(system, cert)
+    if isinstance(cert, ComatchingWithIntersection):
+        return verify_comatching_with_intersection(system, cert)
+    if isinstance(cert, ComplexComatching):
+        return verify_complex_comatching(complex_, cert)
+    if isinstance(cert, CollapseSequence):
+        return replay_collapse_sequence(complex_, cert)
+    if isinstance(cert, LerayVerdict):
+        vertices, dim = cert.witness
+        if dim < cert.d:
+            return Verdict.failed(
+                [f"witness dimension {dim} is below the Leray threshold {cert.d}"]
+            )
+        betti = reduced_betti(induced_subcomplex(complex_, vertices), "exact").reduced_betti
+        if dim < len(betti) and betti[dim] != 0:
+            return Verdict.passed()
+        return Verdict.failed(
+            [
+                f"induced subcomplex on {len(vertices)} vertices has trivial reduced "
+                f"homology in dimension {dim}"
+            ]
+        )
+    if cert.is_transversal:  # a DichotomyOutcome
+        arm, members, problems = "transversal", cert.transversal, []
+        if intersect_subfamily(system, members):
+            problems.append("transversal intersection is nonempty")
+    else:
+        arm, members = "witness", cert.witness.base.member_indices
+        problems = list(_check(cert.witness, system).violations)
+    if instance is not None:
+        if len(instance.families) != len(members):
+            problems.append(f"{arm} length does not match the instance")
+        for k, (j, fam) in enumerate(zip(members, instance.families)):
+            if j not in fam:
+                problems.append(f"position {k} picks a member outside its family")
+    return Verdict.passed() if not problems else Verdict.failed(problems)
 
 
 # ---------------------------------------------------------------------------

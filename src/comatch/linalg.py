@@ -7,9 +7,9 @@ entry growth, and pivots prefer entries of magnitude 1 with low Markowitz
 fill.  Boundary matrices of simplicial complexes are sparse with entries
 in {-1, 0, 1}, which this is tuned for.
 
-A prime-field variant does the same elimination modulo a fixed prime
-p = 2^31 - 1; it is faster but only a lower-bound certificate for the
-rational rank (equal except on torsion, which callers cross-check).
+The same elimination, with every entry it writes reduced mod a prime
+p, gives the rank over GF(p): a lower bound for the rational rank (equal
+except on torsion at p, which callers cross-check), at about its cost.
 """
 
 from __future__ import annotations
@@ -33,18 +33,15 @@ def _rank_sparse(
 ) -> Optional[int]:
     """Rank of the row dicts, over GF(prime) when a prime is given.
 
-    Each pivot spends one node of ``budget``; None when it runs out.
+    Over GF(prime) every entry written (input, scaled or updated) is kept
+    as its symmetric residue in (-prime/2, prime/2], so +-1 stays +-1 and
+    the pivot rule, the division-free update and the gcd reduction apply
+    unchanged: a gcd below prime is a unit mod prime.  Each pivot spends
+    one node of ``budget``; None when it runs out.
     """
     rows = [dict(r) for r in rows if r]
     if prime is not None:
-        for r in rows:
-            for c in list(r):
-                v = r[c] % prime
-                if v:
-                    r[c] = v
-                else:
-                    del r[c]
-        rows = [r for r in rows if r]
+        rows = [{c: _residue(v, prime) for c, v in r.items() if v % prime} for r in rows]
 
     col_rows: dict[int, set[int]] = {}
     for i, r in enumerate(rows):
@@ -53,7 +50,7 @@ def _rank_sparse(
 
     # Markowitz-flavoured pivoting on a lazy heap: pop the currently
     # shortest row, pick its entry in the thinnest column, preferring
-    # magnitude-1 values (those keep the exact path division-free).
+    # magnitude-1 values (those keep the update division-free).
     heap = [(len(r), i) for i, r in enumerate(rows)]
     heapq.heapify(heap)
     active = set(range(len(rows)))
@@ -84,26 +81,32 @@ def _rank_sparse(
         for i in targets:
             row = rows[i]
             factor = row[pc]
-            if prime is not None:
-                inv = pow(pval, prime - 2, prime)
-                scale = factor * inv % prime
-                _axpy_mod(row, prow, scale, prime, i, col_rows)
-            elif pval == 1:
-                _axpy(row, prow, -factor, i, col_rows)
+            if pval == 1:
+                _axpy(row, prow, -factor, i, col_rows, prime)
             elif pval == -1:
-                _axpy(row, prow, factor, i, col_rows)
+                _axpy(row, prow, factor, i, col_rows, prime)
             else:
-                _scale(row, pval)
-                _axpy(row, prow, -factor, i, col_rows)
+                _scale(row, pval, prime)
+                _axpy(row, prow, -factor, i, col_rows, prime)
                 _reduce_gcd(row)
             heapq.heappush(heap, (len(row), i))
     return rank
 
 
-def _axpy(row: dict[int, int], src: dict[int, int], scale: int, i, col_rows) -> None:
+def _residue(value: int, prime: int) -> int:
+    # The residue of value mod prime in (-prime/2, prime/2].
+    half = (prime - 1) // 2
+    return (value + half) % prime - half
+
+
+def _axpy(
+    row: dict[int, int], src: dict[int, int], scale: int, i, col_rows, prime
+) -> None:
     # row += scale * src, maintaining the column index.
     for c, v in src.items():
         new = row.get(c, 0) + scale * v
+        if prime is not None:
+            new = _residue(new, prime)
         if new:
             if c not in row:
                 col_rows.setdefault(c, set()).add(i)
@@ -113,21 +116,12 @@ def _axpy(row: dict[int, int], src: dict[int, int], scale: int, i, col_rows) -> 
             col_rows[c].discard(i)
 
 
-def _axpy_mod(row, src, scale, prime, i, col_rows) -> None:
-    for c, v in src.items():
-        new = (row.get(c, 0) - scale * v) % prime
-        if new:
-            if c not in row:
-                col_rows.setdefault(c, set()).add(i)
-            row[c] = new
-        elif c in row:
-            del row[c]
-            col_rows[c].discard(i)
-
-
-def _scale(row: dict[int, int], factor: int) -> None:
+def _scale(row: dict[int, int], factor: int, prime) -> None:
+    # Both factors are nonzero mod prime, so no entry becomes zero.
     for c in row:
         row[c] *= factor
+        if prime is not None:
+            row[c] = _residue(row[c], prime)
 
 
 def _reduce_gcd(row: dict[int, int]) -> None:

@@ -4,9 +4,9 @@ Reduced Betti numbers are computed from augmented boundary matrices
 (the empty face spans the (-1)-chain group, so b0 counts components
 minus one).  Real-coefficient ranks equal rational ranks for integer
 matrices, so the exact-rational mode is authoritative.  The prime-field
-mode is faster but flagged non-exact: its boundary ranks are at most the
-rational ones, so torsion at the field characteristic could only inflate
-a reported Betti number, never hide one.
+mode is the same elimination mod 2^31 - 1, flagged non-exact: its ranks
+are at most the rational ones, so torsion at the field characteristic
+could only inflate a reported Betti number, never hide one.
 
 A d-collapse removes a free face of cardinality at most d together with
 all faces containing it; a facet of cardinality at most d is its own

@@ -309,6 +309,27 @@ def dense_rank_fraction(matrix) -> int:
     return rank
 
 
+def dense_rank_mod(matrix, p: int) -> int:
+    """Textbook Gaussian elimination over GF(p) on residues in [0, p)."""
+    m = [[v % p for v in row] for row in matrix]
+    rank = 0
+    cols = len(m[0]) if m else 0
+    for c in range(cols):
+        pivot = next((r for r in range(rank, len(m)) if m[r][c]), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        inverse = pow(m[rank][c], p - 2, p)
+        lead = [v * inverse % p for v in m[rank]]
+        m[rank] = lead
+        for r in range(len(m)):
+            if r != rank and m[r][c]:
+                f = m[r][c]
+                m[r] = [(a - f * b) % p for a, b in zip(m[r], lead)]
+        rank += 1
+    return rank
+
+
 def oracle_reduced_betti(complex_) -> tuple:
     """Betti numbers from dense boundary matrices and Fraction elimination."""
     from comatch.topology import boundary_matrix

@@ -354,6 +354,47 @@ class TestVerify:
                 cert_path.write_text(json.dumps(cert))
                 assert main(["verify", str(cert_path), str(source)]) == 0, name
 
+    @pytest.mark.parametrize(
+        "members, violation",
+        [
+            (["A", "A"], "transversal intersection is nonempty"),
+            (["A", "B", "A"], "transversal length does not match the instance"),
+            (["C", "D"], "position 0 picks a member outside its family"),
+        ],
+    )
+    def test_tampered_empty_transversal_fails(
+        self, sharp2_path, tmp_path, capsys, members, violation
+    ):
+        inst = tmp_path / "inst.json"
+        inst.write_text(json.dumps({"families": [["A", "B"], ["A", "B"]]}))
+        code, doc = run_cli(capsys, "dichotomy", str(sharp2_path), str(inst))
+        assert (code, doc["kind"]) == (0, "empty_transversal")
+        cert_path = tmp_path / "cert.json"
+        cert_path.write_text(json.dumps(doc))
+        assert main(["verify", str(cert_path), str(sharp2_path)]) == 0
+        capsys.readouterr()
+
+        doc["members"] = members
+        cert_path.write_text(json.dumps(doc))
+        code, verdict = run_cli(capsys, "verify", str(cert_path), str(sharp2_path))
+        assert (code, verdict["verified"]) == (1, False)
+        assert violation in verdict["violations"]
+
+    def test_tampered_dichotomy_witness_fails(self, sharp2_path, tmp_path, capsys):
+        inst = tmp_path / "inst.json"
+        inst.write_text(json.dumps({"families": [["A", "B"], ["C", "D"]]}))
+        code, doc = run_cli(capsys, "dichotomy", str(sharp2_path), str(inst))
+        assert (code, doc["kind"]) == (0, "comatching_with_intersection")
+        assert doc["common_point"] == "2"
+        doc["common_point"] = "1"  # not in C = {2, 3}
+        cert_path = tmp_path / "cert.json"
+        cert_path.write_text(json.dumps(doc))
+        code, verdict = run_cli(capsys, "verify", str(cert_path), str(sharp2_path))
+        assert (code, verdict["verified"]) == (1, False)
+        assert "common point 0 is missing from member 2 ('C') of pair 1" in (
+            verdict["violations"]
+        )
+
 
 class TestSuites:
     def test_check_theorems_passes_on_default_seed(self, capsys):
@@ -361,6 +402,16 @@ class TestSuites:
         assert code == 0
         assert doc["violations"] == []
         assert doc["systems_checked"] > 0
+
+    def test_check_theorems_skips_what_the_budget_cannot_finish(self, capsys):
+        # Every complex check needs at least one elimination pivot, so a zero
+        # node budget finishes none of them; running out is not a violation.
+        code, doc = run_cli(
+            capsys, "check-theorems", "--systems", "10", "--budget-nodes", "0"
+        )
+        assert code == 0
+        assert doc["violations"] == []
+        assert (doc["systems_checked"], doc["complexes_checked"]) == (0, 0)
 
     def test_question1_smoke(self, capsys):
         code, doc = run_cli(

@@ -2,6 +2,7 @@
 
 The search budget is a core type, so the complex side (linear algebra,
 complexes, topology) needs nothing from the set-system search module.
+Both fields share one elimination kernel in ``linalg``.
 """
 
 import ast
@@ -51,3 +52,9 @@ def test_one_budget_type():
     for path in sources:
         assert not retired & defined_names(path), path
     assert "SearchBudget" in defined_names(PACKAGE / "core.py")
+
+
+def test_one_row_update_for_both_fields():
+    # Rank over GF(p) runs the rational kernel on residues: one row update.
+    helpers = {n for n in defined_names(PACKAGE / "linalg.py") if n.startswith("_axpy")}
+    assert helpers == {"_axpy"}

@@ -11,6 +11,7 @@ from comatch.simplicial import SimplicialComplex, faces_of_dim, join
 from comatch.topology import (
     CollapseSequence,
     KunnethVerdict,
+    _betti_from,
     boundary_matrix,
     is_d_collapsible,
     is_d_good,
@@ -605,6 +606,45 @@ class TestRankKernels:
         # The prime-mode kernel that reduced_betti(..., "prime") runs.
         prime_rank = _rank_sparse(rows, SearchBudget(), FIELD_PRIME)
         assert rank_exact(rows) == prime_rank
+
+    @pytest.mark.parametrize("prime", [2, 3, 5, FIELD_PRIME])
+    @pytest.mark.parametrize("seed", range(12))
+    def test_prime_rank_equals_dense_field_oracle(self, prime, seed):
+        # Entries run past +-prime and include nonzero multiples of it, so
+        # the input residues, the row scaling and the updates all wrap.
+        from oracles import dense_rank_mod
+
+        rng = random.Random(seed * 31 + prime % 1000)
+        span = rng.choice([1, 4, 3 * prime, 2 * FIELD_PRIME + 5])
+        for _ in range(25):
+            n_rows, n_cols = rng.randint(1, 7), rng.randint(1, 7)
+            matrix = [
+                [
+                    rng.choice([0, prime, -2 * prime, rng.randint(-span, span)])
+                    if rng.random() < 0.7
+                    else 0
+                    for _ in range(n_cols)
+                ]
+                for _ in range(n_rows)
+            ]
+            rows = [{c: v for c, v in enumerate(row) if v} for row in matrix]
+            assert _rank_sparse(rows, SearchBudget(), prime) == dense_rank_mod(
+                matrix, prime
+            )
+
+    def test_projective_plane_has_torsion_at_two(self):
+        # The 6-vertex real projective plane: H1 = Z/2, so over GF(2) b1 and
+        # b2 are 1, while over the rationals every reduced Betti number is 0.
+        rp2 = SimplicialComplex.from_labels(
+            range(6),
+            [
+                [0, 1, 2], [0, 2, 3], [0, 3, 4], [0, 4, 5], [0, 5, 1],
+                [1, 2, 4], [1, 3, 4], [1, 3, 5], [2, 3, 5], [2, 4, 5],
+            ],
+        )
+        assert _betti_from(rp2, 0, SearchBudget(), 2) == (0, 1, 1)
+        assert _betti_from(rp2, 0, SearchBudget(), None) == (0, 0, 0)
+        assert _betti_from(rp2, 0, SearchBudget(), 3) == (0, 0, 0)
 
     def test_rank_with_non_unit_pivots(self):
         rows = [{0: 2, 1: 4}, {0: 4, 1: 8}, {0: 2, 1: 5}]
