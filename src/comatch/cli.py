@@ -1,10 +1,13 @@
 """Command-line front end.
 
 Subcommands: analyze, generate, nerve, homology, collapse, leray,
-dichotomy, check-theorems, question1, verify.  Shared flags (--seed,
---budget-nodes, --budget-ms, --arith, --cap-ground, --cap-vertices,
---out) can also be set through COMATCH_* environment variables; explicit
-flags win.
+dichotomy, check-theorems, question1, verify.  Every subcommand takes
+--out; each takes only those of --seed, --budget-nodes, --budget-ms,
+--arith, --cap-ground, --cap-vertices and --wall-clock that it reads, and
+any other flag is a usage error (exit 2).  Each subparser names its
+handler, which returns the document and the exit code.  All of these but
+--wall-clock can also be set through COMATCH_* environment variables, for
+every subcommand; explicit flags win.
 
 Exit codes: 0 success, 1 invariant or suite failure, 2 input error,
 3 budget exhaustion where the command needed an exact answer: homology,
@@ -135,31 +138,42 @@ def _env(name: str, cast, fallback):
         raise InputError(f"bad value for {ENV_PREFIX}{name}: {raw!r}") from None
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--budget-nodes", type=int, default=None)
-    parser.add_argument("--budget-ms", type=int, default=None)
-    parser.add_argument("--arith", choices=ARITH_MODES, default=None)
-    parser.add_argument("--cap-ground", type=int, default=None)
-    parser.add_argument("--cap-vertices", type=int, default=None)
-    parser.add_argument("--out", default=None)
-    parser.add_argument("--wall-clock", action="store_true")
+# RunConfig fields set by a flag or by an environment variable, in help
+# order: field, flag, type.  The variable is COMATCH_ and the flag's name in
+# upper case, e.g. COMATCH_BUDGET_MS.  --wall-clock has no variable.
+_FLAGS = (
+    ("seed", "--seed", int),
+    ("budget_nodes", "--budget-nodes", int),
+    ("budget_millis", "--budget-ms", int),
+    ("arith", "--arith", str),
+    ("cap_ground", "--cap-ground", int),
+    ("cap_vertices", "--cap-vertices", int),
+    ("out", "--out", str),
+)
+
+
+def _add_common(parser: argparse.ArgumentParser, *fields: str) -> None:
+    """Add --out and the flags of the named RunConfig fields: the fields the
+    subcommand reads.  Any other flag is a usage error."""
+    for field, flag, cast in _FLAGS:
+        if field == "out" or field in fields:
+            choices = ARITH_MODES if field == "arith" else None
+            parser.add_argument(flag, type=cast, choices=choices, default=None)
+    if "wall_clock" in fields:
+        parser.add_argument("--wall-clock", action="store_true")
 
 
 def _config(args: argparse.Namespace) -> RunConfig:
-    def pick(flag, env_name, cast, fallback):
-        return flag if flag is not None else _env(env_name, cast, fallback)
-
-    return RunConfig(
-        seed=pick(args.seed, "SEED", int, RunConfig.seed),
-        budget_nodes=pick(args.budget_nodes, "BUDGET_NODES", int, RunConfig.budget_nodes),
-        budget_millis=pick(args.budget_ms, "BUDGET_MS", int, RunConfig.budget_millis),
-        arith=pick(args.arith, "ARITH", str, RunConfig.arith),
-        cap_ground=pick(args.cap_ground, "CAP_GROUND", int, RunConfig.cap_ground),
-        cap_vertices=pick(args.cap_vertices, "CAP_VERTICES", int, RunConfig.cap_vertices),
-        out=pick(args.out, "OUT", str, RunConfig.out),
-        wall_clock=args.wall_clock,
-    )
+    """Each field from its flag where the subcommand has one and it is given,
+    else from its COMATCH_ variable, else the default."""
+    values = {}
+    for field, flag, cast in _FLAGS:
+        name = flag[2:].replace("-", "_")
+        value = getattr(args, name, None)
+        if value is None:
+            value = _env(name.upper(), cast, getattr(RunConfig, field))
+        values[field] = value
+    return RunConfig(**values, wall_clock=getattr(args, "wall_clock", False))
 
 
 def _load_doc(path: str) -> dict:
@@ -252,10 +266,9 @@ def _analyze_system(system: SetSystem, config: RunConfig) -> dict:
             taup_cert, system=system
         )
     if refuting is not None:
-        certificates["refuting_instance"] = {
-            "kind": "refuting_instance",
-            **jsonio.instance_to_doc(refuting, system),
-        }
+        certificates["refuting_instance"] = jsonio.certificate_to_doc(
+            refuting, system=system
+        )
     return {
         "kind": "set_system",
         "results": {
@@ -346,7 +359,7 @@ def _analyze_complex(complex_: SimplicialComplex, config: RunConfig) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def cmd_generate(args: argparse.Namespace, config: RunConfig) -> dict:
+def cmd_generate(args: argparse.Namespace, config: RunConfig) -> tuple[dict, int]:
     name = args.construction
     if name == "cycle-sharpness":
         m = _require_param(args, 0, "M")
@@ -400,7 +413,7 @@ def cmd_generate(args: argparse.Namespace, config: RunConfig) -> dict:
         "parameters": params,
         "claims": claims,
     }
-    return doc
+    return doc, EXIT_OK
 
 
 def _require_param(args, index: int, name: str, default: Optional[int] = None) -> int:
@@ -434,9 +447,9 @@ def _poly_to_doc(pc) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def cmd_nerve(path: str, config: RunConfig) -> dict:
-    system = jsonio.set_system_from_doc(_load_doc(path))
-    return jsonio.complex_to_doc(nerve(system))
+def cmd_nerve(args: argparse.Namespace, config: RunConfig) -> tuple[dict, int]:
+    system = jsonio.set_system_from_doc(_load_doc(args.path))
+    return jsonio.complex_to_doc(nerve(system)), EXIT_OK
 
 
 def _profile_doc(profile: Optional[HomologyProfile]) -> dict:
@@ -445,41 +458,41 @@ def _profile_doc(profile: Optional[HomologyProfile]) -> dict:
     return jsonio.profile_to_doc(profile)
 
 
-def cmd_homology(path: str, config: RunConfig) -> tuple[dict, int]:
-    complex_, _ = jsonio.complex_from_doc(_load_doc(path))
+def cmd_homology(args: argparse.Namespace, config: RunConfig) -> tuple[dict, int]:
+    complex_, _ = jsonio.complex_from_doc(_load_doc(args.path))
     profile = reduced_betti(complex_, config.arith, config.budget())
     return _profile_doc(profile), EXIT_BUDGET if profile is None else EXIT_OK
 
 
-def cmd_collapse(path: str, d: int, strict: bool, config: RunConfig) -> tuple[dict, int]:
-    complex_, _ = jsonio.complex_from_doc(_load_doc(path))
+def cmd_collapse(args: argparse.Namespace, config: RunConfig) -> tuple[dict, int]:
+    complex_, _ = jsonio.complex_from_doc(_load_doc(args.path))
     status, sequence = is_d_collapsible(
-        complex_, d, config.budget(), strict_size=strict
+        complex_, args.d, config.budget(), strict_size=args.strict_size
     )
-    doc: dict = {"d": d, "status": status}
+    doc: dict = {"d": args.d, "status": status}
     if sequence is not None:
         doc["certificate"] = jsonio.certificate_to_doc(sequence, complex_=complex_)
     return doc, EXIT_BUDGET if status == "budget_exhausted" else EXIT_OK
 
 
-def cmd_leray(path: str, d: int, config: RunConfig) -> tuple[dict, int]:
-    complex_, _ = jsonio.complex_from_doc(_load_doc(path))
-    verdict = leray_check(complex_, d, config.budget())
-    doc: dict = {"d": d, "status": verdict.status}
+def cmd_leray(args: argparse.Namespace, config: RunConfig) -> tuple[dict, int]:
+    complex_, _ = jsonio.complex_from_doc(_load_doc(args.path))
+    verdict = leray_check(complex_, args.d, config.budget())
+    doc: dict = {"d": args.d, "status": verdict.status}
     if verdict.witness is not None:
         doc["witness"] = jsonio.certificate_to_doc(verdict, complex_=complex_)
     return doc, EXIT_BUDGET if verdict.status == "budget_exhausted" else EXIT_OK
 
 
-def cmd_dichotomy(system_path: str, instance_path: str, config: RunConfig) -> dict:
-    system = jsonio.set_system_from_doc(_load_doc(system_path))
-    instance = jsonio.instance_from_doc(_load_doc(instance_path), system)
+def cmd_dichotomy(args: argparse.Namespace, config: RunConfig) -> tuple[dict, int]:
+    system = jsonio.set_system_from_doc(_load_doc(args.system_path))
+    instance = jsonio.instance_from_doc(_load_doc(args.instance_path), system)
     outcome = colorful_transversal_dichotomy(system, instance)
     doc = jsonio.certificate_to_doc(outcome, system=system)
     doc["instance"] = jsonio.instance_to_doc(instance, system)
     if not _check(outcome, system).ok:
         raise AssertionError("internal: dichotomy outcome fails re-verification")
-    return doc
+    return doc, EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -487,7 +500,7 @@ def cmd_dichotomy(system_path: str, instance_path: str, config: RunConfig) -> di
 # ---------------------------------------------------------------------------
 
 
-def cmd_check_theorems(config: RunConfig, n_systems: int = 120) -> tuple[dict, int]:
+def cmd_check_theorems(args: argparse.Namespace, config: RunConfig) -> tuple[dict, int]:
     """Randomized invariant suites over seeded systems and complexes.
 
     Covers: certificate validity, tau' in {tau-1, tau}, the chain
@@ -503,7 +516,7 @@ def cmd_check_theorems(config: RunConfig, n_systems: int = 120) -> tuple[dict, i
     violations: list[str] = []
     checked = 0
     skipped = 0
-    for index in range(n_systems):
+    for index in range(args.systems):
         system = random_system(rng, 7, 7)
         tau, tau_cert, e1 = comatching_number(system, config.budget())
         taup, taup_cert, e2 = comatching_with_intersection_number(system, config.budget())
@@ -544,7 +557,7 @@ def cmd_check_theorems(config: RunConfig, n_systems: int = 120) -> tuple[dict, i
                 )
 
     complexes_checked = 0
-    for index in range(max(10, n_systems // 4)):
+    for index in range(max(10, args.systems // 4)):
         tag = f"complex {index} (seed {config.seed})"
         complex_ = random_complex(rng, 5, 4)
         other = random_complex(rng, 4, 3)
@@ -600,9 +613,7 @@ def cmd_check_theorems(config: RunConfig, n_systems: int = 120) -> tuple[dict, i
 # ---------------------------------------------------------------------------
 
 
-def cmd_question1(
-    config: RunConfig, samples: int = 40, include_torus: bool = False
-) -> dict:
+def cmd_question1(args: argparse.Namespace, config: RunConfig) -> tuple[dict, int]:
     """Data-only experiment: Leray numbers of nerves of low-comatching systems.
 
     Samples random systems, keeps those with exactly-computed comatching
@@ -614,7 +625,7 @@ def cmd_question1(
     records = []
     running_max = 0
     attempts = 0
-    while len(records) < samples and attempts < samples * 50:
+    while len(records) < args.samples and attempts < args.samples * 50:
         attempts += 1
         system = random_system(rng, 6, 6)
         tau, _, exact = comatching_number(system, config.budget())
@@ -631,7 +642,7 @@ def cmd_question1(
                 "running_max": running_max,
             }
         )
-    if include_torus:
+    if args.include_torus:
         torus = constructions.gen_torus_grid_complex(4, 2)
         system = complex_to_set_system(torus)
         tau, _, exact = comatching_number(system, config.budget())
@@ -653,7 +664,7 @@ def cmd_question1(
         "samples": len(records),
         "records": records,
         "max_nerve_leray_number_seen": running_max,
-    }
+    }, EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -661,12 +672,13 @@ def cmd_question1(
 # ---------------------------------------------------------------------------
 
 
-def cmd_verify(cert_path: str, object_path: str) -> tuple[dict, int]:
-    cert_doc = _load_doc(cert_path)
+def cmd_verify(args: argparse.Namespace, config: RunConfig) -> tuple[dict, int]:
+    cert_doc = _load_doc(args.certificate_path)
     for wrapper in ("certificate", "witness"):
-        if "kind" not in cert_doc and isinstance(cert_doc.get(wrapper), dict):
-            cert_doc = cert_doc[wrapper]
-    obj_doc = _load_doc(object_path)
+        if isinstance(cert_doc, dict) and "kind" not in cert_doc:
+            if isinstance(cert_doc.get(wrapper), dict):
+                cert_doc = cert_doc[wrapper]
+    obj_doc = _load_doc(args.object_path)
     kind = jsonio.detect_kind(obj_doc)
     system = complex_ = instance = None
     if kind == "set_system":
@@ -676,18 +688,12 @@ def cmd_verify(cert_path: str, object_path: str) -> tuple[dict, int]:
     else:
         raise InputError("verify needs a set system or complex as the object")
 
-    cert_kind = cert_doc.get("kind")
-    if cert_kind == "refuting_instance":
-        if system is None:
-            raise InputError("a refuting instance certifies against a set system")
-        cert = jsonio.instance_from_doc(cert_doc, system)
-    else:
-        cert = jsonio.certificate_from_doc(cert_doc, system=system, complex_=complex_)
-        if isinstance(cert, DichotomyOutcome) and "instance" in cert_doc:
-            instance = jsonio.instance_from_doc(cert_doc["instance"], system)
+    cert = jsonio.certificate_from_doc(cert_doc, system=system, complex_=complex_)
+    if isinstance(cert, DichotomyOutcome) and "instance" in cert_doc:
+        instance = jsonio.instance_from_doc(cert_doc["instance"], system)
     verdict = _check(cert, system, complex_, instance)
-    doc = {"verified": verdict.ok, "kind": cert_kind}
-    if cert_kind == "refuting_instance":
+    doc = {"verified": verdict.ok, "kind": cert_doc["kind"]}
+    if isinstance(cert, ColorfulInstance):
         doc["detail"] = "no transversal empties" if verdict.ok else verdict.violations[0]
     elif not verdict.ok:
         doc["violations"] = list(verdict.violations)
@@ -718,7 +724,7 @@ def _check(cert, system=None, complex_=None, instance=None) -> Verdict:
                 [f"witness dimension {dim} is below the Leray threshold {cert.d}"]
             )
         betti = reduced_betti(induced_subcomplex(complex_, vertices), "exact").reduced_betti
-        if dim < len(betti) and betti[dim] != 0:
+        if 0 <= dim < len(betti) and betti[dim] != 0:
             return Verdict.passed()
         return Verdict.failed(
             [
@@ -760,7 +766,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="full invariant report for a system or complex")
     p.add_argument("path")
-    _add_common(p)
+    _add_common(
+        p, "seed", "budget_nodes", "budget_millis", "arith", "cap_ground",
+        "cap_vertices", "wall_clock",
+    )
+    p.set_defaults(run=lambda args, config: (cmd_analyze(args.path, config), EXIT_OK))
 
     p = sub.add_parser("generate", help="emit a named construction as JSON")
     p.add_argument(
@@ -775,77 +785,63 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     p.add_argument("params", nargs="*")
-    _add_common(p)
+    _add_common(p, "seed")
+    p.set_defaults(run=cmd_generate)
 
     p = sub.add_parser("nerve", help="nerve complex of a set system")
     p.add_argument("path")
     _add_common(p)
+    p.set_defaults(run=cmd_nerve)
 
     p = sub.add_parser("homology", help="reduced Betti numbers of a complex")
     p.add_argument("path")
-    _add_common(p)
+    _add_common(p, "budget_nodes", "budget_millis", "arith")
+    p.set_defaults(run=cmd_homology)
 
     p = sub.add_parser("collapse", help="search for a d-collapse sequence")
     p.add_argument("path")
     p.add_argument("d", type=int)
     p.add_argument("--strict-size", action="store_true")
-    _add_common(p)
+    _add_common(p, "budget_nodes", "budget_millis")
+    p.set_defaults(run=cmd_collapse)
 
     p = sub.add_parser("leray", help="check the d-Leray property")
     p.add_argument("path")
     p.add_argument("d", type=int)
-    _add_common(p)
+    _add_common(p, "budget_nodes", "budget_millis")
+    p.set_defaults(run=cmd_leray)
 
     p = sub.add_parser("dichotomy", help="empty transversal or full-size witness")
     p.add_argument("system_path")
     p.add_argument("instance_path")
     _add_common(p)
+    p.set_defaults(run=cmd_dichotomy)
 
     p = sub.add_parser("check-theorems", help="randomized invariant suites")
     p.add_argument("--systems", type=int, default=120)
-    _add_common(p)
+    _add_common(p, "seed", "budget_nodes", "budget_millis")
+    p.set_defaults(run=cmd_check_theorems)
 
     p = sub.add_parser("question1", help="Leray numbers of low-comatching nerves")
     p.add_argument("--samples", type=int, default=40)
     p.add_argument("--include-torus", action="store_true")
-    _add_common(p)
+    _add_common(p, "seed", "budget_nodes", "budget_millis")
+    p.set_defaults(run=cmd_question1)
 
     p = sub.add_parser("verify", help="replay a certificate against its object")
     p.add_argument("certificate_path")
     p.add_argument("object_path")
     _add_common(p)
+    p.set_defaults(run=cmd_verify)
 
     return parser
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         config = _config(args)
-        code = EXIT_OK
-        if args.command == "analyze":
-            doc = cmd_analyze(args.path, config)
-        elif args.command == "generate":
-            doc = cmd_generate(args, config)
-        elif args.command == "nerve":
-            doc = cmd_nerve(args.path, config)
-        elif args.command == "homology":
-            doc, code = cmd_homology(args.path, config)
-        elif args.command == "collapse":
-            doc, code = cmd_collapse(args.path, args.d, args.strict_size, config)
-        elif args.command == "leray":
-            doc, code = cmd_leray(args.path, args.d, config)
-        elif args.command == "dichotomy":
-            doc = cmd_dichotomy(args.system_path, args.instance_path, config)
-        elif args.command == "check-theorems":
-            doc, code = cmd_check_theorems(config, args.systems)
-        elif args.command == "question1":
-            doc = cmd_question1(config, args.samples, args.include_torus)
-        elif args.command == "verify":
-            doc, code = cmd_verify(args.certificate_path, args.object_path)
-        else:  # pragma: no cover
-            parser.error(f"unhandled command {args.command}")
+        doc, code = args.run(args, config)
         _emit(doc, config.out)
         return code
     except InputError as exc:

@@ -67,10 +67,11 @@ class SearchBudget:
         self.nodes = 0
         self.exhausted = False
 
-    def spend(self, amount: int = 1) -> bool:
+    def spend(self) -> bool:
+        """Count one node; False once the budget is exhausted."""
         if self.exhausted:
             return False
-        self.nodes += amount
+        self.nodes += 1
         if self.max_nodes is not None and self.nodes > self.max_nodes:
             self.exhausted = True
         elif self.deadline is not None and time.monotonic() > self.deadline:

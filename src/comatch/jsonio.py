@@ -5,7 +5,9 @@ element lists sorted) and round-trip bit-exactly after one canonical pass.
 Complex loading canonicalizes facets (sorted, deduplicated, dominated
 facets dropped) and reports what it changed.  Certificates are
 label-based, so they stay valid across index renumbering, and every kind
-is replayable by the verify entry point.
+is replayable by the verify entry point.  Every field a loader reads is
+checked for presence and JSON type first, so a malformed document is an
+InputError naming the field.
 """
 
 from __future__ import annotations
@@ -41,6 +43,33 @@ def dump_canonical(doc: Any) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+# JSON type -> how an error names one value, and a list of them.
+_TYPE_NAMES = {
+    list: ("a list", "lists"),
+    str: ("a string", "strings"),
+    int: ("an integer", "integers"),
+    bool: ("true or false", "booleans"),
+}
+
+
+def _is(value, kind: type) -> bool:
+    return isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
+
+
+def _field(doc, key: str, kind: type, where: str, items: type | None = None):
+    """``doc[key]``, checked to be a JSON ``kind`` (a list of ``items`` if
+    given); an InputError naming the field otherwise."""
+    if not isinstance(doc, dict):
+        raise InputError(f"{where} must be a JSON object")
+    if key not in doc:
+        raise InputError(f"{where} needs {key!r}")
+    value = doc[key]
+    if not _is(value, kind) or items and not all(_is(x, items) for x in value):
+        expected = f"a list of {_TYPE_NAMES[items][1]}" if items else _TYPE_NAMES[kind][0]
+        raise InputError(f"{where}: {key!r} must be {expected}")
+    return value
+
+
 # ---------------------------------------------------------------------------
 # Set systems
 # ---------------------------------------------------------------------------
@@ -61,16 +90,12 @@ def set_system_to_doc(system: SetSystem) -> dict:
 
 
 def set_system_from_doc(doc: dict) -> SetSystem:
-    if not isinstance(doc, dict) or "ground" not in doc or "members" not in doc:
-        raise InputError("set system document needs 'ground' and 'members'")
-    ground = doc["ground"]
-    if not isinstance(ground, list) or not all(isinstance(g, str) for g in ground):
-        raise InputError("'ground' must be a list of strings")
+    ground = _field(doc, "ground", list, "set system", items=str)
     members = []
-    for k, m in enumerate(doc["members"]):
-        if not isinstance(m, dict) or "name" not in m or "elements" not in m:
-            raise InputError(f"member {k} needs 'name' and 'elements'")
-        members.append((m["name"], m["elements"]))
+    for k, m in enumerate(_field(doc, "members", list, "set system")):
+        where = f"member {k}"
+        name = _field(m, "name", str, where)
+        members.append((name, _field(m, "elements", list, where, items=str)))
     return SetSystem.from_labels(ground, members)
 
 
@@ -90,25 +115,19 @@ def complex_to_doc(complex_: SimplicialComplex) -> dict:
 
 def complex_from_doc(doc: dict) -> tuple[SimplicialComplex, list[str]]:
     """Load a complex, canonicalizing facets; returns (complex, notes)."""
-    if not isinstance(doc, dict) or "vertices" not in doc or "facets" not in doc:
-        raise InputError("complex document needs 'vertices' and 'facets'")
-    vertices = doc["vertices"]
-    if not isinstance(vertices, list) or not all(isinstance(v, str) for v in vertices):
-        raise InputError("'vertices' must be a list of strings")
+    vertices = _field(doc, "vertices", list, "complex", items=str)
     index = {v: i for i, v in enumerate(vertices)}
     if len(index) != len(vertices):
         raise InputError("vertex labels must be distinct")
     notes = []
     raw = []
-    for k, f in enumerate(doc["facets"]):
-        if not isinstance(f, list) or not f:
+    for k, f in enumerate(_field(doc, "facets", list, "complex", items=list)):
+        if not f:
             raise InputError(f"facet {k} must be a nonempty list of vertex labels")
-        try:
-            raw.append(frozenset(index[v] for v in f))
-        except KeyError as exc:
-            raise InputError(
-                f"facet {k} references unknown vertex {exc.args[0]!r}"
-            ) from None
+        unknown = [v for v in f if not isinstance(v, str) or v not in index]
+        if unknown:
+            raise InputError(f"facet {k} references unknown vertex {unknown[0]!r}")
+        raw.append(frozenset(index[v] for v in f))
         if len(set(f)) != len(f):
             notes.append(f"facet {k} had repeated vertices; deduplicated")
     facets = maximal_sets(raw)
@@ -127,6 +146,8 @@ def complex_from_doc(doc: dict) -> tuple[SimplicialComplex, list[str]]:
 
 
 def detect_kind(doc: dict) -> str:
+    if not isinstance(doc, dict):
+        raise InputError("a document must be a JSON object")
     if "ground" in doc and "members" in doc:
         return "set_system"
     if "vertices" in doc and "facets" in doc:
@@ -202,6 +223,8 @@ def certificate_to_doc(cert, system=None, complex_=None) -> dict:
                 "members": [system.member_name(j) for j in cert.transversal],
             }
         return certificate_to_doc(cert.witness, system=system)
+    if isinstance(cert, ColorfulInstance):
+        return {"kind": "refuting_instance", **instance_to_doc(cert, system)}
     raise InputError(f"cannot serialize certificate of type {type(cert).__name__}")
 
 
@@ -224,50 +247,61 @@ def _member_indexer(system: SetSystem):
 
 def certificate_from_doc(doc: dict, system=None, complex_=None):
     """Parse a certificate document against its target object."""
-    if "kind" not in doc:
-        raise InputError("certificate document needs a 'kind'")
-    kind = doc["kind"]
+    kind = _field(doc, "kind", str, "certificate")
     if kind in ("comatching", "comatching_with_intersection"):
         _need(system, kind)
         point = _indexer(system.ground, "ground element")
         member = _member_indexer(system)
         base = Comatching(
-            tuple((point(p["point"]), member(p["member"])) for p in doc["pairs"])
+            tuple(
+                (
+                    point(_field(p, "point", str, f"pair {k}")),
+                    member(_field(p, "member", str, f"pair {k}")),
+                )
+                for k, p in enumerate(_field(doc, "pairs", list, kind))
+            )
         )
         if kind == "comatching":
             return base
-        return ComatchingWithIntersection(base, point(doc["common_point"]))
+        common = point(_field(doc, "common_point", str, kind))
+        return ComatchingWithIntersection(base, common)
     if kind == "empty_transversal":
         _need(system, kind)
         member = _member_indexer(system)
-        return DichotomyOutcome(transversal=tuple(member(m) for m in doc["members"]))
+        return DichotomyOutcome(
+            transversal=tuple(member(m) for m in _field(doc, "members", list, kind))
+        )
+    if kind == "refuting_instance":
+        _need(system, kind)
+        return instance_from_doc(doc, system)
     if kind in ("complex_comatching", "collapse_sequence", "leray_witness"):
         _need(complex_, kind)
         vertex = _indexer(complex_.vertices, "vertex")
     if kind == "complex_comatching":
         facet_index = {f: i for i, f in enumerate(complex_.facets)}
         pairs = []
-        for p in doc["pairs"]:
-            v = vertex(p["vertex"])
-            facet = frozenset(vertex(u) for u in p["facet"])
+        for k, p in enumerate(_field(doc, "pairs", list, kind)):
+            v = vertex(_field(p, "vertex", str, f"pair {k}"))
+            labels = _field(p, "facet", list, f"pair {k}")
+            facet = frozenset(vertex(u) for u in labels)
             if facet not in facet_index:
-                raise InputError(
-                    f"certificate facet {sorted(p['facet'])} is not a facet"
-                )
+                raise InputError(f"certificate facet {sorted(labels)} is not a facet")
             pairs.append((v, facet_index[facet]))
         return ComplexComatching(tuple(pairs))
     if kind == "collapse_sequence":
         steps = tuple(
             (
-                frozenset(vertex(v) for v in s["free_face"]),
-                frozenset(vertex(v) for v in s["coface"]),
+                frozenset(vertex(v) for v in _field(s, "free_face", list, f"step {k}")),
+                frozenset(vertex(v) for v in _field(s, "coface", list, f"step {k}")),
             )
-            for s in doc["steps"]
+            for k, s in enumerate(_field(doc, "steps", list, kind))
         )
-        return CollapseSequence(int(doc["d"]), bool(doc.get("strict_size", False)), steps)
+        strict = _field(doc, "strict_size", bool, kind) if "strict_size" in doc else False
+        return CollapseSequence(_field(doc, "d", int, kind), strict, steps)
     if kind == "leray_witness":
-        vertices = frozenset(vertex(v) for v in doc["vertices"])
-        return LerayVerdict(int(doc["d"]), "fails", (vertices, int(doc["homology_dim"])))
+        vertices = frozenset(vertex(v) for v in _field(doc, "vertices", list, kind))
+        witness = (vertices, _field(doc, "homology_dim", int, kind))
+        return LerayVerdict(_field(doc, "d", int, kind), "fails", witness)
     raise InputError(f"unknown certificate kind {kind!r}")
 
 
@@ -277,11 +311,10 @@ def _need(obj, kind: str) -> None:
 
 
 def instance_from_doc(doc: dict, system: SetSystem) -> ColorfulInstance:
-    if "families" not in doc:
-        raise InputError("instance document needs 'families'")
     member = _member_indexer(system)
     return ColorfulInstance.build(
-        [member(name) for name in fam] for fam in doc["families"]
+        [member(name) for name in fam]
+        for fam in _field(doc, "families", list, "instance", items=list)
     )
 
 

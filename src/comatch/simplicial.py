@@ -391,15 +391,28 @@ def all_faces(complex_: SimplicialComplex) -> list[tuple[frozenset[int], ...]]:
 # ---------------------------------------------------------------------------
 
 
-def _vertex_signatures(complex_: SimplicialComplex, rounds: int = 3) -> list[tuple]:
+_SIGNATURE_ROUNDS = 3
+
+
+def _vertex_signatures(complex_: SimplicialComplex) -> list[tuple]:
     star = [[complex_.facets[i] for i in _bits(c)] for c in complex_.containing]
     sigs: list[tuple] = [tuple(sorted(len(f) for f in fs)) for fs in star]
-    for _ in range(rounds):
+    for _ in range(_SIGNATURE_ROUNDS):
         sigs = [
             (sigs[v], tuple(sorted(tuple(sorted(sigs[u] for u in f)) for f in fs)))
             for v, fs in enumerate(star)
         ]
     return sigs
+
+
+def _neighbour_bits(complex_: SimplicialComplex) -> list[int]:
+    """Per vertex, the bitset of the other vertices it shares a facet with."""
+    adj = [0] * complex_.num_vertices
+    for f in complex_.facets:
+        mask = sum(1 << v for v in f)
+        for v in f:
+            adj[v] |= mask
+    return [a & ~(1 << v) for v, a in enumerate(adj)]
 
 
 def are_isomorphic(left: SimplicialComplex, right: SimplicialComplex) -> bool:
@@ -418,22 +431,19 @@ def are_isomorphic(left: SimplicialComplex, right: SimplicialComplex) -> bool:
     if sorted(lsig) != sorted(rsig):
         return False
 
-    ladj = [[False] * n for _ in range(n)]
-    for f in left.facets:
-        for a, b in combinations(sorted(f), 2):
-            ladj[a][b] = ladj[b][a] = True
-    radj = [[False] * n for _ in range(n)]
-    for f in right.facets:
-        for a, b in combinations(sorted(f), 2):
-            radj[a][b] = radj[b][a] = True
-
+    ladj, radj = _neighbour_bits(left), _neighbour_bits(right)
     right_facets = set(right.facets)
-    candidates = [
-        [u for u in range(n) if rsig[u] == lsig[v]] for v in range(n)
-    ]
+    by_signature = defaultdict(list)
+    for u in range(n):
+        by_signature[rsig[u]].append(u)
+    candidates = [by_signature[lsig[v]] for v in range(n)]
     order = sorted(range(n), key=lambda v: len(candidates[v]))
     mapping: dict[int, int] = {}
-    used = [False] * n
+    used = 0  # bitset of the right vertices mapped onto
+    # images[v] holds the images of v's mapped neighbours.  A candidate u
+    # keeps co-facet adjacency with every mapped vertex exactly when its own
+    # neighbours among the used vertices are those images.
+    images = [0] * n
     # Depth-first on an explicit stack: tried[k] counts the candidates of
     # order[k] tried so far, and order[:len(tried) - 1] is mapped.
     tried = [0]
@@ -450,11 +460,11 @@ def are_isomorphic(left: SimplicialComplex, right: SimplicialComplex) -> bool:
             while tried[k] < len(options):
                 u = options[tried[k]]
                 tried[k] += 1
-                if not used[u] and not any(
-                    ladj[v][w] != radj[u][mapping[w]] for w in mapping
-                ):
+                if not used >> u & 1 and images[v] == radj[u] & used:
                     mapping[v] = u
-                    used[u] = True
+                    used |= 1 << u
+                    for w in _bits(ladj[v]):
+                        images[w] |= 1 << u
                     tried.append(0)
                     break
             if len(tried) > k + 1:
@@ -462,5 +472,9 @@ def are_isomorphic(left: SimplicialComplex, right: SimplicialComplex) -> bool:
         # Position k is exhausted: undo the assignment before it.
         tried.pop()
         if tried:
-            used[mapping.pop(order[k - 1])] = False
+            v = order[k - 1]
+            u = mapping.pop(v)
+            used ^= 1 << u
+            for w in _bits(ladj[v]):
+                images[w] ^= 1 << u
     return False

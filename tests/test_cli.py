@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -396,6 +397,66 @@ class TestVerify:
         )
 
 
+    def test_leray_witness_with_negative_dimension_fails(
+        self, torus_path, tmp_path, capsys
+    ):
+        # A negative dimension must not index the Betti profile from its end.
+        vertices = json.loads(torus_path.read_text())["vertices"]
+        cert = {"kind": "leray_witness", "d": -5, "vertices": vertices, "homology_dim": -2}
+        cert_path = tmp_path / "cert.json"
+        cert_path.write_text(json.dumps(cert))
+        code, doc = run_cli(capsys, "verify", str(cert_path), str(torus_path))
+        assert (code, doc["verified"]) == (1, False)
+
+
+# Documents that are valid JSON but malformed: each is an input error.
+MALFORMED = {
+    "comatching-without-pairs": ("verify", {"kind": "comatching"}, "sharp2"),
+    "pair-without-member": (
+        "verify", {"kind": "comatching", "pairs": [{"point": "1"}]}, "sharp2"
+    ),
+    "certificate-not-an-object": ("verify", [{"kind": "comatching"}], "sharp2"),
+    "collapse-d-not-an-integer": (
+        "verify", {"kind": "collapse_sequence", "d": "x", "steps": []}, "torus"
+    ),
+    "leray-witness-without-dimension": (
+        "verify", {"kind": "leray_witness", "d": 1, "vertices": ["1"]}, "torus"
+    ),
+    "members-not-a-list": ("analyze", {"ground": ["a"], "members": 3}, None),
+    "elements-not-a-list": (
+        "analyze", {"ground": ["a"], "members": [{"name": "F", "elements": 5}]}, None
+    ),
+    "elements-a-string": (
+        "analyze",
+        {"ground": ["a", "b"], "members": [{"name": "F", "elements": "ab"}]},
+        None,
+    ),
+    "facets-not-a-list": ("analyze", {"vertices": ["a"], "facets": 3}, None),
+    "document-not-an-object": ("analyze", 3, None),
+    "families-not-a-list": ("dichotomy", {"families": "AB"}, "sharp2"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_document_is_an_input_error(
+    case, sharp2_path, torus_path, tmp_path, capsys
+):
+    command, doc, target = MALFORMED[case]
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    objects = {"sharp2": sharp2_path, "torus": torus_path}
+    if command == "dichotomy":
+        argv = [command, str(objects[target]), str(path)]
+    elif target is not None:
+        argv = [command, str(path), str(objects[target])]
+    else:
+        argv = [command, str(path)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("input error:")
+
+
 class TestSuites:
     def test_check_theorems_passes_on_default_seed(self, capsys):
         code, doc = run_cli(capsys, "check-theorems", "--systems", "25")
@@ -512,6 +573,67 @@ class TestParserReuse:
             capsys.readouterr()
             code, report = run_cli(capsys, "analyze", str(sharp2_path))
             assert (code, report) == (0, expected)
+
+
+# The flags each subcommand accepts besides -h: --out and those it reads.
+ACCEPTED_OPTIONS = {
+    "analyze": {
+        "--seed", "--budget-nodes", "--budget-ms", "--arith", "--cap-ground",
+        "--cap-vertices", "--wall-clock",
+    },
+    "generate": {"--seed"},
+    "nerve": set(),
+    "homology": {"--budget-nodes", "--budget-ms", "--arith"},
+    "collapse": {"--budget-nodes", "--budget-ms", "--strict-size"},
+    "leray": {"--budget-nodes", "--budget-ms"},
+    "dichotomy": set(),
+    "check-theorems": {"--seed", "--budget-nodes", "--budget-ms", "--systems"},
+    "question1": {
+        "--seed", "--budget-nodes", "--budget-ms", "--samples", "--include-torus"
+    },
+    "verify": set(),
+}
+
+
+class TestPerCommandFlags:
+    def test_each_subcommand_accepts_only_the_flags_it_reads(self):
+        sub = next(
+            a for a in _build_parser()._actions
+            if isinstance(a, argparse._SubParsersAction)
+        )
+        accepted = {
+            name: {s for a in p._actions for s in a.option_strings} - {"-h", "--help"}
+            for name, p in sub.choices.items()
+        }
+        assert accepted == {
+            name: flags | {"--out"} for name, flags in ACCEPTED_OPTIONS.items()
+        }
+        assert sum(map(len, accepted.values())) == 35
+
+    def test_flags_a_command_does_not_read_are_usage_errors(
+        self, sharp2_path, tmp_path, capsys
+    ):
+        report = tmp_path / "report.json"
+        assert main(["analyze", str(sharp2_path), "--out", str(report)]) == 0
+        cert = tmp_path / "cert.json"
+        certificates = json.loads(report.read_text())["certificates"]
+        cert.write_text(json.dumps(certificates["comatching"]))
+        for argv in (
+            ["verify", str(cert), str(sharp2_path), "--budget-nodes", "0"],
+            ["nerve", str(sharp2_path), "--arith", "prime"],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            assert capsys.readouterr().out == ""
+
+    def test_environment_still_sets_every_field(self, monkeypatch, capsys):
+        # check-theorems has no --arith or --cap-* flag, yet echoes them.
+        monkeypatch.setenv("COMATCH_ARITH", "prime")
+        monkeypatch.setenv("COMATCH_CAP_GROUND", "9")
+        code, doc = run_cli(capsys, "check-theorems", "--systems", "2")
+        assert code == 0
+        assert (doc["config"]["arith"], doc["config"]["cap_ground"]) == ("prime", 9)
 
 
 def test_python_dash_m_comatch(sharp2_path, capsys):

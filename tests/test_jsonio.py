@@ -125,6 +125,15 @@ class TestCertificates:
         )
         assert instance.families == (frozenset({0, 1}), frozenset({2, 3}))
 
+    def test_refuting_instance_is_a_certificate_kind(self):
+        system = gen_cycle_sharpness(2)
+        instance = ColorfulInstance.build([[0, 1], [2, 3]])
+        doc = certificate_to_doc(instance, system=system)
+        assert doc == {"kind": "refuting_instance", **instance_to_doc(instance, system)}
+        assert certificate_from_doc(doc, system=system) == instance
+        with pytest.raises(InputError):
+            certificate_from_doc(doc, complex_=gen_torus_grid_complex(4, 2))
+
 
 class TestNameLookups:
     """Certificates and instances over the 300 members X - {i} of a

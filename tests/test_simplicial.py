@@ -345,6 +345,54 @@ class TestIsomorphism:
         )
         assert not are_isomorphic(three_cycle, path)
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_agrees_with_permutation_oracle(self, seed):
+        from oracles import oracle_are_isomorphic
+
+        rng = random.Random(seed)
+        answers = []
+        for _ in range(40):
+            left = random_complex(rng, 7, 6)
+            n = left.num_vertices
+            perm = rng.sample(range(n), n)
+            relabelled = SimplicialComplex(
+                left.vertices, tuple(frozenset(perm[v] for v in f) for f in left.facets)
+            )
+            assert are_isomorphic(left, relabelled)
+            right = random_complex(rng, 7, 6)
+            while right.num_vertices != n:
+                right = random_complex(rng, 7, 6)
+            answers.append(are_isomorphic(left, right))
+            assert answers[-1] == oracle_are_isomorphic(left, right)
+            assert oracle_are_isomorphic(left, relabelled)
+        assert True in answers and False in answers
+
+    @pytest.mark.parametrize(
+        "left_cycles, right_cycles",
+        [((6,), (3, 3)), ((7,), (3, 4)), ((3, 4), (4, 3)), ((3, 3), (3, 3))],
+    )
+    def test_unions_of_cycles_agree_with_permutation_oracle(
+        self, left_cycles, right_cycles
+    ):
+        # Every vertex has the same signature, so the search alone decides,
+        # and wrong early choices make it backtrack.
+        from oracles import oracle_are_isomorphic
+
+        def cycles(lengths, perm):
+            edges, start = [], 0
+            for length in lengths:
+                ring = [perm[v] for v in range(start, start + length)]
+                edges += [frozenset((a, b)) for a, b in zip(ring, ring[1:] + ring[:1])]
+                start += length
+            return SimplicialComplex(tuple(f"v{v}" for v in range(start)), tuple(edges))
+
+        n = sum(left_cycles)
+        for seed in range(5):
+            perm = random.Random(seed).sample(range(n), n)
+            left = cycles(left_cycles, range(n))
+            right = cycles(right_cycles, perm)
+            assert are_isomorphic(left, right) == oracle_are_isomorphic(left, right)
+
     def test_deep_path_needs_no_recursion(self):
         # One search position per vertex: a path with twice as many vertices
         # as the recursion limit still maps onto a relabelled copy.
