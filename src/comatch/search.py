@@ -22,9 +22,8 @@ Everything here is exact and certificate-producing:
 
 Every search takes an optional :class:`comatch.core.SearchBudget` and
 counts its nodes into it.  Budgets are never errors: results carry
-exactness flags instead, so property tests can filter on them.  The tau,
-tau' and minimal-empty searches keep explicit stacks, so their depth is
-not bounded by Python's recursion limit.
+exactness flags instead, so property tests can filter on them.  No
+search here recurses, so none is bounded by Python's recursion limit.
 """
 
 from __future__ import annotations
@@ -395,37 +394,39 @@ def helly_number(system: SetSystem) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _has_empty_transversal(family_masks: Sequence[Sequence[int]], full: int) -> bool:
-    """Whether one member per family can be chosen with empty intersection."""
-    fams = sorted(family_masks, key=len)
-    n = len(fams)
-    dead: set[tuple[int, int]] = set()
+def _has_empty_transversal(
+    system: SetSystem, families: Sequence[SubfamilySelection]
+) -> bool:
+    """Whether one member per (nonempty) family can be chosen with empty
+    intersection.
 
-    def rec(pos: int, mask: int) -> bool:
-        if mask == 0:
-            return True
-        if pos == n:
-            return False
-        key = (pos, mask)
-        if key in dead:
-            return False
-        for m in fams[pos]:
-            if rec(pos + 1, mask & m):
-                return True
-        dead.add(key)
-        return False
-
-    return rec(0, full)
+    Exactly when some minimal empty subfamily S of the members that occur
+    maps one to one into the N positions, each member to a position whose
+    family contains it: if S maps, choose its members there and anything
+    elsewhere; conversely the distinct members of an empty transversal
+    contain some minimal S, each chosen at its own position.  So only
+    |S| <= N can map, and each S is one matching test in which member k
+    of the subsystem may take the positions in ``holders[k]``.  No family
+    holds the sentinel position N, so the test is nonzero exactly when a
+    matching covers S, even when |S| = N.
+    """
+    n = len(families)
+    occurring = sorted(set().union(*families))
+    holders = [sum(1 << p for p in range(n) if j in families[p]) for j in occurring]
+    sub = SetSystem(system.ground, tuple(system.members[j] for j in occurring))
+    return any(
+        _exposable_members([holders[k] for k in s], 1 << n)
+        for s in minimal_empty_subfamilies(sub)
+        if len(s) <= n
+    )
 
 
 def instance_admits_empty_transversal(
     system: SetSystem, instance: "ColorfulInstance"
 ) -> bool:
-    """Exhaustive transversal scan; the replay check for refuting instances."""
-    family_masks = [
-        [system.masks[j] for j in sorted(sel)] for sel in instance.families
-    ]
-    return _has_empty_transversal(family_masks, system.full_mask)
+    """The matching test of :func:`_has_empty_transversal`; the replay check
+    for refuting instances."""
+    return _has_empty_transversal(system, instance.families)
 
 
 def colorful_helly_number(
@@ -460,11 +461,10 @@ def colorful_helly_number(
     multisets are closed under sub-multisets, so a candidate with a
     one-element-dropped sub-multiset outside the previous level is skipped
     unscored (the Apriori rule).  Each scored candidate spends one budget
-    node and is scored by a matching test.  A multiset admits an empty
-    transversal exactly when some minimal empty subfamily S maps one to one
-    into its positions, each member to a position whose family contains it.
-    For a scored N-candidate every one-dropped sub-multiset refutes, so
-    such a map must use every position: |S| = N and the map is a perfect
+    node and is scored by the special case of the matching criterion of
+    :func:`_has_empty_transversal` in which every one-dropped sub-multiset
+    refutes: then a minimal empty subfamily S can map into the positions
+    only if it uses every one, so |S| = N and the map is a perfect
     matching.  Hence ``key + (i,)`` refutes exactly when family i contains
     none of the members s of size-N subfamilies S for which the positions
     of ``key`` match S - {s} perfectly.  That member set is computed once

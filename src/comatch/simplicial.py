@@ -13,7 +13,6 @@ of the complex).
 
 from __future__ import annotations
 
-import warnings
 from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import combinations
@@ -171,17 +170,20 @@ def verify_complex_comatching(
         if not (0 <= f < len(complex_.facets)):
             raise InputError(f"facet index {f} out of range")
     violations = []
+    names = complex_.vertex_labels
     vertices = [v for v, _ in cert.pairs]
     if len(set(vertices)) != len(vertices):
-        violations.append(f"comatching vertices are not distinct: {vertices}")
+        labels = [complex_.vertices[v] for v in vertices]
+        violations.append(f"comatching vertices are not distinct: {labels}")
     m = frozenset(vertices)
     for v, f in cert.pairs:
         got = complex_.facets[f] & m
         want = m - {v}
         if got != want:
             violations.append(
-                f"facet {f} meets M in {sorted(got)}, expected {sorted(want)} "
-                f"(witness for vertex {v})"
+                f"facet {sorted(names(complex_.facets[f]))} meets M in "
+                f"{sorted(names(got))}, expected {sorted(names(want))} "
+                f"(witness for vertex {complex_.vertices[v]!r})"
             )
     return Verdict.passed() if not violations else Verdict.failed(violations)
 
@@ -195,9 +197,8 @@ def nerve(system: SetSystem) -> SimplicialComplex:
     """Nerve complex: vertices are members, faces are intersecting subfamilies.
 
     The facets are the maximal member sets through a single ground point.
-    Members containing no point are kept as isolated singleton vertices
-    (with a warning): they carry no intersection information but preserve
-    the vertex set.
+    Members containing no point become isolated singleton vertices, so
+    every member stays a vertex; ``complex_from_doc`` notes them.
     """
     n_members = system.num_members
     point_sets = set()
@@ -206,15 +207,8 @@ def nerve(system: SetSystem) -> SimplicialComplex:
         if s:
             point_sets.add(s)
     facets = list(maximal_sets(point_sets))
-    covered = set().union(*facets) if facets else set()
-    empty_members = [j for j in range(n_members) if j not in covered]
-    if empty_members:
-        names = [system.member_name(j) for j in empty_members]
-        warnings.warn(
-            f"members with no points become isolated nerve vertices: {names}",
-            stacklevel=2,
-        )
-        facets.extend(frozenset([j]) for j in empty_members)
+    covered = set().union(*facets)
+    facets.extend(frozenset([j]) for j in range(n_members) if j not in covered)
     return SimplicialComplex(
         tuple(name for name, _ in system.members), tuple(facets)
     )

@@ -430,31 +430,36 @@ def replay_collapse_sequence(
     cardinality with that exact unique maximal coface, and the final complex
     must contain no face of cardinality >= d."""
     facets = complex_.facets
+    names = complex_.vertex_labels
     violations = []
     for n, (face, coface) in enumerate(sequence.steps):
         size_ok = (
             len(face) == sequence.d if sequence.strict_size else len(face) <= sequence.d
         )
         if not size_ok:
-            violations.append(f"step {n}: face {sorted(face)} has illegal cardinality")
+            violations.append(
+                f"step {n}: face {sorted(names(face))} has illegal cardinality"
+            )
             break
         containing = [t for t in facets if face <= t]
         if len(containing) != 1:
             violations.append(
-                f"step {n}: face {sorted(face)} is contained in {len(containing)} "
-                "facets, not free"
+                f"step {n}: face {sorted(names(face))} is contained in "
+                f"{len(containing)} facets, not free"
             )
             break
         if containing[0] != coface:
             violations.append(
-                f"step {n}: unique maximal coface is {sorted(containing[0])}, "
-                f"certificate says {sorted(coface)}"
+                f"step {n}: unique maximal coface is {sorted(names(containing[0]))}, "
+                f"certificate says {sorted(names(coface))}"
             )
             break
         facets = _collapse_step(facets, face, coface)
     else:
         if not _is_collapsed(facets, sequence.d):
-            big = [sorted(t) for t in maximal_sets(facets) if len(t) >= sequence.d]
+            big = [
+                sorted(names(t)) for t in maximal_sets(facets) if len(t) >= sequence.d
+            ]
             violations.append(
                 f"replay ends with faces of cardinality >= {sequence.d}: {big}"
             )

@@ -228,6 +228,22 @@ class TestPipelines:
         # The nerve of the M=2 system is a four-cycle: one loop.
         assert profile["reduced_betti"] == [0, 1]
 
+    def test_nerve_of_member_without_points(self, tmp_path, capsys):
+        # The isolated vertex shows up in analyze's loader notes, not as a
+        # warning on nerve's stderr.
+        system_path, nerve_path = tmp_path / "system.json", tmp_path / "nerve.json"
+        members = [
+            {"name": "E", "elements": []},
+            {"name": "F", "elements": ["a"]},
+            {"name": "G", "elements": ["a"]},
+        ]
+        system_path.write_text(json.dumps({"ground": ["a"], "members": members}))
+        done = _run_module("nerve", str(system_path), "--out", str(nerve_path))
+        assert (done.returncode, done.stderr) == (0, "")
+        code, report = run_cli(capsys, "analyze", str(nerve_path))
+        assert code == 0
+        assert report["loader_notes"] == ["isolated vertices present: ['E']"]
+
     def test_prime_mode_flagged(self, torus_path, capsys):
         code, profile = run_cli(
             capsys, "homology", str(torus_path), "--arith", "prime"
@@ -407,6 +423,39 @@ class TestVerify:
         cert_path.write_text(json.dumps(cert))
         code, doc = run_cli(capsys, "verify", str(cert_path), str(torus_path))
         assert (code, doc["verified"]) == (1, False)
+
+    def test_collapse_violation_names_vertices_by_label(
+        self, torus_path, tmp_path, capsys
+    ):
+        # Vertex "1" has index 0 and lies in four facets of the torus.
+        step = {"free_face": ["1"], "coface": ["1", "13", "14", "2"]}
+        cert = {"kind": "collapse_sequence", "d": 3, "steps": [step]}
+        cert_path = tmp_path / "cert.json"
+        cert_path.write_text(json.dumps(cert))
+        code, doc = run_cli(capsys, "verify", str(cert_path), str(torus_path))
+        assert (code, doc["violations"]) == (
+            1,
+            ["step 0: face ['1'] is contained in 4 facets, not free"],
+        )
+
+    def test_complex_comatching_violations_name_vertices_by_label(
+        self, torus_path, tmp_path, capsys
+    ):
+        code, report = run_cli(capsys, "analyze", str(torus_path))
+        cert = report["certificates"]["complex_comatching"]
+        assert [p["vertex"] for p in cert["pairs"]] == ["1", "2"]
+        cert["pairs"][1]["vertex"] = "1"
+        cert_path = tmp_path / "cert.json"
+        cert_path.write_text(json.dumps(cert))
+        code, doc = run_cli(capsys, "verify", str(cert_path), str(torus_path))
+        facet = cert["pairs"][1]["facet"]
+        assert (code, doc["violations"]) == (
+            1,
+            [
+                "comatching vertices are not distinct: ['1', '1']",
+                f"facet {facet} meets M in ['1'], expected [] (witness for vertex '1')",
+            ],
+        )
 
 
 # Documents that are valid JSON but malformed: each is an input error.
@@ -636,19 +685,24 @@ class TestPerCommandFlags:
         assert (doc["config"]["arith"], doc["config"]["cap_ground"]) == ("prime", 9)
 
 
-def test_python_dash_m_comatch(sharp2_path, capsys):
+def _run_module(*argv):
+    """Run ``python -m comatch`` on ``argv`` in a fresh interpreter."""
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(root / "src"), env.get("PYTHONPATH")])
     )
-    done = subprocess.run(
-        [sys.executable, "-m", "comatch", "analyze", str(sharp2_path)],
+    return subprocess.run(
+        [sys.executable, "-m", "comatch", *argv],
         env=env,
         capture_output=True,
         text=True,
         timeout=120,
     )
+
+
+def test_python_dash_m_comatch(sharp2_path, capsys):
+    done = _run_module("analyze", str(sharp2_path))
     assert done.returncode == 0, done.stderr
     assert main(["analyze", str(sharp2_path)]) == 0
     assert done.stdout == capsys.readouterr().out

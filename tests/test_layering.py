@@ -2,7 +2,9 @@
 
 The search budget is a core type, so the complex side (linear algebra,
 complexes, topology) needs nothing from the set-system search module.
-Both fields share one elimination kernel in ``linalg``.
+Both fields share one elimination kernel in ``linalg``.  No search in
+those modules or in ``search`` calls itself, so none is bounded by the
+recursion limit.
 """
 
 import ast
@@ -58,3 +60,32 @@ def test_one_row_update_for_both_fields():
     # Rank over GF(p) runs the rational kernel on residues: one row update.
     helpers = {n for n in defined_names(PACKAGE / "linalg.py") if n.startswith("_axpy")}
     assert helpers == {"_axpy"}
+
+
+def self_calling_functions(path: Path) -> list[str]:
+    """Functions, nested ones included, whose body calls them by name,
+    directly or as ``self.name`` / ``cls.name``."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for call in ast.walk(node):
+            if not isinstance(call, ast.Call):
+                continue
+            func = call.func
+            if (isinstance(func, ast.Name) and func.id == node.name) or (
+                isinstance(func, ast.Attribute)
+                and func.attr == node.name
+                and isinstance(func.value, ast.Name)
+                and func.value.id in ("self", "cls")
+            ):
+                found.append(node.name)
+                break
+    return found
+
+
+@pytest.mark.parametrize("module", ["search", "topology", "simplicial", "linalg"])
+def test_searches_do_not_recurse(module):
+    # Every search runs on an explicit stack, so its depth is not bounded
+    # by Python's recursion limit.
+    assert self_calling_functions(PACKAGE / f"{module}.py") == []

@@ -245,6 +245,14 @@ class TestDeepSearch:
     def test_minimal_empty_subfamilies(self, system):
         assert minimal_empty_subfamilies(system) == (frozenset(range(self.N)),)
 
+    def test_floor_refuting_instance_replays(self, system):
+        # h = N and 1 + tau' = N close the sandwich; the floor instance is N - 1
+        # copies of X, which no transversal empties.
+        minimal = (frozenset(range(self.N)),)
+        eta, exact, refuting = colorful_helly_number(system, None, self.N - 1, minimal)
+        assert (eta, exact, refuting.families) == (self.N, True, minimal * (self.N - 1))
+        assert not instance_admits_empty_transversal(system, refuting)
+
     def test_analyze(self, system, tmp_path):
         path, out = tmp_path / "deep.json", tmp_path / "report.json"
         path.write_text(jsonio.dump_canonical(jsonio.set_system_to_doc(system)))
@@ -439,6 +447,64 @@ class TestColorfulHellyNumber:
                 assert (eta, exact, families, budget.nodes) == oracle_eta_level_search(
                     system, given, nodes
                 ), (given, nodes)
+
+
+class TestEmptyTransversal:
+    """The matching test of ``instance_admits_empty_transversal`` against
+    the product scan over every transversal."""
+
+    # X - {i} on three points: S = {A, B, C} is the one minimal empty
+    # subfamily.
+    X3 = SetSystem.build("abc", [("A", [1, 2]), ("B", [0, 2]), ("C", [0, 1])])
+
+    @staticmethod
+    def agree(system, families):
+        answer = instance_admits_empty_transversal(
+            system, ColorfulInstance.build(families)
+        )
+        assert answer == oracle_instance_admits_empty_transversal(system, families)
+        return answer
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_product_scan(self, seed):
+        # Random instances, padded or not, and tuples of minimal empty
+        # subfamilies, which refute more often; both answers occur.
+        rng = random.Random(9 + seed)
+        answers = []
+        while len(answers) < 400:
+            system = random_system(rng, 8, 9)
+            instance = random_refutable_instance(rng, system, max_positions=6)
+            if instance is None:
+                continue
+            answers.append(self.agree(system, instance.families))
+            minimal = minimal_empty_subfamilies(system)
+            k = rng.randint(1, max(len(s) for s in minimal) + 1)
+            answers.append(self.agree(system, rng.choices(minimal, k=k)))
+        assert 0 < answers.count(False) < len(answers)
+
+    def test_perfect_matching(self):
+        # With N = |S| every position must take its own member of S.
+        assert self.agree(self.X3, [{0, 1}, {1, 2}, {0, 2}])
+        assert self.agree(self.X3, [{0, 1, 2}, {0}, {1}])
+        assert not self.agree(self.X3, [{0, 1, 2}, {0}, {0}])
+        assert not self.agree(self.X3, [{0, 1}, {0, 1}, {0, 1}])  # C never occurs
+
+    def test_subfamily_larger_than_instance(self):
+        assert not self.agree(self.X3, [{0, 1, 2}, {0, 1, 2}])
+        assert self.agree(self.X3, [{0, 1, 2}] * 3)
+
+    def test_zero_point_system(self):
+        # Every transversal intersects to the empty ground set.
+        system = SetSystem.build([], [("A", []), ("B", [])])
+        assert self.agree(system, [{0}])
+        assert self.agree(system, [{0}, {1}, {0, 1}])
+
+    def test_repeated_positions(self, sharp2):
+        # h = 2 for M = 2: h - 1 copies of a minimal S refute, h copies do not.
+        s = next(s for s in minimal_empty_subfamilies(sharp2) if len(s) == 2)
+        assert not self.agree(sharp2, [s])
+        assert self.agree(sharp2, [s, s])
+        assert self.agree(sharp2, [s, s, s])
 
 
 def brute_exposable(adjacency, members):

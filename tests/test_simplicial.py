@@ -3,6 +3,7 @@ import random
 import subprocess
 import sys
 import textwrap
+import warnings
 from pathlib import Path
 
 import pytest
@@ -132,9 +133,10 @@ class TestNerve:
         n = nerve(s)
         assert n.vertices == ("F",) and n.facets == (frozenset({0}),)
 
-    def test_empty_member_becomes_isolated_with_warning(self):
+    def test_empty_member_becomes_isolated_without_warning(self):
         s = SetSystem.build(["a", "b"], [("E", []), ("F", [0]), ("G", [0, 1])])
-        with pytest.warns(UserWarning, match=r"isolated.*'E'"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             n = nerve(s)
         assert frozenset({0}) in n.facets  # E kept as a singleton facet
         assert 0 in n.isolated_vertices()
@@ -197,7 +199,6 @@ class TestComplexComatching:
             complex_comatching_number(k, budget)
             assert budget.nodes == nodes
 
-    @pytest.mark.filterwarnings("ignore:members with no points")
     @pytest.mark.parametrize("seed", range(8))
     def test_node_budget_sweep(self, seed):
         # Nerves of random systems: full searches of 1 to 58 nodes.
