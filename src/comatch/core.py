@@ -251,28 +251,29 @@ def verify_comatching(system: SetSystem, cert: Comatching) -> Verdict:
 
     Raises :class:`InputError` for out-of-range indices; returns a failed
     Verdict for well-formed certificates that violate the definition.
+    Violations name points by ground label and members by name, as the
+    certificates do.
     """
     for point, member in cert.pairs:
         system.check_point(point)
         system.check_member(member)
     violations = []
-    points = cert.points
-    members = cert.member_indices
+    points = [system.ground[p] for p in cert.points]
+    members = [system.member_name(m) for m in cert.member_indices]
     if len(set(points)) != len(points):
-        violations.append(f"point indices are not pairwise distinct: {points}")
+        violations.append(f"points are not pairwise distinct: {points}")
     if len(set(members)) != len(members):
-        violations.append(f"member indices are not pairwise distinct: {members}")
+        violations.append(f"members are not pairwise distinct: {members}")
     for i, (p_i, m_i) in enumerate(cert.pairs):
         if system.contains(m_i, p_i):
             violations.append(
-                f"pair {i}: point {p_i} lies in its own member {m_i} "
-                f"({system.member_name(m_i)!r})"
+                f"pair {i}: point {points[i]!r} lies in its own member {members[i]!r}"
             )
         for j, (_, m_j) in enumerate(cert.pairs):
             if i != j and not system.contains(m_j, p_i):
                 violations.append(
-                    f"point {p_i} of pair {i} is missing from member {m_j} "
-                    f"({system.member_name(m_j)!r}) of pair {j}"
+                    f"point {points[i]!r} of pair {i} is missing from member "
+                    f"{members[j]!r} of pair {j}"
                 )
     return Verdict.passed() if not violations else Verdict.failed(violations)
 
@@ -284,15 +285,16 @@ def verify_comatching_with_intersection(
     system.check_point(cert.common_point)
     base = verify_comatching(system, cert.base)
     violations = list(base.violations)
+    common = system.ground[cert.common_point]
     for i, (point, member) in enumerate(cert.base.pairs):
         if not system.contains(member, cert.common_point):
             violations.append(
-                f"common point {cert.common_point} is missing from member "
-                f"{member} ({system.member_name(member)!r}) of pair {i}"
+                f"common point {common!r} is missing from member "
+                f"{system.member_name(member)!r} of pair {i}"
             )
         if cert.common_point == point:
             violations.append(
-                f"common point {cert.common_point} equals the matched point of pair {i}"
+                f"common point {common!r} equals the matched point of pair {i}"
             )
     return Verdict.passed() if not violations else Verdict.failed(violations)
 

@@ -7,14 +7,16 @@ Everything here is exact and certificate-producing:
   (member, point) pairs, bounded by greedy colouring.
 * ``minimal_empty_subfamilies`` enumerates the inclusion-minimal
   subfamilies with empty intersection (the minimal non-faces of the
-  nerve) as minimal hitting sets of the complement hypergraph.
+  nerve) as minimal hitting sets of the complement hypergraph, holding
+  sets of edges as bitsets over edge indices.
 * ``colorful_helly_number`` finds the least N such that every N-tuple of
   empty-intersection subfamilies admits a colorful transversal with
   empty intersection.  It sandwiches the value first, h <= eta <= 1 + tau'
   (the upper end when the caller passes an exact ``tau_prime``), and
   returns at once when the ends meet; otherwise it enumerates refuting
-  multisets level by level with Apriori pruning, and scores each candidate
-  by whether its positions match a minimal empty subfamily perfectly.
+  multisets level by level with Apriori pruning, skipped on levels that
+  hold every multiset of their size, and scores each candidate by whether
+  its positions match a minimal empty subfamily perfectly.
 * ``colorful_transversal_dichotomy`` is the constructive step behind
   the bound eta <= 1 + tau': given subfamilies with empty intersections
   it returns either an empty transversal or a comatching-with-
@@ -322,16 +324,26 @@ def minimal_empty_subfamilies(system: SetSystem) -> tuple[frozenset[int], ...]:
             return ()  # some point lies in every member: nothing is empty
         edges.append(edge)
     edges = sorted(set(edges))
+    # hits[j]: the indices of the edges that member j hits, as a bitset.
+    hits = [0] * n_members
+    for e, edge in enumerate(edges):
+        rest = edge
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            hits[bit.bit_length() - 1] |= 1 << e
 
-    # A frame is [chosen, crit, uncov, excluded, untried, tried].  Every
-    # edge outside uncov is hit by some chosen member; crit[v] lists the
-    # edges hit by v alone among the chosen.  Criticality can only shrink
-    # along a branch, so an empty crit[v] kills the branch and every
-    # surviving leaf is a *minimal* hitting set.  A frame branches on the
-    # members of its fewest-choice unhit edge, and each child excludes the
-    # siblings tried before it.
+    # A frame is [chosen, crit, uncov, excluded, untried, tried]; edge sets
+    # are bitsets over edge indices.  Every edge outside uncov is hit by
+    # some chosen member; crit[k] holds the edges hit by chosen[k] alone
+    # among the chosen.  Criticality can only shrink along a branch, so an
+    # empty crit[k] kills the branch and every surviving leaf is a
+    # *minimal* hitting set.  A frame branches on the members of its
+    # fewest-choice unhit edge, and each child excludes the siblings tried
+    # before it.
     results: list[frozenset[int]] = []
-    stack = [[(), {}, edges, 0, _fewest_choices(edges, 0), 0]]
+    uncov = (1 << len(edges)) - 1
+    stack = [[(), (), uncov, 0, _fewest_choices(edges, uncov, 0), 0]]
     while stack:
         frame = stack[-1]
         chosen, crit, uncov, excluded, untried, tried = frame
@@ -339,18 +351,19 @@ def minimal_empty_subfamilies(system: SetSystem) -> tuple[frozenset[int], ...]:
             bit = untried & -untried
             untried ^= bit
             j = bit.bit_length() - 1
-            new_crit = {}
-            for v, critical_edges in crit.items():
-                reduced = [e for e in critical_edges if not (e >> j & 1)]
-                if not reduced:
+            hit = hits[j]
+            new_crit = []
+            for critical in crit:
+                critical &= ~hit
+                if not critical:
                     break
-                new_crit[v] = reduced
+                new_crit.append(critical)
             else:
-                new_crit[j] = [e for e in uncov if e >> j & 1]
-                rest = [e for e in uncov if not (e >> j & 1)]
+                rest = uncov & ~hit
                 if not rest:
                     results.append(frozenset(chosen + (j,)))
                 else:
+                    new_crit.append(uncov & hit)
                     child_excluded = excluded | tried
                     frame[4], frame[5] = untried, tried | bit
                     stack.append(
@@ -359,7 +372,7 @@ def minimal_empty_subfamilies(system: SetSystem) -> tuple[frozenset[int], ...]:
                             new_crit,
                             rest,
                             child_excluded,
-                            _fewest_choices(rest, child_excluded),
+                            _fewest_choices(edges, rest, child_excluded),
                             0,
                         ]
                     )
@@ -371,10 +384,15 @@ def minimal_empty_subfamilies(system: SetSystem) -> tuple[frozenset[int], ...]:
     return tuple(sorted(results, key=lambda s: (len(s), sorted(s))))
 
 
-def _fewest_choices(uncov: list[int], excluded: int) -> int:
-    """The allowed members of the unhit edge with the fewest of them."""
-    edge = min(uncov, key=lambda e: (e & ~excluded).bit_count())
-    return edge & ~excluded
+def _fewest_choices(edges: Sequence[int], uncov: int, excluded: int) -> int:
+    """The allowed members of the unhit edge with the fewest of them; ties
+    go to the lowest edge index, as ``min`` keeps the first minimum."""
+    allowed = []
+    while uncov:
+        bit = uncov & -uncov
+        uncov ^= bit
+        allowed.append(edges[bit.bit_length() - 1] & ~excluded)
+    return min(allowed, key=int.bit_count)
 
 
 def helly_number(system: SetSystem) -> int:
@@ -460,17 +478,24 @@ def colorful_helly_number(
     lexicographic order, up to size tau' when it is known.  Refuting
     multisets are closed under sub-multisets, so a candidate with a
     one-element-dropped sub-multiset outside the previous level is skipped
-    unscored (the Apriori rule).  Each scored candidate spends one budget
-    node and is scored by the special case of the matching criterion of
-    :func:`_has_empty_transversal` in which every one-dropped sub-multiset
-    refutes: then a minimal empty subfamily S can map into the positions
-    only if it uses every one, so |S| = N and the map is a perfect
-    matching.  Hence ``key + (i,)`` refutes exactly when family i contains
-    none of the members s of size-N subfamilies S for which the positions
-    of ``key`` match S - {s} perfectly.  That member set is computed once
-    per key, from the subfamilies that meet every position of the key.
-    Levels keep their keys only, so memory is one tuple per refuting
-    multiset of the current and the previous size.
+    unscored (the Apriori rule).  A level that holds all
+    comb(len(minimal) + size - 1, size) multisets of its size holds every
+    such sub-multiset, so there the test cannot fail and is not made: the
+    same candidates are scored in the same order.  Every size below the
+    smallest minimal empty subfamily gives such a level, since a
+    transversal with fewer distinct members always intersects.
+
+    Each scored candidate spends one budget node and is scored by the
+    special case of the matching criterion of :func:`_has_empty_transversal`
+    in which every one-dropped sub-multiset refutes: then a minimal empty
+    subfamily S can map into the positions only if it uses every one, so
+    |S| = N and the map is a perfect matching.  Hence ``key + (i,)``
+    refutes exactly when family i contains none of the members s of size-N
+    subfamilies S for which the positions of ``key`` match S - {s}
+    perfectly.  That member set is computed once per key, from the
+    subfamilies that meet every position of the key.  Levels keep their
+    keys only, so memory is one tuple per refuting multiset of the current
+    and the previous size.
 
     Over a finite ground set every descending chain of intersections
     stabilizes, so restricting the definition to finite subfamilies loses
@@ -513,11 +538,16 @@ def colorful_helly_number(
         # the level scores its first candidate.
         groups: list[int] = []
         meets: list[int] = []
+        # A level that holds every multiset of its size passes every
+        # Apriori test, so the test is skipped there.
+        complete = len(level) == comb(len(minimal) + size - 1, size)
         for key in level:
             completions = None
             for i in range(key[-1] if key else 0, len(minimal)):
                 cand = key + (i,)
-                if any(cand[:j] + cand[j + 1 :] not in level for j in range(size)):
+                if not complete and any(
+                    cand[:j] + cand[j + 1 :] not in level for j in range(size)
+                ):
                     continue
                 if not budget.spend():
                     return lower_bound(size)

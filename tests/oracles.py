@@ -232,12 +232,13 @@ def oracle_is_induced_matching_in_complement(system: SetSystem, pairs) -> bool:
 
 
 def oracle_instance_admits_empty_transversal(system: SetSystem, families) -> bool:
-    """Plain product scan over all transversals."""
-    ground = frozenset(range(system.num_points))
-    for choice in product(*[sorted(f) for f in families]):
-        inter = ground
-        for j in choice:
-            inter = inter & system.member_elements(j)
+    """Plain product scan over all transversals, on point bitmasks built here."""
+    mask = {j: sum(1 << p for p in system.member_elements(j)) for f in families for j in f}
+    full = (1 << system.num_points) - 1
+    for choice in product(*[[mask[j] for j in sorted(f)] for f in families]):
+        inter = full
+        for m in choice:
+            inter &= m
         if not inter:
             return True
     return False

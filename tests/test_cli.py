@@ -177,6 +177,63 @@ class TestAnalyze:
         cert_path.write_text(json.dumps(cert))
         assert main(["verify", str(cert_path), str(system_path)]) == 0
 
+    # Node counts, results and certificates of the two sets-benchmark
+    # inputs that spend the most search nodes; a faster search must keep
+    # every one of them.
+    H51 = [f"B({c})" for c in ("00000", "00001", "00010", "00011")]
+    E, O = [f"e{i}" for i in range(1, 6)], [f"o{i}" for i in range(1, 6)]
+    PINNED_REPORTS = {
+        ("hamming", "5", "1"): (
+            {"tau": 732, "tau_prime": 1495, "eta": 0},
+            dict(points=32, members=32, tau=4, tau_prime=3, eta=4, helly=4, minimal=416),
+            list(zip(H51, ("00011", "00010", "00001", "00000"))),
+            list(zip(H51[:3], ("00011", "00010", "00001"))) + ["00000"],
+            [H51] * 3,
+        ),
+        ("cycle-sharpness", "5"): (
+            {"tau": 31, "tau_prime": 54, "eta": 27356},
+            dict(points=10, members=10, tau=6, tau_prime=6, eta=6, helly=6, minimal=17),
+            [("e1", "1"), ("e2", "3"), ("e3", "5"), ("e5", "10"), ("o3", "7"),
+             ("o4", "8")],
+            [("e1", "1"), ("e3", "5"), ("e5", "10"), ("o1", "3"), ("o3", "7"),
+             ("o4", "8"), "4"],
+            [E] * 4 + [O],
+        ),
+    }
+
+    @pytest.mark.parametrize("params", sorted(PINNED_REPORTS))
+    def test_node_counts_results_and_certificates_pinned(
+        self, params, tmp_path, capsys
+    ):
+        nodes, values, tau_pairs, prime_pairs_and_common, families = (
+            self.PINNED_REPORTS[params]
+        )
+        system_path, report_path = tmp_path / "system.json", tmp_path / "report.json"
+        assert main(["generate", *params, "--out", str(system_path)]) == 0
+        assert main(["analyze", str(system_path), "--out", str(report_path)]) == 0
+        report = json.loads(report_path.read_text())
+        assert report["timing"] == {"nodes": nodes}
+        assert report["results"] == {
+            "num_points": values["points"],
+            "num_members": values["members"],
+            "comatching_number": {"value": values["tau"], "exact": True},
+            "comatching_with_intersection_number": {
+                "value": values["tau_prime"], "exact": True,
+            },
+            "colorful_helly_number": {"value": values["eta"], "exact": True},
+            "helly_number": values["helly"],
+            "minimal_empty_subfamily_count": values["minimal"],
+        }
+        certs = report["certificates"]
+
+        def pairs(cert):
+            return [(p["member"], p["point"]) for p in cert["pairs"]]
+
+        assert pairs(certs["comatching"]) == tau_pairs
+        prime = certs["comatching_with_intersection"]
+        assert pairs(prime) + [prime["common_point"]] == prime_pairs_and_common
+        assert certs["refuting_instance"]["families"] == families
+
     def test_inexact_tau_never_below_helly_bounds(self, tmp_path, capsys):
         # Hamming(6,1) has h = 4.  A 3-node budget stops both searches at 2,
         # below what a largest minimal empty subfamily proves: tau >= 4 and
@@ -408,7 +465,7 @@ class TestVerify:
         cert_path.write_text(json.dumps(doc))
         code, verdict = run_cli(capsys, "verify", str(cert_path), str(sharp2_path))
         assert (code, verdict["verified"]) == (1, False)
-        assert "common point 0 is missing from member 2 ('C') of pair 1" in (
+        assert "common point '1' is missing from member 'C' of pair 1" in (
             verdict["violations"]
         )
 

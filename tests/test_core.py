@@ -93,6 +93,17 @@ class TestVerifyComatching:
         with pytest.raises(InputError):
             verify_comatching(sharp2, Comatching(((9, 0),)))
 
+    def test_violations_name_points_and_members_by_label(self, sharp2):
+        # Point index 2 is '3', which lies in B but not in A.
+        verdict = verify_comatching(sharp2, Comatching(((2, 0), (2, 1))))
+        assert verdict.violations == (
+            "points are not pairwise distinct: ['3', '3']",
+            "pair 1: point '3' lies in its own member 'B'",
+            "point '3' of pair 1 is missing from member 'A' of pair 0",
+        )
+        verdict = verify_comatching(sharp2, Comatching(((1, 3), (0, 3))))
+        assert verdict.violations[0] == "members are not pairwise distinct: ['D', 'D']"
+
     @settings(max_examples=120, deadline=None)
     @given(small_systems(), st.data())
     def test_agrees_with_induced_matching_oracle(self, system, data):
@@ -123,6 +134,19 @@ class TestVerifyComatchingWithIntersection:
         verdict = verify_comatching_with_intersection(sharp2, cert)
         assert not verdict.ok
         assert any("common point" in v for v in verdict.violations)
+
+    def test_violations_name_points_and_members_by_label(self, sharp2):
+        # '4' lies in neither A nor C; '3' is also pair 0's matched point.
+        cert = ComatchingWithIntersection(Comatching(((2, 0), (0, 2))), 3)
+        assert verify_comatching_with_intersection(sharp2, cert).violations == (
+            "common point '4' is missing from member 'A' of pair 0",
+            "common point '4' is missing from member 'C' of pair 1",
+        )
+        cert = ComatchingWithIntersection(Comatching(((2, 0), (0, 2))), 2)
+        assert verify_comatching_with_intersection(sharp2, cert).violations == (
+            "common point '3' is missing from member 'A' of pair 0",
+            "common point '3' equals the matched point of pair 0",
+        )
 
     def test_empty_base_with_any_common_point(self, sharp2):
         cert = ComatchingWithIntersection(Comatching(()), 0)

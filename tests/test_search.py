@@ -12,6 +12,7 @@ from comatch.core import (
     SetSystem,
     InputError,
     intersect_subfamily,
+    intersection_mask,
     verify_comatching,
     verify_comatching_with_intersection,
 )
@@ -287,6 +288,39 @@ class TestMinimalEmptySubfamilies:
         )
 
 
+    @pytest.mark.parametrize(
+        "n, count", [(4, 80), (5, 416), (6, 1904)], ids=["4-1", "5-1", "6-1"]
+    )
+    def test_hamming_counts_and_minimality(self, n, count):
+        system = gen_hamming_system(n, 1)
+        minimal = minimal_empty_subfamilies(system)
+        assert len(minimal) == len(set(minimal)) == count
+        for sel in minimal:
+            assert intersection_mask(system, sel) == 0
+            assert all(intersection_mask(system, sel - {j}) for j in sel)
+
+    @pytest.mark.parametrize(
+        "members",
+        [
+            # Repeated members: each copy starts its own minimal subfamilies.
+            [[0, 1], [2, 3], [0, 1], [1, 2], [2, 3], [3, 0]],
+            # An empty member is a minimal subfamily on its own and never
+            # part of a larger one.
+            [[], [0, 1], [1, 2], [2, 0], []],
+            # Point 0 lies in every member, so no subfamily is empty.
+            [[0, 1], [0, 2], [0, 3], [0]],
+        ],
+        ids=["repeated", "empty-member", "point-in-every-member"],
+    )
+    def test_matches_oracle_on_edge_cases(self, members):
+        system = SetSystem.build(
+            ["a", "b", "c", "d"], [(f"F{j}", m) for j, m in enumerate(members)]
+        )
+        assert minimal_empty_subfamilies(system) == tuple(
+            oracle_minimal_empty_subfamilies(system)
+        )
+
+
 class TestHellyNumber:
     def test_sharpness_m2(self, sharp2):
         assert helly_number(sharp2) == 2
@@ -447,6 +481,36 @@ class TestColorfulHellyNumber:
                 assert (eta, exact, families, budget.nodes) == oracle_eta_level_search(
                     system, given, nodes
                 ), (given, nodes)
+
+    @pytest.mark.parametrize("nodes", [1, 50, 5_000])
+    def test_cycle_sharpness_m5_equals_level_search_under_budgets(self, nodes):
+        # No minimal empty subfamily has fewer than 5 members, so levels 0-4
+        # hold every multiset of their size and skip the Apriori test; 5,000
+        # nodes stop inside level 3's extension.  The unbudgeted oracle is
+        # too slow here.
+        system = gen_cycle_sharpness(5)
+        for given in (None, 6):
+            budget = SearchBudget(max_nodes=nodes)
+            eta, exact, refuting = colorful_helly_number(system, budget, given)
+            assert (eta, exact, refuting.families, budget.nodes) == (
+                oracle_eta_level_search(system, given, nodes)
+            ), given
+
+    def test_cycle_sharpness_m8_pinned_under_node_budget(self):
+        # h = 10 and tau' = 10 leave eta in [10, 11].  No minimal empty
+        # subfamily has fewer than 8 members, so levels 0-7 are complete;
+        # the 200,000 nodes end inside level 3's extension, below h, and the
+        # floor instance is the certificate.
+        system = gen_cycle_sharpness(8)
+        minimal = minimal_empty_subfamilies(system)
+        largest = next(s for s in minimal if len(s) == 10)
+        assert sorted(system.member_name(j) for j in largest) == [
+            "e1", "e2", "e3", "e4", "e6", "e7", "o4", "o5", "o7", "o8"
+        ]
+        budget = SearchBudget(max_nodes=200_000)
+        eta, exact, refuting = colorful_helly_number(system, budget, 10, minimal)
+        assert (eta, exact, refuting.families) == (10, False, (largest,) * 9)
+        assert budget.nodes == 200_001
 
 
 class TestEmptyTransversal:
