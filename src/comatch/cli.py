@@ -319,9 +319,11 @@ def _analyze_complex(complex_: SimplicialComplex, config: RunConfig) -> dict:
     tau_k, cert, tau_exact = complex_comatching_number(complex_, budgets["comatching"])
     if not _check(cert, complex_=complex_).ok:
         raise AssertionError("internal: complex comatching certificate failed")
-    profile_doc = _profile_doc(reduced_betti(complex_, config.arith, budgets["homology"]))
-
-    leray_value, leray_exact, witness = leray_number(complex_, budgets["leray"])
+    profile = reduced_betti(complex_, config.arith, budgets["homology"])
+    profile_doc = _profile_doc(profile)
+    # Only exact Betti numbers stand in for lk {} = K; GF(p) ones may be lower.
+    known = profile.reduced_betti if profile is not None and profile.exact else None
+    leray_value, leray_exact, witness = leray_number(complex_, budgets["leray"], known)
     collapse_status, sequence = is_d_collapsible(
         complex_, max(leray_value, 1), budgets["collapse"]
     )

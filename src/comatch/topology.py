@@ -496,7 +496,9 @@ def leray_check(
 
 
 def leray_number(
-    complex_: SimplicialComplex, budget: Optional[SearchBudget] = None
+    complex_: SimplicialComplex,
+    budget: Optional[SearchBudget] = None,
+    betti: Optional[tuple[int, ...]] = None,
 ) -> tuple[int, bool, Optional[LerayVerdict]]:
     """Smallest d whose Leray check holds, as (value, exact, witness).
 
@@ -507,11 +509,17 @@ def leray_number(
     comes with a replayable subset witness.  When the budget runs out, the
     value is the lower bound that the whole complex's own homology
     certifies (0 without one), flagged inexact.
+
+    ``betti``, when given, must be the complex's exact reduced Betti
+    numbers (as ``reduced_betti(complex_).reduced_betti``); the pass then
+    takes them for lk {} = K instead of computing them, at no node cost.
+    The whole complex's homology is then always in hand, so even an
+    inexact value is never below 1 + the top nonzero dimension of ``betti``.
     """
     budget = budget or SearchBudget()
     value, whole, raiser = 0, None, frozenset()
-    for sigma, betti in _link_homology(complex_, 0, budget):
-        top = _top_dimension(betti)
+    for sigma, link_betti in _link_homology(complex_, 0, budget, betti):
+        top = _top_dimension(link_betti)
         if not sigma and top >= 0:
             whole = LerayVerdict(top, "fails", (_all_vertices(complex_), top))
         if top + 1 > value:
@@ -563,7 +571,10 @@ def _link(
 
 
 def _link_homology(
-    complex_: SimplicialComplex, floor: int, budget: SearchBudget
+    complex_: SimplicialComplex,
+    floor: int,
+    budget: SearchBudget,
+    known: Optional[tuple[int, ...]] = None,
 ) -> Iterator[tuple[frozenset[int], tuple[int, ...]]]:
     """Reduced Betti numbers of the links that can hold homology >= floor.
 
@@ -578,21 +589,27 @@ def _link_homology(
     pass ends at the first size at which no link can raise the value.
     Links with one facet are simplices and are skipped.  Each link spends
     one node plus the pivots of its ranks; the pass ends early, with
-    ``budget.exhausted`` set, when the budget runs out.
+    ``budget.exhausted`` set, when the budget runs out.  ``known``, when
+    given, holds K's exact reduced Betti numbers: they are yielded for
+    sigma = {} as they are, without building lk {} or spending a node, so
+    they are in hand however soon the budget runs out.
     """
     value = floor
     for size in range(complex_.dim - floor + 1):
         if complex_.dim - size < value:
             return
         for sigma in faces_of_dim(complex_, size - 1):
-            link = _link(complex_, sigma)
-            if link is None:
-                continue
-            if not budget.spend():
-                return
-            betti = _betti_from(link, value, budget)
-            if betti is None:
-                return
+            if sigma or known is None:
+                link = _link(complex_, sigma)
+                if link is None:
+                    continue
+                if not budget.spend():
+                    return
+                betti = _betti_from(link, value, budget)
+                if betti is None:
+                    return
+            else:
+                betti = known
             value = max(value, _top_dimension(betti) + 1)
             yield sigma, betti
 

@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -36,6 +37,16 @@ def torus_path(tmp_path, capsys):
     path = tmp_path / "torus.json"
     code = main(["generate", "torus-grid", "4", "2", "--out", str(path)])
     assert code == 0
+    capsys.readouterr()
+    return path
+
+
+@pytest.fixture
+def hamming_nerve_path(tmp_path, capsys):
+    hamming = tmp_path / "hamming.json"
+    path = tmp_path / "hamming-nerve.json"
+    assert main(["generate", "hamming", "4", "1", "--out", str(hamming)]) == 0
+    assert main(["nerve", str(hamming), "--out", str(path)]) == 0
     capsys.readouterr()
     return path
 
@@ -340,14 +351,9 @@ class TestPipelines:
         assert main(["verify", str(witness_path), str(torus_path)]) == 0
 
     def test_analyze_leray_number_three_with_full_witness(
-        self, torus_path, tmp_path, capsys
+        self, torus_path, hamming_nerve_path, tmp_path, capsys
     ):
-        hamming = tmp_path / "hamming.json"
-        nerve_path = tmp_path / "nerve.json"
-        assert main(["generate", "hamming", "4", "1", "--out", str(hamming)]) == 0
-        assert main(["nerve", str(hamming), "--out", str(nerve_path)]) == 0
-        capsys.readouterr()
-        for source in (torus_path, nerve_path):
+        for source in (torus_path, hamming_nerve_path):
             code, report = run_cli(capsys, "analyze", str(source))
             assert code == 0
             assert report["results"]["leray_number"] == {"value": 3, "exact": True}
@@ -377,6 +383,84 @@ class TestPipelines:
     def test_homology_budget_exit(self, torus_path, capsys):
         code, doc = run_cli(capsys, "homology", str(torus_path), "--budget-nodes", "2")
         assert (code, doc) == (3, {"status": "budget_exhausted"})
+
+
+class TestAnalyzeComplexHomologyOnce:
+    """In exact mode the Leray pass takes lk {} = K from the homology phase."""
+
+    def test_budget_cut_leray_keeps_the_bound_its_betti_prove(
+        self, torus_path, tmp_path, capsys
+    ):
+        # 79 nodes finish the homology phase, and exact Betti (0, 2, 1, 0)
+        # prove L >= 3; no other link of the torus needs a node.
+        code, report = run_cli(
+            capsys, "analyze", str(torus_path), "--budget-nodes", "79"
+        )
+        assert code == 0
+        results = report["results"]
+        assert results["reduced_betti"]["reduced_betti"] == [0, 2, 1, 0]
+        assert results["reduced_betti"]["exact"] is True
+        assert results["leray_number"] == {"value": 3, "exact": True}
+        assert results["collapsible_at_leray_number"] == "proved"
+        witness_path = tmp_path / "witness.json"
+        witness_path.write_text(json.dumps(report["certificates"]["leray_witness"]))
+        code, verdict = run_cli(capsys, "verify", str(witness_path), str(torus_path))
+        assert (code, verdict["verified"]) == (0, True)
+
+    PINNED_NODES = {
+        "torus": {"comatching": 120, "homology": 79, "leray": 0, "collapse": 63},
+        "hamming-nerve": {
+            "comatching": 227, "homology": 161, "leray": 96, "collapse": 112
+        },
+    }
+    #: A GF(p) profile certifies nothing, so prime mode still computes lk {}.
+    PRIME_LERAY_NODES = {"torus": 80, "hamming-nerve": 258}
+
+    @pytest.mark.parametrize("arith", ["exact", "prime"])
+    @pytest.mark.parametrize("name", sorted(PINNED_NODES))
+    def test_node_counts_pinned(
+        self, name, arith, torus_path, hamming_nerve_path, capsys
+    ):
+        source = torus_path if name == "torus" else hamming_nerve_path
+        code, report = run_cli(capsys, "analyze", str(source), "--arith", arith)
+        assert code == 0
+        nodes = dict(self.PINNED_NODES[name])
+        if arith == "prime":
+            nodes["leray"] = self.PRIME_LERAY_NODES[name]
+        assert report["timing"] == {"nodes": nodes}
+        assert report["results"]["leray_number"] == {"value": 3, "exact": True}
+
+    def test_homology_of_k_computed_once(self, monkeypatch):
+        from comatch import cli, topology
+        from comatch.constructions import gen_hamming_system, gen_torus_grid_complex
+        from comatch.linalg import FIELD_PRIME
+        from comatch.randsys import random_complex
+        from comatch.simplicial import nerve
+
+        calls = []
+        betti_from = topology._betti_from
+
+        def spy(complex_, low, budget, prime=None):
+            if low == 0:
+                calls.append((complex_.num_vertices, prime))
+            return betti_from(complex_, low, budget, prime)
+
+        monkeypatch.setattr(topology, "_betti_from", spy)
+        rng = random.Random(3)
+        complexes = [
+            gen_torus_grid_complex(4, 2), nerve(gen_hamming_system(4, 1))
+        ] + [random_complex(rng, 8, 7) for _ in range(200)]
+        for k in complexes:
+            for arith in ("exact", "prime"):
+                calls.clear()
+                cli._analyze_complex(k, cli.RunConfig(arith=arith))
+                whole = [prime for n, prime in calls if n == k.num_vertices]
+                if arith == "exact":
+                    assert whole == [None]
+                else:
+                    # One GF(p) homology phase, then lk {} unless K is a simplex.
+                    lk_empty = [None] if len(k.facets) > 1 else []
+                    assert whole == [FIELD_PRIME] + lk_empty
 
 
 class TestVerify:

@@ -541,6 +541,47 @@ class TestLeray:
                 assert dim >= d and profile[dim] != 0
 
 
+def _known_betti_cases():
+    from comatch.constructions import gen_hamming_system
+    from comatch.simplicial import nerve
+
+    rng = random.Random(18)
+    named = [
+        ("torus", gen_torus_grid_complex(4, 2)),
+        ("hamming41-nerve", nerve(gen_hamming_system(4, 1))),
+        ("empty", SimplicialComplex((), ())),
+        ("simplex", full_simplex(4)),
+    ] + [(f"random{i}", random_complex(rng, 8, 7)) for i in range(40)]
+    return [pytest.param(k, id=name) for name, k in named]
+
+
+class TestLerayFromKnownBetti:
+    """``leray_number(K, budget, betti)`` takes K's exact Betti numbers for
+    lk {} = K instead of computing them."""
+
+    @pytest.mark.parametrize("k", _known_betti_cases())
+    def test_same_answer_as_computing_them(self, k):
+        betti = reduced_betti(k).reduced_betti
+        assert leray_number(k, None, betti) == leray_number(k)
+
+    @pytest.mark.parametrize("k", _known_betti_cases())
+    def test_never_below_the_bound_they_prove(self, k):
+        from comatch.cli import _check
+
+        betti = reduced_betti(k).reduced_betti
+        floor = 1 + max((i for i, b in enumerate(betti) if b), default=-1)
+        full = SearchBudget()
+        leray_number(k, full, betti)
+        for max_nodes in range(full.nodes + 1):
+            budget = SearchBudget(max_nodes=max_nodes)
+            value, exact, witness = leray_number(k, budget, betti)
+            assert value >= floor
+            assert exact == (max_nodes == full.nodes)
+            if witness is not None:
+                assert _check(witness, complex_=k).ok
+                _assert_witness_replays(k, witness, value)
+
+
 class TestDoubleTorusJoin:
     def test_five_good_but_not_five_leray(self):
         from comatch.constructions import gen_good_join_complex
@@ -589,6 +630,11 @@ class TestDoubleTorusJoin:
         value, exact, witness = leray_number(double, SearchBudget(max_nodes=14_000))
         assert (value, exact) == (6, False)
         assert witness.status == "fails" and witness.witness[1] == 5
+        # Given the whole complex's Betti numbers, 1,000 nodes already
+        # certify the same lower bound.
+        betti = reduced_betti(double).reduced_betti
+        budget = SearchBudget(max_nodes=1_000)
+        assert leray_number(double, budget, betti) == (value, exact, witness)
 
 
 class TestRankKernels:
