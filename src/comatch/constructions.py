@@ -358,39 +358,18 @@ def verify_poly_comatching(pc: PolynomialComatching) -> Verdict:
             f"polynomials have rank {rank} < {len(pc.polynomials)}: dependent"
         )
 
-    if len(pc.polynomials) == m and rank == m:
-        combo = _express_one(pc.polynomials, monomials)
-        if combo is None:
-            violations.append(
-                "full-size independent family should span the constant 1"
-            )
-        elif pc.common_point is not None:
+    if pc.common_point is not None:
+        if len(pc.polynomials) == m and rank == m:
             violations.append(
                 "no common point can exist: the constant 1 is a combination "
                 "of the polynomials, and it cannot vanish anywhere"
             )
-    if pc.common_point is not None:
         for i, poly in enumerate(pc.polynomials):
             if evaluate_polynomial(poly, pc.common_point) != 0:
                 violations.append(
                     f"claimed common point is not a zero of f_{i + 1}"
                 )
     return Verdict.passed() if not violations else Verdict.failed(violations)
-
-
-def _express_one(
-    polynomials: tuple[Polynomial, ...], monomials: list[tuple[int, ...]]
-) -> Optional[list[Fraction]]:
-    """Coefficients c with sum c_i f_i = 1, or None if 1 is not in the span."""
-    index = {mono: k for k, mono in enumerate(monomials)}
-    matrix = [[Fraction(0)] * len(polynomials) for _ in monomials]
-    for i, poly in enumerate(polynomials):
-        for exps, c in poly:
-            matrix[index[exps]][i] = c
-    rhs = [Fraction(0)] * len(monomials)
-    one = tuple([0] * len(monomials[0])) if monomials else ()
-    rhs[index[one]] = Fraction(1)
-    return solve_exact(matrix, rhs)
 
 
 # ---------------------------------------------------------------------------

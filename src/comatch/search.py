@@ -14,9 +14,10 @@ Everything here is exact and certificate-producing:
   empty intersection.  It sandwiches the value first, h <= eta <= 1 + tau'
   (the upper end when the caller passes an exact ``tau_prime``), and
   returns at once when the ends meet; otherwise it enumerates refuting
-  multisets level by level with Apriori pruning, skipped on levels that
-  hold every multiset of their size, and scores each candidate by whether
-  its positions match a minimal empty subfamily perfectly.
+  multisets level by level with Apriori pruning, skipped below the size
+  of the smallest minimal empty subfamily, where every multiset refutes,
+  and scores each candidate by whether its positions match a minimal
+  empty subfamily perfectly.
 * ``colorful_transversal_dichotomy`` is the constructive step behind
   the bound eta <= 1 + tau': given subfamilies with empty intersections
   it returns either an empty transversal or a comatching-with-
@@ -478,12 +479,13 @@ def colorful_helly_number(
     lexicographic order, up to size tau' when it is known.  Refuting
     multisets are closed under sub-multisets, so a candidate with a
     one-element-dropped sub-multiset outside the previous level is skipped
-    unscored (the Apriori rule).  A level that holds all
-    comb(len(minimal) + size - 1, size) multisets of its size holds every
-    such sub-multiset, so there the test cannot fail and is not made: the
-    same candidates are scored in the same order.  Every size below the
-    smallest minimal empty subfamily gives such a level, since a
-    transversal with fewer distinct members always intersects.
+    unscored (the Apriori rule).  Below the size of the smallest minimal
+    empty subfamily every multiset refutes, since a transversal with fewer
+    distinct members always intersects; such a level holds every
+    sub-multiset, so there the test cannot fail and is not made, and the
+    same candidates are scored in the same order.  From that size up the
+    level is never complete, as that many copies of the smallest
+    subfamily admit an empty transversal.
 
     Each scored candidate spends one budget node and is scored by the
     special case of the matching criterion of :func:`_has_empty_transversal`
@@ -538,9 +540,10 @@ def colorful_helly_number(
         # the level scores its first candidate.
         groups: list[int] = []
         meets: list[int] = []
-        # A level that holds every multiset of its size passes every
-        # Apriori test, so the test is skipped there.
-        complete = len(level) == comb(len(minimal) + size - 1, size)
+        # Below the smallest minimal empty subfamily (``minimal`` is sorted
+        # by size) the level holds every multiset of its size, so it passes
+        # every Apriori test and the test is skipped there.
+        complete = size < len(minimal[0])
         for key in level:
             completions = None
             for i in range(key[-1] if key else 0, len(minimal)):

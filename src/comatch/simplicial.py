@@ -30,7 +30,6 @@ __all__ = [
     "join",
     "induced_subcomplex",
     "faces_of_dim",
-    "all_faces",
     "are_isomorphic",
 ]
 
@@ -365,19 +364,6 @@ def faces_of_dim(complex_: SimplicialComplex, i: int) -> tuple[frozenset[int], .
             for c in combinations(base, i + 1):
                 seen.add(c)
     return tuple(frozenset(c) for c in sorted(seen))
-
-
-def all_faces(complex_: SimplicialComplex) -> list[tuple[frozenset[int], ...]]:
-    """Faces grouped by dimension, index 0 holding dimension -1 (empty face)."""
-    groups: list[set[tuple[int, ...]]] = [set() for _ in range(complex_.dim + 2)]
-    for f in complex_.facets:
-        base = sorted(f)
-        for size in range(len(base) + 1):
-            for c in combinations(base, size):
-                groups[size].add(c)
-    if complex_.num_vertices == 0:
-        return [(frozenset(),)]
-    return [tuple(frozenset(c) for c in sorted(g)) for g in groups]
 
 
 # ---------------------------------------------------------------------------

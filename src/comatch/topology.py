@@ -43,7 +43,6 @@ from .simplicial import (
     SimplicialComplex,
     _bits,
     _facets_through,
-    all_faces,
     faces_of_dim,
     join,
     maximal_sets,
@@ -148,13 +147,11 @@ def _sparse_boundary_rows(
     lower: tuple[frozenset[int], ...], upper: tuple[frozenset[int], ...]
 ) -> list[dict[int, int]]:
     """Sparse rows of the boundary from ``upper`` faces to ``lower`` faces."""
-    index = {tuple(sorted(f)): r for r, f in enumerate(lower)}
+    index = {f: r for r, f in enumerate(lower)}
     rows: list[dict[int, int]] = [{} for _ in lower]
     for c, face in enumerate(upper):
-        base = sorted(face)
-        for k in range(len(base)):
-            sub = tuple(base[:k] + base[k + 1 :])
-            rows[index[sub]][c] = (-1) ** k
+        for k, v in enumerate(sorted(face)):
+            rows[index[face - {v}]][c] = (-1) ** k
     return rows
 
 
@@ -188,12 +185,14 @@ def _betti_from(
     prime: Optional[int] = None,
 ) -> Optional[tuple[int, ...]]:
     """Reduced Betti numbers b_low..b_dim of a nonempty complex, with zeros
-    below ``low``: only the boundary ranks those need are computed.  None
-    when ``budget`` runs out during a rank."""
-    groups = all_faces(complex_)  # index k holds faces of dimension k-1
-    dim = len(groups) - 2
+    below ``low``: only the faces of dimension low - 1 and up are
+    enumerated, and only the boundary ranks those numbers need are
+    computed.  None when ``budget`` runs out during a rank."""
+    dim = complex_.dim
+    # groups[k] holds the faces of dimension k-1.
+    groups = {k: faces_of_dim(complex_, k - 1) for k in range(low, dim + 2)}
     rank = [0] * (dim + 3)  # rank[k] = rank of boundary from dim k-1 chains
-    for k in range(low + 1, len(groups)):
+    for k in range(low + 1, dim + 2):
         rows = _sparse_boundary_rows(groups[k - 1], groups[k])
         rank[k] = _rank_sparse(rows, budget, prime)
         if rank[k] is None:

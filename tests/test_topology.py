@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 
@@ -11,6 +12,7 @@ from comatch.simplicial import SimplicialComplex, faces_of_dim, join
 from comatch.topology import (
     CollapseSequence,
     KunnethVerdict,
+    LerayVerdict,
     _betti_from,
     boundary_matrix,
     is_d_collapsible,
@@ -131,6 +133,46 @@ class TestReducedBetti:
 
         k = random_complex(random.Random(seed + 1600), 6, 5)
         assert reduced_betti(k).reduced_betti == oracle_reduced_betti(k)
+
+
+def _pinned_complexes():
+    from comatch.constructions import gen_cycle_sharpness, gen_hamming_system
+    from comatch.simplicial import nerve
+
+    return {
+        "torus": gen_torus_grid_complex(4, 2),
+        "hamming41-nerve": nerve(gen_hamming_system(4, 1)),
+        "cycle5-nerve": nerve(gen_cycle_sharpness(5)),
+    }
+
+
+def _betti_from_cases():
+    rng = random.Random(19)
+    named = list(_pinned_complexes().items()) + [
+        (f"random{i}", random_complex(rng, 8, 7)) for i in range(30)
+    ]
+    return [pytest.param(k, id=name) for name, k in named]
+
+
+class TestBettiFrom:
+    """``_betti_from(K, low)`` enumerates the faces of dimension low - 1 and
+    up, and ranks only the boundaries from dimension low up."""
+
+    @pytest.mark.parametrize("k", _betti_from_cases())
+    def test_equals_reduced_betti_with_zeros_below_low(self, k):
+        full = reduced_betti(k).reduced_betti
+        ranks = [
+            rank_exact(
+                [{c: x for c, x in enumerate(row) if x} for row in boundary_matrix(k, i)]
+            )
+            for i in range(k.dim + 1)
+        ]
+        for low in range(k.dim + 2):
+            budget = SearchBudget()
+            betti = _betti_from(k, low, budget)
+            assert betti == tuple(b if i >= low else 0 for i, b in enumerate(full))
+            # One node per pivot: the ranks of the boundaries from low up.
+            assert budget.nodes == sum(ranks[low:])
 
 
 class TestGoodness:
@@ -539,6 +581,39 @@ class TestLeray:
                 sub = induced_subcomplex(k, vertices)
                 profile = reduced_betti(sub).reduced_betti
                 assert dim >= d and profile[dim] != 0
+
+
+    @pytest.mark.parametrize(
+        "name, value, nodes",
+        [("torus", 3, 80), ("hamming41-nerve", 3, 258), ("cycle5-nerve", 6, 541)],
+    )
+    def test_leray_number_pinned_without_betti(self, name, value, nodes):
+        # Each of these complexes has homology at value - 1 itself, so the
+        # witness is the whole vertex set.
+        k = _pinned_complexes()[name]
+        budget = SearchBudget()
+        witness = LerayVerdict(
+            value - 1, "fails", (frozenset(range(k.num_vertices)), value - 1)
+        )
+        assert leray_number(k, budget) == (value, True, witness)
+        assert budget.nodes == nodes
+
+    def test_descend_raises_the_dimension(self):
+        # On the boundary of the 3-simplex lk a is a circle (H_1 != 0), and
+        # K itself has H_2 != 0, so the descent from sigma = {a} at i = 1
+        # raises i to 2 and keeps every vertex.
+        from comatch.cli import _check
+        from comatch.topology import _descend, _link
+
+        k = SimplicialComplex.from_labels("abcd", combinations("abcd", 3))
+        assert reduced_betti(_link(k, frozenset({0}))).reduced_betti == (0, 1)
+        budget = SearchBudget()
+        witness = _descend(k, frozenset({0}), 1, budget)
+        assert witness == (frozenset(range(4)), 2)
+        # One node for the link, three pivots for the rank of the boundary
+        # of the four triangles.
+        assert budget.nodes == 4
+        assert _check(LerayVerdict(1, "fails", witness), complex_=k).ok
 
 
 def _known_betti_cases():
