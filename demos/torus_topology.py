@@ -21,8 +21,8 @@ from comatch import (
 torus = gen_torus_grid_complex(4, 2)
 print(f"torus grid: {torus.num_vertices} vertices, {len(torus.facets)} facets, dim {torus.dim}")
 
-profile = reduced_betti(torus, "exact")
-print(f"reduced Betti numbers: {profile.reduced_betti}  ({profile.arithmetic_mode})")
+profile = reduced_betti(torus)
+print(f"reduced Betti numbers over the rationals: {profile.reduced_betti}")
 
 tau_k, cert, _ = complex_comatching_number(torus)
 print(f"complex comatching number: {tau_k}")

@@ -3,8 +3,8 @@
 Subcommands: analyze, generate, nerve, homology, collapse, leray,
 dichotomy, check-theorems, question1, verify.  Every subcommand takes
 --out; each takes only those of --seed, --budget-nodes, --budget-ms,
---arith, --cap-ground, --cap-vertices and --wall-clock that it reads, and
-any other flag is a usage error (exit 2).  Each subparser names its
+--cap-ground, --cap-vertices and --wall-clock that it reads, and any
+other flag is a usage error (exit 2).  Each subparser names its
 handler, which returns the document and the exit code.  All of these but
 --wall-clock can also be set through COMATCH_* environment variables, for
 every subcommand; explicit flags win.
@@ -65,7 +65,6 @@ from .simplicial import (
     verify_complex_comatching,
 )
 from .topology import (
-    ARITH_MODES,
     CollapseSequence,
     HomologyProfile,
     LerayVerdict,
@@ -93,15 +92,10 @@ class RunConfig:
     seed: int = 0
     budget_nodes: Optional[int] = 2_000_000
     budget_millis: Optional[int] = 120_000
-    arith: str = "exact"
     cap_ground: int = 4096
     cap_vertices: int = 64
     out: Optional[str] = None
     wall_clock: bool = False
-
-    def __post_init__(self) -> None:
-        if self.arith not in ARITH_MODES:
-            raise InputError(f"unknown arithmetic mode {self.arith!r}")
 
     def budget(self) -> SearchBudget:
         """A fresh budget with the run's limits, its deadline starting now."""
@@ -112,7 +106,7 @@ class RunConfig:
             "seed": self.seed,
             "budget_nodes": self.budget_nodes,
             "budget_millis": self.budget_millis,
-            "arith": self.arith,
+            "arith": "exact",  # the only arithmetic; comatch-report/1 keeps the field
             "cap_ground": self.cap_ground,
             "cap_vertices": self.cap_vertices,
         }
@@ -145,7 +139,6 @@ _FLAGS = (
     ("seed", "--seed", int),
     ("budget_nodes", "--budget-nodes", int),
     ("budget_millis", "--budget-ms", int),
-    ("arith", "--arith", str),
     ("cap_ground", "--cap-ground", int),
     ("cap_vertices", "--cap-vertices", int),
     ("out", "--out", str),
@@ -157,8 +150,7 @@ def _add_common(parser: argparse.ArgumentParser, *fields: str) -> None:
     subcommand reads.  Any other flag is a usage error."""
     for field, flag, cast in _FLAGS:
         if field == "out" or field in fields:
-            choices = ARITH_MODES if field == "arith" else None
-            parser.add_argument(flag, type=cast, choices=choices, default=None)
+            parser.add_argument(flag, type=cast, default=None)
     if "wall_clock" in fields:
         parser.add_argument("--wall-clock", action="store_true")
 
@@ -319,10 +311,9 @@ def _analyze_complex(complex_: SimplicialComplex, config: RunConfig) -> dict:
     tau_k, cert, tau_exact = complex_comatching_number(complex_, budgets["comatching"])
     if not _check(cert, complex_=complex_).ok:
         raise AssertionError("internal: complex comatching certificate failed")
-    profile = reduced_betti(complex_, config.arith, budgets["homology"])
+    profile = reduced_betti(complex_, budgets["homology"])
     profile_doc = _profile_doc(profile)
-    # Only exact Betti numbers stand in for lk {} = K; GF(p) ones may be lower.
-    known = profile.reduced_betti if profile is not None and profile.exact else None
+    known = profile.reduced_betti if profile is not None else None
     leray_value, leray_exact, witness = leray_number(complex_, budgets["leray"], known)
     collapse_status, sequence = is_d_collapsible(
         complex_, max(leray_value, 1), budgets["collapse"]
@@ -462,7 +453,7 @@ def _profile_doc(profile: Optional[HomologyProfile]) -> dict:
 
 def cmd_homology(args: argparse.Namespace, config: RunConfig) -> tuple[dict, int]:
     complex_, _ = jsonio.complex_from_doc(_load_doc(args.path))
-    profile = reduced_betti(complex_, config.arith, config.budget())
+    profile = reduced_betti(complex_, config.budget())
     return _profile_doc(profile), EXIT_BUDGET if profile is None else EXIT_OK
 
 
@@ -507,12 +498,11 @@ def cmd_check_theorems(args: argparse.Namespace, config: RunConfig) -> tuple[dic
 
     Covers: certificate validity, tau' in {tau-1, tau}, the chain
     h <= eta <= 1 + tau' <= 1 + tau, eta = tau when tau' = tau - 1,
-    dichotomy soundness, prime-field/rational homology agreement, the
-    join profile identity, and collapsibility of the nerve bounding the
-    colorful Helly number.  Nonzero exit on any violation.  Each search gets
-    the run's budget; a system or complex counts as checked only when all
-    its searches finished.  The dichotomy ends within |ground| rounds, so
-    it needs no budget.
+    dichotomy soundness, the join profile identity, and collapsibility of
+    the nerve bounding the colorful Helly number.  Nonzero exit on any
+    violation.  Each search gets the run's budget; a system or complex
+    counts as checked only when all its searches finished.  The dichotomy
+    ends within |ground| rounds, so it needs no budget.
     """
     rng = random.Random(config.seed)
     violations: list[str] = []
@@ -564,16 +554,8 @@ def cmd_check_theorems(args: argparse.Namespace, config: RunConfig) -> tuple[dic
         complex_ = random_complex(rng, 5, 4)
         other = random_complex(rng, 4, 3)
         system = random_system(rng, 5, 5)
-        exact_profile = reduced_betti(complex_, "exact", config.budget())
-        prime_profile = reduced_betti(complex_, "prime", config.budget())
-        finished = exact_profile is not None and prime_profile is not None
-        if finished and exact_profile.reduced_betti != prime_profile.reduced_betti:
-            violations.append(
-                f"{tag}: prime-field profile {prime_profile.reduced_betti} "
-                f"disagrees with exact {exact_profile.reduced_betti} (torsion?)"
-            )
         kv = kunneth_betti_check(complex_, other, config.budget())
-        finished &= kv.status != "budget_exhausted"
+        finished = kv.status != "budget_exhausted"
         if kv.status == "mismatch":
             violations.append(f"{tag}: join profile identity fails: {kv.violations}")
         if any(not elems for _, elems in system.members):
@@ -725,7 +707,7 @@ def _check(cert, system=None, complex_=None, instance=None) -> Verdict:
             return Verdict.failed(
                 [f"witness dimension {dim} is below the Leray threshold {cert.d}"]
             )
-        betti = reduced_betti(induced_subcomplex(complex_, vertices), "exact").reduced_betti
+        betti = reduced_betti(induced_subcomplex(complex_, vertices)).reduced_betti
         if 0 <= dim < len(betti) and betti[dim] != 0:
             return Verdict.passed()
         return Verdict.failed(
@@ -769,8 +751,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="full invariant report for a system or complex")
     p.add_argument("path")
     _add_common(
-        p, "seed", "budget_nodes", "budget_millis", "arith", "cap_ground",
-        "cap_vertices", "wall_clock",
+        p, "budget_nodes", "budget_millis", "cap_ground", "cap_vertices", "wall_clock"
     )
     p.set_defaults(run=lambda args, config: (cmd_analyze(args.path, config), EXIT_OK))
 
@@ -797,7 +778,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("homology", help="reduced Betti numbers of a complex")
     p.add_argument("path")
-    _add_common(p, "budget_nodes", "budget_millis", "arith")
+    _add_common(p, "budget_nodes", "budget_millis")
     p.set_defaults(run=cmd_homology)
 
     p = sub.add_parser("collapse", help="search for a d-collapse sequence")

@@ -329,8 +329,8 @@ def instance_to_doc(instance: ColorfulInstance, system: SetSystem) -> dict:
 def profile_to_doc(profile: HomologyProfile) -> dict:
     doc = {
         "reduced_betti": list(profile.reduced_betti),
-        "arithmetic_mode": profile.arithmetic_mode,
-        "exact": profile.exact,
+        "arithmetic_mode": "exact-rational",  # the only arithmetic; kept in the schema
+        "exact": True,  # kept in comatch-report/1: perfbench/gate.py reads it
     }
     if profile.notes:
         doc["notes"] = list(profile.notes)

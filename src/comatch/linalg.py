@@ -6,10 +6,6 @@ under nonzero row scaling), each row is reduced by its gcd to contain
 entry growth, and pivots prefer entries of magnitude 1 with low Markowitz
 fill.  Boundary matrices of simplicial complexes are sparse with entries
 in {-1, 0, 1}, which this is tuned for.
-
-The same elimination, with every entry it writes reduced mod a prime
-p, gives the rank over GF(p): a lower bound for the rational rank (equal
-except on torsion at p, which callers cross-check), at about its cost.
 """
 
 from __future__ import annotations
@@ -21,27 +17,15 @@ from typing import Optional, Sequence
 
 from .core import SearchBudget
 
-__all__ = ["FIELD_PRIME", "rank_exact", "solve_exact"]
-
-FIELD_PRIME = 2_147_483_647  # 2^31 - 1
+__all__ = ["rank_exact", "solve_exact"]
 
 
-def _rank_sparse(
-    rows: list[dict[int, int]],
-    budget: SearchBudget,
-    prime: Optional[int],
-) -> Optional[int]:
-    """Rank of the row dicts, over GF(prime) when a prime is given.
+def _rank_sparse(rows: list[dict[int, int]], budget: SearchBudget) -> Optional[int]:
+    """Rank over the rationals of the integer row dicts.
 
-    Over GF(prime) every entry written (input, scaled or updated) is kept
-    as its symmetric residue in (-prime/2, prime/2], so +-1 stays +-1 and
-    the pivot rule, the division-free update and the gcd reduction apply
-    unchanged: a gcd below prime is a unit mod prime.  Each pivot spends
-    one node of ``budget``; None when it runs out.
+    Each pivot spends one node of ``budget``; None when it runs out.
     """
     rows = [dict(r) for r in rows if r]
-    if prime is not None:
-        rows = [{c: _residue(v, prime) for c, v in r.items() if v % prime} for r in rows]
 
     col_rows: dict[int, set[int]] = {}
     for i, r in enumerate(rows):
@@ -82,31 +66,21 @@ def _rank_sparse(
             row = rows[i]
             factor = row[pc]
             if pval == 1:
-                _axpy(row, prow, -factor, i, col_rows, prime)
+                _axpy(row, prow, -factor, i, col_rows)
             elif pval == -1:
-                _axpy(row, prow, factor, i, col_rows, prime)
+                _axpy(row, prow, factor, i, col_rows)
             else:
-                _scale(row, pval, prime)
-                _axpy(row, prow, -factor, i, col_rows, prime)
+                _scale(row, pval)
+                _axpy(row, prow, -factor, i, col_rows)
                 _reduce_gcd(row)
             heapq.heappush(heap, (len(row), i))
     return rank
 
 
-def _residue(value: int, prime: int) -> int:
-    # The residue of value mod prime in (-prime/2, prime/2].
-    half = (prime - 1) // 2
-    return (value + half) % prime - half
-
-
-def _axpy(
-    row: dict[int, int], src: dict[int, int], scale: int, i, col_rows, prime
-) -> None:
+def _axpy(row: dict[int, int], src: dict[int, int], scale: int, i, col_rows) -> None:
     # row += scale * src, maintaining the column index.
     for c, v in src.items():
         new = row.get(c, 0) + scale * v
-        if prime is not None:
-            new = _residue(new, prime)
         if new:
             if c not in row:
                 col_rows.setdefault(c, set()).add(i)
@@ -116,12 +90,9 @@ def _axpy(
             col_rows[c].discard(i)
 
 
-def _scale(row: dict[int, int], factor: int, prime) -> None:
-    # Both factors are nonzero mod prime, so no entry becomes zero.
+def _scale(row: dict[int, int], factor: int) -> None:
     for c in row:
         row[c] *= factor
-        if prime is not None:
-            row[c] = _residue(row[c], prime)
 
 
 def _reduce_gcd(row: dict[int, int]) -> None:
@@ -137,7 +108,7 @@ def _reduce_gcd(row: dict[int, int]) -> None:
 
 def rank_exact(rows: Sequence[dict[int, int]]) -> int:
     """Rank over the rationals of a sparse integer matrix given as row dicts."""
-    return _rank_sparse(list(rows), SearchBudget(), prime=None)
+    return _rank_sparse(list(rows), SearchBudget())
 
 
 def solve_exact(

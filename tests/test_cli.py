@@ -144,8 +144,8 @@ class TestAnalyze:
 
     def test_determinism_byte_identical(self, sharp2_path, tmp_path, capsys):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
-        assert main(["analyze", str(sharp2_path), "--seed", "5", "--out", str(a)]) == 0
-        assert main(["analyze", str(sharp2_path), "--seed", "5", "--out", str(b)]) == 0
+        assert main(["analyze", str(sharp2_path), "--out", str(a)]) == 0
+        assert main(["analyze", str(sharp2_path), "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
     def test_minimal_empty_subfamilies_enumerated_once(
@@ -312,13 +312,16 @@ class TestPipelines:
         assert code == 0
         assert report["loader_notes"] == ["isolated vertices present: ['E']"]
 
-    def test_prime_mode_flagged(self, torus_path, capsys):
-        code, profile = run_cli(
-            capsys, "homology", str(torus_path), "--arith", "prime"
-        )
-        assert code == 0
-        assert profile["exact"] is False
-        assert profile["reduced_betti"] == [0, 2, 1, 0]
+    def test_arith_flag_is_a_usage_error(self, torus_path, capsys):
+        # Homology is computed over the rationals only; there is no mode.
+        for argv in (
+            ["homology", str(torus_path), "--arith", "prime"],
+            ["analyze", str(torus_path), "--arith", "exact"],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            assert capsys.readouterr().out == ""
 
     def test_collapse_and_verify(self, torus_path, tmp_path, capsys):
         seq_path = tmp_path / "collapse.json"
@@ -386,7 +389,7 @@ class TestPipelines:
 
 
 class TestAnalyzeComplexHomologyOnce:
-    """In exact mode the Leray pass takes lk {} = K from the homology phase."""
+    """The Leray pass takes lk {} = K from the homology phase."""
 
     def test_budget_cut_leray_keeps_the_bound_its_betti_prove(
         self, torus_path, tmp_path, capsys
@@ -413,37 +416,28 @@ class TestAnalyzeComplexHomologyOnce:
             "comatching": 227, "homology": 161, "leray": 96, "collapse": 112
         },
     }
-    #: A GF(p) profile certifies nothing, so prime mode still computes lk {}.
-    PRIME_LERAY_NODES = {"torus": 80, "hamming-nerve": 258}
 
-    @pytest.mark.parametrize("arith", ["exact", "prime"])
     @pytest.mark.parametrize("name", sorted(PINNED_NODES))
-    def test_node_counts_pinned(
-        self, name, arith, torus_path, hamming_nerve_path, capsys
-    ):
+    def test_node_counts_pinned(self, name, torus_path, hamming_nerve_path, capsys):
         source = torus_path if name == "torus" else hamming_nerve_path
-        code, report = run_cli(capsys, "analyze", str(source), "--arith", arith)
+        code, report = run_cli(capsys, "analyze", str(source))
         assert code == 0
-        nodes = dict(self.PINNED_NODES[name])
-        if arith == "prime":
-            nodes["leray"] = self.PRIME_LERAY_NODES[name]
-        assert report["timing"] == {"nodes": nodes}
+        assert report["timing"] == {"nodes": self.PINNED_NODES[name]}
         assert report["results"]["leray_number"] == {"value": 3, "exact": True}
 
     def test_homology_of_k_computed_once(self, monkeypatch):
         from comatch import cli, topology
         from comatch.constructions import gen_hamming_system, gen_torus_grid_complex
-        from comatch.linalg import FIELD_PRIME
         from comatch.randsys import random_complex
         from comatch.simplicial import nerve
 
         calls = []
         betti_from = topology._betti_from
 
-        def spy(complex_, low, budget, prime=None):
+        def spy(complex_, low, budget):
             if low == 0:
-                calls.append((complex_.num_vertices, prime))
-            return betti_from(complex_, low, budget, prime)
+                calls.append(complex_.num_vertices)
+            return betti_from(complex_, low, budget)
 
         monkeypatch.setattr(topology, "_betti_from", spy)
         rng = random.Random(3)
@@ -451,16 +445,9 @@ class TestAnalyzeComplexHomologyOnce:
             gen_torus_grid_complex(4, 2), nerve(gen_hamming_system(4, 1))
         ] + [random_complex(rng, 8, 7) for _ in range(200)]
         for k in complexes:
-            for arith in ("exact", "prime"):
-                calls.clear()
-                cli._analyze_complex(k, cli.RunConfig(arith=arith))
-                whole = [prime for n, prime in calls if n == k.num_vertices]
-                if arith == "exact":
-                    assert whole == [None]
-                else:
-                    # One GF(p) homology phase, then lk {} unless K is a simplex.
-                    lk_empty = [None] if len(k.facets) > 1 else []
-                    assert whole == [FIELD_PRIME] + lk_empty
+            calls.clear()
+            cli._analyze_complex(k, cli.RunConfig())
+            assert calls.count(k.num_vertices) == 1
 
 
 class TestVerify:
@@ -723,16 +710,24 @@ class TestSuites:
         assert main(["analyze", str(sharp2_path)]) == 0
         assert out.exists()
 
-    def test_bad_arith_is_an_input_error_by_flag_and_env(
-        self, sharp2_path, capsys, monkeypatch
+    def test_arith_variable_is_ignored(
+        self, sharp2_path, torus_path, tmp_path, capsys, monkeypatch
     ):
-        with pytest.raises(SystemExit) as exc:
-            main(["analyze", str(sharp2_path), "--arith", "bogus"])
-        assert exc.value.code == 2
-        monkeypatch.setenv("COMATCH_ARITH", "bogus")
-        assert main(["analyze", str(sharp2_path)]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == "" and "bogus" in captured.err
+        # COMATCH_ARITH names no field, so it leaves every report as it was,
+        # "arith": "exact" included.
+        runs = (
+            ["analyze", str(sharp2_path)],
+            ["analyze", str(torus_path)],
+            ["check-theorems", "--systems", "4"],
+        )
+        for i, argv in enumerate(runs):
+            plain, with_env = tmp_path / f"plain{i}.json", tmp_path / f"env{i}.json"
+            monkeypatch.delenv("COMATCH_ARITH", raising=False)
+            assert main([*argv, "--out", str(plain)]) == 0
+            monkeypatch.setenv("COMATCH_ARITH", "prime")
+            assert main([*argv, "--out", str(with_env)]) == 0
+            assert plain.read_bytes() == with_env.read_bytes()
+            assert json.loads(plain.read_text())["config"]["arith"] == "exact"
 
 
 class TestParserReuse:
@@ -768,12 +763,12 @@ class TestParserReuse:
 # The flags each subcommand accepts besides -h: --out and those it reads.
 ACCEPTED_OPTIONS = {
     "analyze": {
-        "--seed", "--budget-nodes", "--budget-ms", "--arith", "--cap-ground",
-        "--cap-vertices", "--wall-clock",
+        "--budget-nodes", "--budget-ms", "--cap-ground", "--cap-vertices",
+        "--wall-clock",
     },
     "generate": {"--seed"},
     "nerve": set(),
-    "homology": {"--budget-nodes", "--budget-ms", "--arith"},
+    "homology": {"--budget-nodes", "--budget-ms"},
     "collapse": {"--budget-nodes", "--budget-ms", "--strict-size"},
     "leray": {"--budget-nodes", "--budget-ms"},
     "dichotomy": set(),
@@ -798,7 +793,7 @@ class TestPerCommandFlags:
         assert accepted == {
             name: flags | {"--out"} for name, flags in ACCEPTED_OPTIONS.items()
         }
-        assert sum(map(len, accepted.values())) == 35
+        assert sum(map(len, accepted.values())) == 32
 
     def test_flags_a_command_does_not_read_are_usage_errors(
         self, sharp2_path, tmp_path, capsys
@@ -810,20 +805,25 @@ class TestPerCommandFlags:
         cert.write_text(json.dumps(certificates["comatching"]))
         for argv in (
             ["verify", str(cert), str(sharp2_path), "--budget-nodes", "0"],
-            ["nerve", str(sharp2_path), "--arith", "prime"],
+            ["analyze", str(sharp2_path), "--seed", "5"],
         ):
             with pytest.raises(SystemExit) as exc:
                 main(argv)
             assert exc.value.code == 2
             assert capsys.readouterr().out == ""
 
-    def test_environment_still_sets_every_field(self, monkeypatch, capsys):
-        # check-theorems has no --arith or --cap-* flag, yet echoes them.
-        monkeypatch.setenv("COMATCH_ARITH", "prime")
+    def test_environment_still_sets_every_field(self, sharp2_path, monkeypatch, capsys):
+        # check-theorems has no --cap-* flag, and analyze no --seed, yet
+        # each echoes them.
+        monkeypatch.setenv("COMATCH_CAP_VERTICES", "7")
         monkeypatch.setenv("COMATCH_CAP_GROUND", "9")
         code, doc = run_cli(capsys, "check-theorems", "--systems", "2")
         assert code == 0
-        assert (doc["config"]["arith"], doc["config"]["cap_ground"]) == ("prime", 9)
+        assert (doc["config"]["cap_vertices"], doc["config"]["cap_ground"]) == (7, 9)
+        monkeypatch.setenv("COMATCH_SEED", "5")
+        code, doc = run_cli(capsys, "analyze", str(sharp2_path))
+        assert code == 0
+        assert doc["config"]["seed"] == 5
 
 
 def _run_module(*argv):

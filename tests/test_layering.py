@@ -57,7 +57,7 @@ def test_one_budget_type():
 
 
 def test_one_row_update_for_both_fields():
-    # Rank over GF(p) runs the rational kernel on residues: one row update.
+    # The rank kernel has one row update.
     helpers = {n for n in defined_names(PACKAGE / "linalg.py") if n.startswith("_axpy")}
     assert helpers == {"_axpy"}
 
