@@ -39,7 +39,6 @@ from .search import (
 from .simplicial import (
     ComplexComatching,
     SimplicialComplex,
-    are_isomorphic,
     complex_comatching_number,
     complex_to_set_system,
     faces_of_dim,

@@ -5,17 +5,17 @@ enumerated on demand as the downward closure.  Vertices carry string
 labels; faces and facets are sets of vertex indices.
 
 The nerve of a set system has one vertex per member and a face for every
-subfamily with a common point.  ``complex_to_set_system`` inverts this up
-to isomorphism for complexes without isolated vertices, with the
-comatching number of the produced system at most max(2, comatching number
-of the complex).
+subfamily with a common point.  ``complex_to_set_system`` inverts this
+for complexes without isolated vertices: the nerve of the produced system
+is the complex itself, label for label, and its comatching number is at
+most max(2, comatching number of the complex).
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, count
 from typing import Iterable, Iterator, Optional
 
 from .core import InputError, SearchBudget, SetSystem, Verdict
@@ -30,7 +30,6 @@ __all__ = [
     "join",
     "induced_subcomplex",
     "faces_of_dim",
-    "are_isomorphic",
 ]
 
 
@@ -214,12 +213,15 @@ def nerve(system: SetSystem) -> SimplicialComplex:
 
 
 def complex_to_set_system(complex_: SimplicialComplex) -> SetSystem:
-    """Set system whose nerve is isomorphic to the given complex.
+    """Set system whose nerve is the complex itself, label for label.
 
     Ground set: the vertices plus one element per facet.  The member for
-    vertex v consists of v itself and the facets containing v.  Requires a
-    complex without isolated vertices; the comatching number of the result
-    is at most max(2, comatching number of the complex).
+    vertex v is named after v and consists of v itself and the facets
+    containing v, so the members through facet i's element are exactly
+    its vertices.  Facet i's element is labelled by its vertices in braces,
+    or when that is taken by the first free suffix ``#j`` with j >= i.
+    Requires a complex without isolated vertices; the comatching number of
+    the result is at most max(2, comatching number of the complex).
     """
     isolated = complex_.isolated_vertices()
     if isolated:
@@ -234,7 +236,9 @@ def complex_to_set_system(complex_: SimplicialComplex) -> SetSystem:
     for i, f in enumerate(complex_.facets):
         label = "{" + "+".join(complex_.vertex_labels(f)) + "}"
         if label in taken:
-            label = f"{label}#{i}"
+            label = next(
+                c for c in (f"{label}#{j}" for j in count(i)) if c not in taken
+            )
         taken.add(label)
         facet_ground_index.append(len(ground))
         ground.append(label)
@@ -364,97 +368,3 @@ def faces_of_dim(complex_: SimplicialComplex, i: int) -> tuple[frozenset[int], .
             for c in combinations(base, i + 1):
                 seen.add(c)
     return tuple(frozenset(c) for c in sorted(seen))
-
-
-# ---------------------------------------------------------------------------
-# Isomorphism (desk scale)
-# ---------------------------------------------------------------------------
-
-
-_SIGNATURE_ROUNDS = 3
-
-
-def _vertex_signatures(complex_: SimplicialComplex) -> list[tuple]:
-    star = [[complex_.facets[i] for i in _bits(c)] for c in complex_.containing]
-    sigs: list[tuple] = [tuple(sorted(len(f) for f in fs)) for fs in star]
-    for _ in range(_SIGNATURE_ROUNDS):
-        sigs = [
-            (sigs[v], tuple(sorted(tuple(sorted(sigs[u] for u in f)) for f in fs)))
-            for v, fs in enumerate(star)
-        ]
-    return sigs
-
-
-def _neighbour_bits(complex_: SimplicialComplex) -> list[int]:
-    """Per vertex, the bitset of the other vertices it shares a facet with."""
-    adj = [0] * complex_.num_vertices
-    for f in complex_.facets:
-        mask = sum(1 << v for v in f)
-        for v in f:
-            adj[v] |= mask
-    return [a & ~(1 << v) for v, a in enumerate(adj)]
-
-
-def are_isomorphic(left: SimplicialComplex, right: SimplicialComplex) -> bool:
-    """Search for a vertex bijection carrying facets onto facets.
-
-    Candidate images are filtered by iterated vertex signatures and by
-    pairwise co-facet adjacency; intended for desk-scale complexes.
-    """
-    if left.num_vertices != right.num_vertices:
-        return False
-    if sorted(len(f) for f in left.facets) != sorted(len(f) for f in right.facets):
-        return False
-    n = left.num_vertices
-    lsig = _vertex_signatures(left)
-    rsig = _vertex_signatures(right)
-    if sorted(lsig) != sorted(rsig):
-        return False
-
-    ladj, radj = _neighbour_bits(left), _neighbour_bits(right)
-    right_facets = set(right.facets)
-    by_signature = defaultdict(list)
-    for u in range(n):
-        by_signature[rsig[u]].append(u)
-    candidates = [by_signature[lsig[v]] for v in range(n)]
-    order = sorted(range(n), key=lambda v: len(candidates[v]))
-    mapping: dict[int, int] = {}
-    used = 0  # bitset of the right vertices mapped onto
-    # images[v] holds the images of v's mapped neighbours.  A candidate u
-    # keeps co-facet adjacency with every mapped vertex exactly when its own
-    # neighbours among the used vertices are those images.
-    images = [0] * n
-    # Depth-first on an explicit stack: tried[k] counts the candidates of
-    # order[k] tried so far, and order[:len(tried) - 1] is mapped.
-    tried = [0]
-    while tried:
-        k = len(tried) - 1
-        if k == n:
-            if all(
-                frozenset(mapping[v] for v in f) in right_facets for f in left.facets
-            ):
-                return True
-        else:
-            v = order[k]
-            options = candidates[v]
-            while tried[k] < len(options):
-                u = options[tried[k]]
-                tried[k] += 1
-                if not used >> u & 1 and images[v] == radj[u] & used:
-                    mapping[v] = u
-                    used |= 1 << u
-                    for w in _bits(ladj[v]):
-                        images[w] |= 1 << u
-                    tried.append(0)
-                    break
-            if len(tried) > k + 1:
-                continue
-        # Position k is exhausted: undo the assignment before it.
-        tried.pop()
-        if tried:
-            v = order[k - 1]
-            u = mapping.pop(v)
-            used ^= 1 << u
-            for w in _bits(ladj[v]):
-                images[w] ^= 1 << u
-    return False

@@ -458,13 +458,7 @@ def oracle_colorful_helly_number(system: SetSystem, max_n: int = 6) -> int:
     raise AssertionError(f"oracle eta exceeded the cap {max_n}")
 
 
-def oracle_are_isomorphic(left, right) -> bool:
-    """Whether some vertex bijection maps the facets of left onto those of
-    right, by trying every permutation (desk scale: n <= 7)."""
-    if left.num_vertices != right.num_vertices:
-        return False
-    target = set(right.facets)
-    return any(
-        {frozenset(perm[v] for v in f) for f in left.facets} == target
-        for perm in permutations(range(left.num_vertices))
-    )
+def same_complex(left, right) -> bool:
+    """Equal label for label: the same vertex tuple and the same facet set
+    (the dataclass ``==`` also compares the order of the facets)."""
+    return left.vertices == right.vertices and set(left.facets) == set(right.facets)

@@ -8,6 +8,7 @@ recursion limit.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -89,3 +90,18 @@ def test_searches_do_not_recurse(module):
     # Every search runs on an explicit stack, so its depth is not bounded
     # by Python's recursion limit.
     assert self_calling_functions(PACKAGE / f"{module}.py") == []
+
+
+def test_exports_are_in_step():
+    # Every ``__all__`` entry is defined, and the package imports from each
+    # module only names that module exports, so a deletion leaves no stale
+    # export behind.
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = importlib.import_module(f"comatch.{path.stem}")
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), (path.stem, name)
+    for node in ast.parse((PACKAGE / "__init__.py").read_text()).body:
+        if isinstance(node, ast.ImportFrom):
+            exported = importlib.import_module(f"comatch.{node.module}").__all__
+            for alias in node.names:
+                assert alias.name in exported, (node.module, alias.name)
