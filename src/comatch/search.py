@@ -4,7 +4,9 @@ Everything here is exact and certificate-producing:
 
 * ``comatching_number`` / ``comatching_with_intersection_number`` run a
   bit-parallel maximum-clique search on the compatibility graph of the
-  (member, point) pairs, bounded by greedy colouring.
+  (member, point) pairs, bounded by greedy colouring read from a
+  triangular table of each pair's lower neighbours (n(n+1)/2 bits for n
+  pairs), which colours as the full neighbourhoods would.
 * ``minimal_empty_subfamilies`` enumerates the inclusion-minimal
   subfamilies with empty intersection (the minimal non-faces of the
   nerve) as minimal hitting sets of the complement hypergraph, holding
@@ -153,6 +155,13 @@ def _comatching_search(
     certificate is the lexicographically first optimum and reruns are
     reproducible.  For tau' a node also carries the intersection of its
     members, and its children keep only the pairs whose member meets it.
+
+    The colouring reads ``lower[i]``, pair i's neighbours below i plus i,
+    built once per search: n(n+1)/2 bits for n pairs, about 0.8 MB on
+    Hamming(6,1)'s 3,648 pairs and 15 MB on Hamming(7,1)'s 15,360.  It
+    gives the classes that the full neighbourhoods give, so the search
+    tree and its node counts are the same.  Children narrow with the
+    full ``containing[p] & inside[m]``, as they need the later pairs.
     """
     masks = system.masks
     full = system.full_mask
@@ -163,6 +172,7 @@ def _comatching_search(
         # positive tau' needs at least one extendable pair.
         candidates = [(m, p) for (m, p) in candidates if masks[m]]
     containing, inside = _compatibility_tables(system, candidates)
+    lower = _lower_neighbours(containing, inside, candidates)
 
     best_pairs: tuple[tuple[int, int], ...] = ()
     best_size = 0
@@ -172,7 +182,7 @@ def _comatching_search(
     # stack[d] is [untried candidates, colour-class tops] of the node at
     # depth d; its pairs are chosen[:d] and its intersection is inters[d].
     root = (1 << len(candidates)) - 1
-    stack = [[root, _class_tops(root, containing, inside, candidates)]]
+    stack = [[root, _class_tops(root, lower)]]
     chosen: list[tuple[int, int]] = []
     inters = [full]
     while stack:
@@ -211,7 +221,7 @@ def _comatching_search(
                 meets |= containing[bit.bit_length() - 1]
             child &= meets
         if size + 1 + child.bit_count() > best_size:
-            tops = _class_tops(child, containing, inside, candidates)
+            tops = _class_tops(child, lower)
             if size + 1 + len(tops) > best_size:
                 stack.append([child, tops])
                 inters.append(inter)
@@ -243,15 +253,28 @@ def _compatibility_tables(
     return containing, inside
 
 
-def _class_tops(
-    cand: int,
+def _lower_neighbours(
     containing: Sequence[int],
     inside: Sequence[int],
     candidates: Sequence[tuple[int, int]],
 ) -> list[int]:
+    """``lower[i]``: pair i's compatible pairs below i, plus i itself.
+    No entry has a bit above its own pair, so the table holds n(n+1)/2
+    bits for n candidate pairs, about n*n/16 bytes."""
+    return [
+        containing[p] & inside[m] & ((1 << i) - 1) | 1 << i
+        for i, (m, p) in enumerate(candidates)
+    ]
+
+
+def _class_tops(cand: int, lower: Sequence[int]) -> list[int]:
     """Greedy colouring of ``cand`` into independent sets, each built from
     the highest uncoloured pair down; returns each class's highest pair as
-    a bit, in descending order."""
+    a bit, in descending order.
+
+    A class takes the highest pair i left in ``free`` and drops i and its
+    neighbours from ``free``.  ``free`` then has no bit above i, so the
+    neighbours below i, ``lower[i]``, are all that need dropping."""
     tops = []
     while cand:
         free = cand
@@ -259,8 +282,7 @@ def _class_tops(
         while free:
             i = free.bit_length() - 1
             cand ^= 1 << i
-            m, p = candidates[i]
-            free &= ~(1 << i | containing[p] & inside[m])
+            free ^= free & lower[i]
     return tops
 
 

@@ -231,6 +231,31 @@ def oracle_is_induced_matching_in_complement(system: SetSystem, pairs) -> bool:
     return True
 
 
+def oracle_pairs_compatible(system: SetSystem, a, b) -> bool:
+    """Whether the (member, point) pairs a and b can share a comatching:
+    each pair's point lies in the other pair's member."""
+    (m, p), (n, q) = a, b
+    return p in system.member_elements(n) and q in system.member_elements(m)
+
+
+def oracle_first_fit_class_tops(system: SetSystem, pairs, chosen):
+    """First-fit colouring of ``pairs[i]`` for i in ``chosen``, from the
+    highest index down: each pair joins the first class holding no pair
+    compatible with it, else opens a new one.  Returns each class's first,
+    so highest, index, in class order."""
+    classes = []
+    for i in sorted(chosen, reverse=True):
+        for members in classes:
+            if not any(
+                oracle_pairs_compatible(system, pairs[i], pairs[j]) for j in members
+            ):
+                members.append(i)
+                break
+        else:
+            classes.append([i])
+    return [members[0] for members in classes]
+
+
 def oracle_instance_admits_empty_transversal(system: SetSystem, families) -> bool:
     """Plain product scan over all transversals, on point bitmasks built here."""
     mask = {j: sum(1 << p for p in system.member_elements(j)) for f in families for j in f}

@@ -30,17 +30,24 @@ from comatch.search import (
     instance_admits_empty_transversal,
     minimal_empty_subfamilies,
 )
-from comatch.search import _exposable_members
+from comatch.search import (
+    _class_tops,
+    _compatibility_tables,
+    _exposable_members,
+    _lower_neighbours,
+)
 
 from oracles import (
     oracle_colorful_helly_number,
     oracle_comatching_number,
     oracle_eta_level_search,
     oracle_comatching_with_intersection_number,
+    oracle_first_fit_class_tops,
     oracle_helly_number,
     oracle_instance_admits_empty_transversal,
     oracle_lex_first_comatching,
     oracle_minimal_empty_subfamilies,
+    oracle_pairs_compatible,
 )
 
 
@@ -180,6 +187,82 @@ class TestLexFirstCertificates:
             assert cert is None
         else:
             assert (cert.base.pairs, cert.common_point) == (pairs, common)
+
+
+class TestPinnedSearches:
+    """Values, node counts and certificates (pairs as (point, member)
+    indices, then the common point) of tau and tau' on systems where the
+    colouring bound does most of the pruning."""
+
+    H61_TAU = ((3, 0), (2, 1), (1, 2), (0, 3))
+    M12_TAU = (
+        (0, 0), (5, 2), (6, 3), (11, 5), (12, 6), (17, 8), (18, 9), (23, 11),
+        (2, 12), (3, 13), (8, 15), (9, 16), (14, 18), (15, 19), (20, 21), (21, 22),
+    )
+    M12_TAU_PRIME = (
+        (0, 0), (2, 1), (6, 3), (11, 5), (12, 6), (17, 8), (18, 9), (23, 11),
+        (4, 13), (8, 15), (9, 16), (14, 18), (15, 19), (20, 21), (21, 22),
+    )
+
+    @pytest.mark.parametrize(
+        "build, tau, prime",
+        [
+            pytest.param(
+                lambda: gen_hamming_system(6, 1),
+                (4, 3_424, H61_TAU),
+                (3, 6_558, H61_TAU[:3], 0),
+                id="hamming-6-1",
+            ),
+            pytest.param(
+                lambda: gen_cycle_sharpness(12),
+                (16, 5_152, M12_TAU),
+                (15, 10_396, M12_TAU_PRIME, 5),
+                id="cycle-sharpness-12",
+            ),
+        ],
+    )
+    def test_values_nodes_and_certificates(self, build, tau, prime):
+        system = build()
+        budget = SearchBudget()
+        value, cert, exact = comatching_number(system, budget)
+        assert exact and (value, budget.nodes, cert.pairs) == tau
+        budget = SearchBudget()
+        value, cert, exact = comatching_with_intersection_number(system, budget)
+        assert exact
+        assert (value, budget.nodes, cert.base.pairs, cert.common_point) == prime
+
+
+class TestClassTops:
+    """The colouring behind the clique bound, against a first-fit colouring
+    built from the pair definition, on every candidate pair of a system
+    and on random subsets of them."""
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_lower_table_and_tops_equal_first_fit(self, seed):
+        system = density_system(seed + 9000)
+        rng = random.Random(seed + 9000)
+        pairs = [
+            (m, p)
+            for m in range(system.num_members)
+            for p in range(system.num_points)
+            if p not in system.member_elements(m)
+        ]
+        lower = _lower_neighbours(*_compatibility_tables(system, pairs), pairs)
+        for i, entry in enumerate(lower):
+            below = [
+                j for j in range(i) if oracle_pairs_compatible(system, pairs[i], pairs[j])
+            ]
+            # Pair i's own bit is the highest one: the table stays triangular.
+            assert entry >> i == 1
+            assert entry == sum(1 << j for j in below) | 1 << i
+        subsets = [range(len(pairs))]
+        for _ in range(20):
+            share = rng.random()
+            subsets.append([i for i in range(len(pairs)) if rng.random() < share])
+        for chosen in subsets:
+            cand = sum(1 << i for i in chosen)
+            tops = oracle_first_fit_class_tops(system, pairs, chosen)
+            assert _class_tops(cand, lower) == [1 << i for i in tops]
 
 
 def square_system(seed, n):

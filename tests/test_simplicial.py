@@ -242,9 +242,10 @@ class TestConversion:
 
     @pytest.mark.parametrize("seed", range(25))
     def test_roundtrip_isomorphism_and_tau_bound_on_random_complexes(self, seed):
-        k = random_complex(random.Random(seed + 200), 6, 5)
-        if k.isolated_vertices():
-            return
+        rng = random.Random(seed + 200)
+        k = random_complex(rng, 6, 5)
+        while k.isolated_vertices():
+            k = random_complex(rng, 6, 5)
         s = complex_to_set_system(k)
         assert same_complex(nerve(s), k)
         tau_sys, _, e1 = comatching_number(s)
