@@ -5,18 +5,19 @@ dichotomy, check-theorems, question1, verify.  Every subcommand takes
 --out; each takes only those of --seed, --budget-nodes, --budget-ms,
 --cap-ground, --cap-vertices and --wall-clock that it reads, and any
 other flag is a usage error (exit 2).  Each subparser names its
-handler, which returns the document and the exit code.  All of these but
---wall-clock can also be set through COMATCH_* environment variables, for
-every subcommand; explicit flags win.
+handler, which returns the document and the exit code.  Flags are the
+only source of settings: a setting a subcommand has no flag for keeps
+RunConfig's default, and no environment variable is read.
 
-Exit codes: 0 success, 1 invariant or suite failure, 2 input error,
-3 budget exhaustion where the command needed an exact answer: homology,
-collapse and leray, whose document then reads "status": "budget_exhausted".
+Exit codes: 0 success, 1 invariant or suite failure, 2 input error (an
+unreadable file included), 3 budget exhaustion where the command needed
+an exact answer: homology, collapse and leray, whose document then reads
+"status": "budget_exhausted".
 
-Reports are deterministic: identical configuration and seed produce
-byte-identical output.  Wall-clock timing is therefore opt-in
-(--wall-clock); the default timing section carries search-node counters
-only.
+Reports are deterministic: a report depends only on the argv and the
+input files, and identical ones produce byte-identical output.
+Wall-clock timing is therefore opt-in (--wall-clock); the default timing
+section carries search-node counters only.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import random
 import sys
 import time
@@ -66,7 +66,6 @@ from .simplicial import (
 )
 from .topology import (
     CollapseSequence,
-    HomologyProfile,
     LerayVerdict,
     is_d_collapsible,
     kunneth_betti_check,
@@ -81,7 +80,6 @@ EXIT_FAILURE = 1
 EXIT_INPUT = 2
 EXIT_BUDGET = 3
 
-ENV_PREFIX = "COMATCH_"
 REPORT_SCHEMA = "comatch-report/1"
 
 
@@ -122,19 +120,8 @@ def _capped_budget(
     )
 
 
-def _env(name: str, cast, fallback):
-    raw = os.environ.get(ENV_PREFIX + name)
-    if raw is None:
-        return fallback
-    try:
-        return cast(raw)
-    except ValueError:
-        raise InputError(f"bad value for {ENV_PREFIX}{name}: {raw!r}") from None
-
-
-# RunConfig fields set by a flag or by an environment variable, in help
-# order: field, flag, type.  The variable is COMATCH_ and the flag's name in
-# upper case, e.g. COMATCH_BUDGET_MS.  --wall-clock has no variable.
+# RunConfig fields set by a flag, in help order: field, flag, type.  args
+# holds each under the flag's name (budget_ms), as the usage text shows it.
 _FLAGS = (
     ("seed", "--seed", int),
     ("budget_nodes", "--budget-nodes", int),
@@ -150,41 +137,46 @@ def _add_common(parser: argparse.ArgumentParser, *fields: str) -> None:
     subcommand reads.  Any other flag is a usage error."""
     for field, flag, cast in _FLAGS:
         if field == "out" or field in fields:
-            parser.add_argument(flag, type=cast, default=None)
+            parser.add_argument(flag, type=cast, default=getattr(RunConfig, field))
     if "wall_clock" in fields:
         parser.add_argument("--wall-clock", action="store_true")
 
 
 def _config(args: argparse.Namespace) -> RunConfig:
-    """Each field from its flag where the subcommand has one and it is given,
-    else from its COMATCH_ variable, else the default."""
+    """Each field from its flag where the subcommand has one, else the default."""
     values = {}
-    for field, flag, cast in _FLAGS:
+    for field, flag, _ in _FLAGS:
         name = flag[2:].replace("-", "_")
-        value = getattr(args, name, None)
-        if value is None:
-            value = _env(name.upper(), cast, getattr(RunConfig, field))
-        values[field] = value
+        if hasattr(args, name):
+            values[field] = getattr(args, name)
     return RunConfig(**values, wall_clock=getattr(args, "wall_clock", False))
 
 
 def _load_doc(path: str) -> dict:
+    """The JSON document in a UTF-8 file; failing to read it is an input error."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except FileNotFoundError:
         raise InputError(f"no such file: {path}") from None
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise InputError(f"{path}: not UTF-8 text") from None
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
 
 
 def _emit(doc: dict, cfg_out: Optional[str]) -> None:
     text = jsonio.dump_canonical(doc)
-    if cfg_out:
-        with open(cfg_out, "w") as fh:
-            fh.write(text)
-    else:
+    if not cfg_out:
         sys.stdout.write(text)
+        return
+    try:
+        with open(cfg_out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {cfg_out}: {exc.strerror}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +304,6 @@ def _analyze_complex(complex_: SimplicialComplex, config: RunConfig) -> dict:
     if not _check(cert, complex_=complex_).ok:
         raise AssertionError("internal: complex comatching certificate failed")
     profile = reduced_betti(complex_, budgets["homology"])
-    profile_doc = _profile_doc(profile)
     known = profile.reduced_betti if profile is not None else None
     leray_value, leray_exact, witness = leray_number(complex_, budgets["leray"], known)
     collapse_status, sequence = is_d_collapsible(
@@ -338,7 +329,7 @@ def _analyze_complex(complex_: SimplicialComplex, config: RunConfig) -> dict:
             "num_facets": len(complex_.facets),
             "dim": complex_.dim,
             "comatching_number": {"value": tau_k, "exact": tau_exact},
-            "reduced_betti": profile_doc,
+            "reduced_betti": jsonio.profile_to_doc(profile),
             "leray_number": {"value": leray_value, "exact": leray_exact},
             "collapsible_at_leray_number": collapse_status,
         },
@@ -445,16 +436,10 @@ def cmd_nerve(args: argparse.Namespace, config: RunConfig) -> tuple[dict, int]:
     return jsonio.complex_to_doc(nerve(system)), EXIT_OK
 
 
-def _profile_doc(profile: Optional[HomologyProfile]) -> dict:
-    if profile is None:
-        return {"status": "budget_exhausted"}
-    return jsonio.profile_to_doc(profile)
-
-
 def cmd_homology(args: argparse.Namespace, config: RunConfig) -> tuple[dict, int]:
     complex_, _ = jsonio.complex_from_doc(_load_doc(args.path))
     profile = reduced_betti(complex_, config.budget())
-    return _profile_doc(profile), EXIT_BUDGET if profile is None else EXIT_OK
+    return jsonio.profile_to_doc(profile), EXIT_BUDGET if profile is None else EXIT_OK
 
 
 def cmd_collapse(args: argparse.Namespace, config: RunConfig) -> tuple[dict, int]:
@@ -822,8 +807,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
+    config = _config(args)
     try:
-        config = _config(args)
         doc, code = args.run(args, config)
         _emit(doc, config.out)
         return code

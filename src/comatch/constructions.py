@@ -37,6 +37,8 @@ __all__ = [
 ]
 
 HAMMING_GROUND_CAP = 4096
+# k*k vertices; a torus grid writes at most k^4/4 facet entries, 262,144 here.
+TORUS_VERTEX_CAP = 1024
 POLY_COUNT_CAP = 64
 JOIN_FOLD_CAP = 2
 
@@ -105,10 +107,11 @@ def gen_hamming_system(n: int, t: int, q: int = 2) -> SetSystem:
         raise InputError("alphabet size q must be at least 2")
     if not (0 <= t < n):
         raise InputError("radius t must satisfy 0 <= t < n")
-    size = q**n
-    if size > HAMMING_GROUND_CAP:
+    # q >= 2, so q^n passes the cap iff q^min(n, b) does, b the cap's bit
+    # length; q^n itself can have too many digits to print.
+    if q ** min(n, HAMMING_GROUND_CAP.bit_length()) > HAMMING_GROUND_CAP:
         raise InputError(
-            f"q^n = {size} exceeds the ground-set cap {HAMMING_GROUND_CAP}"
+            f"q^n for n = {n}, q = {q} exceeds the ground-set cap {HAMMING_GROUND_CAP}"
         )
     strings = ["".join(str(d) for d in word) for word in product(range(q), repeat=n)]
     index = {s: i for i, s in enumerate(strings)}
@@ -389,6 +392,10 @@ def gen_torus_grid_complex(k: int = 4, s: int = 2) -> SimplicialComplex:
         raise InputError("subsquare size must be at least 1")
     if k < 2 * s:
         raise InputError("grid size k must be at least 2s for distinct facets")
+    if k * k > TORUS_VERTEX_CAP:
+        raise InputError(
+            f"k^2 vertices for k = {k} exceeds the vertex cap {TORUS_VERTEX_CAP}"
+        )
     vertices = tuple(str(r * k + c + 1) for r in range(k) for c in range(k))
     facets = []
     for r in range(k):

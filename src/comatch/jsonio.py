@@ -13,7 +13,7 @@ InputError naming the field.
 from __future__ import annotations
 
 import json
-from typing import Any
+from typing import Any, Optional
 
 from .core import (
     Comatching,
@@ -326,7 +326,10 @@ def instance_to_doc(instance: ColorfulInstance, system: SetSystem) -> dict:
     }
 
 
-def profile_to_doc(profile: HomologyProfile) -> dict:
+def profile_to_doc(profile: Optional[HomologyProfile]) -> dict:
+    """The reduced Betti numbers, or the budget-exhausted status for None."""
+    if profile is None:
+        return {"status": "budget_exhausted"}
     doc = {
         "reduced_betti": list(profile.reduced_betti),
         "arithmetic_mode": "exact-rational",  # the only arithmetic; kept in the schema

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from comatch.cli import _build_parser, main
+from comatch.cli import RunConfig, _build_parser, main
 from comatch.jsonio import set_system_from_doc
 from comatch.search import (
     colorful_helly_number,
@@ -634,6 +634,29 @@ def test_malformed_document_is_an_input_error(
     assert captured.err.startswith("input error:")
 
 
+# Files that cannot be read, or an --out that cannot be written: each is an
+# input error, not a traceback.
+UNREADABLE = ("a-directory", "not-utf-8", "out-into-a-missing-directory")
+
+
+@pytest.mark.parametrize("case", UNREADABLE)
+def test_unreadable_file_is_an_input_error(case, sharp2_path, tmp_path, capsys):
+    target = tmp_path / "missing" / "report.json"
+    if case == "a-directory":
+        argv = ["analyze", str(tmp_path)]
+    elif case == "not-utf-8":
+        path = tmp_path / "latin1.json"
+        path.write_bytes('{"ground": ["\u00e9"], "members": []}'.encode("latin-1"))
+        argv = ["analyze", str(path)]
+    else:
+        argv = ["analyze", str(sharp2_path), "--out", str(target)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("input error:")
+    assert not target.parent.exists()
+
+
 class TestSuites:
     def test_check_theorems_passes_on_default_seed(self, capsys):
         code, doc = run_cli(capsys, "check-theorems", "--systems", "25")
@@ -704,30 +727,35 @@ class TestSuites:
             )
         assert a.read_bytes() == b.read_bytes()
 
-    def test_env_override(self, sharp2_path, tmp_path, capsys, monkeypatch):
-        out = tmp_path / "viaenv.json"
-        monkeypatch.setenv("COMATCH_OUT", str(out))
-        assert main(["analyze", str(sharp2_path)]) == 0
-        assert out.exists()
-
-    def test_arith_variable_is_ignored(
+    def test_environment_is_ignored(
         self, sharp2_path, torus_path, tmp_path, capsys, monkeypatch
     ):
-        # COMATCH_ARITH names no field, so it leaves every report as it was,
-        # "arith": "exact" included.
+        # Settings come from flags only.  COMATCH_* variables, well-formed,
+        # malformed or naming no setting, change no output or exit code, and
+        # COMATCH_OUT redirects nothing.
+        trap = tmp_path / "trap.json"
+        variables = {
+            "COMATCH_SEED": "5",
+            "COMATCH_BUDGET_NODES": "x",
+            "COMATCH_CAP_VERTICES": "7",
+            "COMATCH_ARITH": "prime",
+            "COMATCH_OUT": str(trap),
+        }
         runs = (
             ["analyze", str(sharp2_path)],
             ["analyze", str(torus_path)],
             ["check-theorems", "--systems", "4"],
         )
-        for i, argv in enumerate(runs):
-            plain, with_env = tmp_path / f"plain{i}.json", tmp_path / f"env{i}.json"
-            monkeypatch.delenv("COMATCH_ARITH", raising=False)
-            assert main([*argv, "--out", str(plain)]) == 0
-            monkeypatch.setenv("COMATCH_ARITH", "prime")
-            assert main([*argv, "--out", str(with_env)]) == 0
-            assert plain.read_bytes() == with_env.read_bytes()
-            assert json.loads(plain.read_text())["config"]["arith"] == "exact"
+        for argv in runs:
+            for name in variables:
+                monkeypatch.delenv(name, raising=False)
+            plain = main(argv), capsys.readouterr()
+            for name, value in variables.items():
+                monkeypatch.setenv(name, value)
+            assert (main(argv), capsys.readouterr()) == plain
+            assert plain[0] == 0
+            assert json.loads(plain[1].out)["config"]["arith"] == "exact"
+        assert not trap.exists()
 
 
 class TestParserReuse:
@@ -812,18 +840,21 @@ class TestPerCommandFlags:
             assert exc.value.code == 2
             assert capsys.readouterr().out == ""
 
-    def test_environment_still_sets_every_field(self, sharp2_path, monkeypatch, capsys):
-        # check-theorems has no --cap-* flag, and analyze no --seed, yet
-        # each echoes them.
-        monkeypatch.setenv("COMATCH_CAP_VERTICES", "7")
-        monkeypatch.setenv("COMATCH_CAP_GROUND", "9")
-        code, doc = run_cli(capsys, "check-theorems", "--systems", "2")
-        assert code == 0
-        assert (doc["config"]["cap_vertices"], doc["config"]["cap_ground"]) == (7, 9)
-        monkeypatch.setenv("COMATCH_SEED", "5")
-        code, doc = run_cli(capsys, "analyze", str(sharp2_path))
-        assert code == 0
-        assert doc["config"]["seed"] == 5
+    def test_each_setting_flag_reaches_the_config_echo(self, sharp2_path, capsys):
+        # The other fields echo RunConfig's defaults, seed 0 in analyze and
+        # the caps in check-theorems and question1 included.
+        analyze = ["analyze", str(sharp2_path)]
+        cases = (
+            (["check-theorems", "--systems", "1"], "--seed", "seed", 5),
+            (["question1", "--samples", "1"], "--budget-nodes", "budget_nodes", 7000),
+            (analyze, "--budget-ms", "budget_millis", 60000),
+            (analyze, "--cap-ground", "cap_ground", 9),
+            (analyze, "--cap-vertices", "cap_vertices", 7),
+        )
+        for argv, flag, field, value in cases:
+            code, doc = run_cli(capsys, *argv, flag, str(value))
+            assert code == 0
+            assert doc["config"] == {**RunConfig().doc(), field: value}, argv
 
 
 def _run_module(*argv):

@@ -6,6 +6,7 @@ import pytest
 
 from comatch.core import InputError
 from comatch.constructions import (
+    TORUS_VERTEX_CAP,
     GeometricCircleConfig,
     gen_circle_config,
     gen_cycle_sharpness,
@@ -73,6 +74,10 @@ class TestHammingSystem:
     def test_cap_enforced(self):
         with pytest.raises(InputError):
             gen_hamming_system(13, 1, 2)
+        # 2^15000 has more digits than int-to-str allows; the check never
+        # computes q^n and names n, q and the cap instead.
+        with pytest.raises(InputError, match="n = 15000, q = 2 .* cap 4096"):
+            gen_hamming_system(15000, 1)
 
     def test_bad_parameters(self):
         with pytest.raises(InputError):
@@ -191,6 +196,13 @@ class TestTorusGrid:
     def test_rejects_small_grid(self):
         with pytest.raises(InputError):
             gen_torus_grid_complex(3, 2)
+
+    def test_vertex_cap(self):
+        assert gen_torus_grid_complex(32, 1).num_vertices == TORUS_VERTEX_CAP == 1024
+        with pytest.raises(InputError, match="k = 33 .* cap 1024"):
+            gen_torus_grid_complex(33, 1)
+        with pytest.raises(InputError, match="k = 200 "):
+            gen_torus_grid_complex(200, 2)
 
 
 class TestGoodJoin:
