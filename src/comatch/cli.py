@@ -10,9 +10,11 @@ only source of settings: a setting a subcommand has no flag for keeps
 RunConfig's default, and no environment variable is read.
 
 Exit codes: 0 success, 1 invariant or suite failure, 2 input error (an
-unreadable file included), 3 budget exhaustion where the command needed
-an exact answer: homology, collapse and leray, whose document then reads
-"status": "budget_exhausted".
+unreadable file, an --out that cannot be written, found before any work,
+and a surplus generate parameter included), 3 budget exhaustion where
+the command needed an exact answer: homology, collapse and leray, whose
+document then reads "status": "budget_exhausted".  collapse steps on
+free faces of 1..d vertices, the one rule.
 
 Reports are deterministic: a report depends only on the argv and the
 input files, and identical ones produce byte-identical output.
@@ -25,6 +27,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import random
 import sys
 import time
@@ -177,6 +180,19 @@ def _emit(doc: dict, cfg_out: Optional[str]) -> None:
             fh.write(text)
     except OSError as exc:
         raise InputError(f"cannot write {cfg_out}: {exc.strerror}") from None
+
+
+def _check_writable(path: str) -> None:
+    """Fail as ``_emit`` would, before any work and creating no file: append
+    to an existing ``path`` (which changes nothing), else stat its directory.
+    A directory that refuses the write is still found only by ``_emit``."""
+    try:
+        if os.path.exists(path):
+            open(path, "a", encoding="utf-8").close()
+        else:  # the trailing separator makes stat fail where open would
+            os.stat(os.path.join(os.path.dirname(path) or ".", ""))
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc.strerror}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -343,72 +359,77 @@ def _analyze_complex(complex_: SimplicialComplex, config: RunConfig) -> dict:
 # ---------------------------------------------------------------------------
 
 
+# Each construction's positional parameters in order, with their defaults
+# (None where the parameter is required).
+_CONSTRUCTION_PARAMS = {
+    "cycle-sharpness": {"M": None},
+    "hamming": {"n": None, "t": None, "q": 2},
+    "circles": {},
+    "poly": {"d": None, "D": None},
+    "torus-grid": {"k": 4, "s": 2},
+    "good-join": {"fold": 2},
+}
+
+
 def cmd_generate(args: argparse.Namespace, config: RunConfig) -> tuple[dict, int]:
     name = args.construction
+    params = _construction_params(name, args.params)
     if name == "cycle-sharpness":
-        m = _require_param(args, 0, "M")
+        m = params["M"]
         system = constructions.gen_cycle_sharpness(m)
         doc = jsonio.set_system_to_doc(system)
         claims = {"comatching_number": 4 * m // 3}
         if m <= 4:
             claims["comatching_with_intersection_number"] = m
             claims["colorful_helly_number"] = m + 1
-        params = {"M": m}
     elif name == "hamming":
-        n = _require_param(args, 0, "n")
-        t = _require_param(args, 1, "t")
-        q = _require_param(args, 2, "q", default=2)
-        system = constructions.gen_hamming_system(n, t, q)
-        doc = jsonio.set_system_to_doc(system)
+        n, t, q = params.values()
+        doc = jsonio.set_system_to_doc(constructions.gen_hamming_system(n, t, q))
         claims = {"ball_radius": t, "word_length": n, "alphabet": q}
-        params = {"n": n, "t": t, "q": q}
     elif name == "circles":
         _, system = constructions.gen_circle_config()
         doc = jsonio.set_system_to_doc(system)
         claims = {"comatching_number": 4, "comatching_with_intersection_number": 3}
-        params = {}
     elif name == "poly":
-        d = _require_param(args, 0, "d")
-        cap = _require_param(args, 1, "D")
-        pc = constructions.gen_poly_comatching(d, cap, seed=config.seed)
+        pc = constructions.gen_poly_comatching(params["d"], params["D"], seed=config.seed)
         doc = _poly_to_doc(pc)
         claims = {"size": len(pc.polynomials)}
-        params = {"d": d, "D": cap}
     elif name == "torus-grid":
-        k = _require_param(args, 0, "k", default=4)
-        s = _require_param(args, 1, "s", default=2)
-        complex_ = constructions.gen_torus_grid_complex(k, s)
-        doc = jsonio.complex_to_doc(complex_)
+        k, s = params["k"], params["s"]
+        doc = jsonio.complex_to_doc(constructions.gen_torus_grid_complex(k, s))
         claims = {"vertices": k * k, "facets": k * k}
         if (k, s) == (4, 2):
             claims["reduced_betti"] = [0, 2, 1, 0]
             claims["comatching_number"] = 2
-        params = {"k": k, "s": s}
-    elif name == "good-join":
-        fold = _require_param(args, 0, "fold", default=2)
-        complex_ = constructions.gen_good_join_complex(fold)
-        doc = jsonio.complex_to_doc(complex_)
+    else:  # good-join: the parser admits only the table's names
+        fold = params["fold"]
+        doc = jsonio.complex_to_doc(constructions.gen_good_join_complex(fold))
         claims = {"good_dimension": 3 * fold - 1}
-        params = {"fold": fold}
-    else:
-        raise InputError(f"unknown construction {name!r}")
-    doc["provenance"] = {
-        "generator": name,
-        "parameters": params,
-        "claims": claims,
-    }
+    doc["provenance"] = {"generator": name, "parameters": params, "claims": claims}
     return doc, EXIT_OK
 
 
-def _require_param(args, index: int, name: str, default: Optional[int] = None) -> int:
-    if len(args.params) > index:
-        try:
-            return int(args.params[index])
-        except ValueError:
-            raise InputError(f"parameter {name} must be an integer") from None
-    if default is not None:
-        return default
-    raise InputError(f"construction {args.construction!r} needs parameter {name}")
+def _construction_params(name: str, given: list[str]) -> dict[str, int]:
+    """The construction's parameters by name: the given values in order,
+    then the defaults of those left out."""
+    defaults = _CONSTRUCTION_PARAMS[name]
+    if len(given) > len(defaults):
+        raise InputError(
+            f"too many parameters for construction {name!r}: got {len(given)}, "
+            f"it takes at most {len(defaults)} ({', '.join(defaults) or 'none'})"
+        )
+    params = {}
+    for index, (key, default) in enumerate(defaults.items()):
+        if index < len(given):
+            try:
+                params[key] = int(given[index])
+            except ValueError:
+                raise InputError(f"parameter {key} must be an integer") from None
+        elif default is not None:
+            params[key] = default
+        else:
+            raise InputError(f"construction {name!r} needs parameter {key}")
+    return params
 
 
 def _poly_to_doc(pc) -> dict:
@@ -444,9 +465,7 @@ def cmd_homology(args: argparse.Namespace, config: RunConfig) -> tuple[dict, int
 
 def cmd_collapse(args: argparse.Namespace, config: RunConfig) -> tuple[dict, int]:
     complex_, _ = jsonio.complex_from_doc(_load_doc(args.path))
-    status, sequence = is_d_collapsible(
-        complex_, args.d, config.budget(), strict_size=args.strict_size
-    )
+    status, sequence = is_d_collapsible(complex_, args.d, config.budget())
     doc: dict = {"d": args.d, "status": status}
     if sequence is not None:
         doc["certificate"] = jsonio.certificate_to_doc(sequence, complex_=complex_)
@@ -741,17 +760,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=lambda args, config: (cmd_analyze(args.path, config), EXIT_OK))
 
     p = sub.add_parser("generate", help="emit a named construction as JSON")
-    p.add_argument(
-        "construction",
-        choices=(
-            "cycle-sharpness",
-            "hamming",
-            "circles",
-            "poly",
-            "torus-grid",
-            "good-join",
-        ),
-    )
+    p.add_argument("construction", choices=tuple(_CONSTRUCTION_PARAMS))
     p.add_argument("params", nargs="*")
     _add_common(p, "seed")
     p.set_defaults(run=cmd_generate)
@@ -769,7 +778,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("collapse", help="search for a d-collapse sequence")
     p.add_argument("path")
     p.add_argument("d", type=int)
-    p.add_argument("--strict-size", action="store_true")
     _add_common(p, "budget_nodes", "budget_millis")
     p.set_defaults(run=cmd_collapse)
 
@@ -809,6 +817,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     config = _config(args)
     try:
+        if config.out:
+            _check_writable(config.out)
         doc, code = args.run(args, config)
         _emit(doc, config.out)
         return code

@@ -36,6 +36,8 @@ __all__ = [
     "gen_good_join_complex",
 ]
 
+# 2M members of 2M - 2 points each: at most 261,120 member entries here.
+CYCLE_SHARPNESS_CAP = 256
 HAMMING_GROUND_CAP = 4096
 # k*k vertices; a torus grid writes at most k^4/4 facet entries, 262,144 here.
 TORUS_VERTEX_CAP = 1024
@@ -70,6 +72,8 @@ def gen_cycle_sharpness(m: int) -> SetSystem:
     """
     if m < 2:
         raise InputError("the cyclic sharpness system needs M >= 2")
+    if m > CYCLE_SHARPNESS_CAP:
+        raise InputError(f"M = {m} exceeds the cap {CYCLE_SHARPNESS_CAP}")
     if m == 2:
         return SetSystem.from_labels(
             ["1", "2", "3", "4"],

@@ -197,7 +197,7 @@ def certificate_to_doc(cert, system=None, complex_=None) -> dict:
         return {
             "kind": "collapse_sequence",
             "d": cert.d,
-            "strict_size": cert.strict_size,
+            "strict_size": False,  # one collapse rule; comatch-report/1 keeps the field
             "steps": [
                 {
                     "free_face": sorted(complex_.vertex_labels(face)),
@@ -296,8 +296,9 @@ def certificate_from_doc(doc: dict, system=None, complex_=None):
             )
             for k, s in enumerate(_field(doc, "steps", list, kind))
         )
-        strict = _field(doc, "strict_size", bool, kind) if "strict_size" in doc else False
-        return CollapseSequence(_field(doc, "d", int, kind), strict, steps)
+        if "strict_size" in doc:  # true and false replay alike; others are errors
+            _field(doc, "strict_size", bool, kind)
+        return CollapseSequence(_field(doc, "d", int, kind), steps)
     if kind == "leray_witness":
         vertices = frozenset(vertex(v) for v in _field(doc, "vertices", list, kind))
         witness = (vertices, _field(doc, "homology_dim", int, kind))

@@ -75,7 +75,6 @@ class CollapseSequence:
     """Replayable collapse steps: (free face, its unique maximal coface)."""
 
     d: int
-    strict_size: bool
     steps: tuple[tuple[frozenset[int], frozenset[int]], ...]
 
 
@@ -264,13 +263,9 @@ def _collapse_step(
     return tuple(remaining + added)
 
 
-def _is_collapsed(facets: tuple[frozenset[int], ...], d: int) -> bool:
-    return all(len(t) < d for t in facets)
-
-
 class _FaceCounts:
     """The facets of a complex under d-collapses, with the number of facets
-    containing each face of collapsible cardinality.
+    containing each face of 1..d vertices.
 
     ``free`` holds the faces (sorted vertex tuples) with count 1: those
     have a unique maximal coface.  A step and its undo touch only the faces
@@ -278,11 +273,8 @@ class _FaceCounts:
     facets of cardinality >= d.
     """
 
-    def __init__(
-        self, facets: tuple[frozenset[int], ...], d: int, strict_size: bool
-    ) -> None:
+    def __init__(self, facets: tuple[frozenset[int], ...], d: int) -> None:
         self.d = d
-        self.sizes = (d,) if strict_size else range(1, d + 1)
         self.facets: set[frozenset[int]] = set()
         self.count: defaultdict[tuple[int, ...], int] = defaultdict(int)
         self.free: set[tuple[int, ...]] = set()
@@ -292,23 +284,18 @@ class _FaceCounts:
         for t in facets:
             self._shift(t, 1)
 
-    def _faces(self, facet: frozenset[int]) -> Iterator[tuple[int, ...]]:
-        base = sorted(facet)
-        for size in self.sizes:
-            if size > len(base):
-                return
-            yield from combinations(base, size)
-
     def _shift(self, facet: frozenset[int], delta: int) -> None:
         """Add (delta 1) or remove (delta -1) one facet and its faces."""
         count, free = self.count, self.free
-        for c in self._faces(facet):
-            old = count[c]
-            count[c] = old + delta
-            if old + delta == 1:
-                free.add(c)
-            elif old == 1:
-                free.remove(c)
+        base = sorted(facet)
+        for size in range(1, min(self.d, len(base)) + 1):
+            for c in combinations(base, size):
+                old = count[c]
+                count[c] = old + delta
+                if old + delta == 1:
+                    free.add(c)
+                elif old == 1:
+                    free.remove(c)
         if delta > 0:
             self.facets.add(facet)
         else:
@@ -343,16 +330,20 @@ def is_d_collapsible(
     complex_: SimplicialComplex,
     d: int,
     budget: Optional[SearchBudget] = None,
-    *,
-    strict_size: bool = False,
 ) -> tuple[str, Optional[CollapseSequence]]:
     """Depth-first search for a collapse sequence removing all faces of
-    cardinality >= d.
+    cardinality >= d, each step collapsing a free face of 1..d vertices.
 
     Returns ("proved", sequence), ("refuted", None) after exhausting every
-    free-face choice, or ("budget_exhausted", None).  strict_size=True
-    restricts steps to free faces of cardinality exactly d (the stricter
-    published variant); the default allows cardinality <= d.
+    free-face choice, or ("budget_exhausted", None).
+
+    Steps of exactly d vertices only (Wegner, *d-Collapsing and nerves of
+    families of convex sets*, Arch. Math. 26, 1975) decide the same: for a
+    free face s, |s| < d, in its unique maximal face t, |t| >= d, collapsing
+    s + {v} for any v in t - s and then s in t - {v} removes exactly the
+    faces of size >= d that collapsing s removes, and recursing ends in
+    d-vertex steps; faces of fewer than d vertices never decide whether a
+    d-vertex face is free.  The converse is trivial.
 
     Each complex reached that is not yet collapsed spends one node and is
     expanded at most once, by a memo keyed by its facet set.  Its children
@@ -368,7 +359,7 @@ def is_d_collapsible(
     if d < 1:
         raise InputError("collapse dimension must be at least 1")
     budget = budget or SearchBudget()
-    state = _FaceCounts(complex_.facets, d, strict_size)
+    state = _FaceCounts(complex_.facets, d)
     visited: set[frozenset[frozenset[int]]] = set()
     # One entry per step taken: the first child tried at that node, turned
     # into a heap of its untried children when a second one is needed.  The
@@ -377,7 +368,7 @@ def is_d_collapsible(
     stack: list[tuple[int, ...] | list[tuple[int, ...]]] = []
     while True:
         if not state.large:
-            return "proved", CollapseSequence(d, strict_size, tuple(state.steps))
+            return "proved", CollapseSequence(d, tuple(state.steps))
         if not budget.spend():
             return "budget_exhausted", None
         key = frozenset(state.facets)
@@ -406,17 +397,14 @@ def is_d_collapsible(
 def replay_collapse_sequence(
     complex_: SimplicialComplex, sequence: CollapseSequence
 ):
-    """Independent replay: each step must name a currently-free face of legal
-    cardinality with that exact unique maximal coface, and the final complex
+    """Independent replay: each step must name a currently-free face of 1..d
+    vertices with that exact unique maximal coface, and the final complex
     must contain no face of cardinality >= d."""
-    facets = complex_.facets
+    d, facets = sequence.d, complex_.facets
     names = complex_.vertex_labels
     violations = []
     for n, (face, coface) in enumerate(sequence.steps):
-        size_ok = (
-            len(face) == sequence.d if sequence.strict_size else len(face) <= sequence.d
-        )
-        if not size_ok:
+        if len(face) > d:
             violations.append(
                 f"step {n}: face {sorted(names(face))} has illegal cardinality"
             )
@@ -436,13 +424,9 @@ def replay_collapse_sequence(
             break
         facets = _collapse_step(facets, face, coface)
     else:
-        if not _is_collapsed(facets, sequence.d):
-            big = [
-                sorted(names(t)) for t in maximal_sets(facets) if len(t) >= sequence.d
-            ]
-            violations.append(
-                f"replay ends with faces of cardinality >= {sequence.d}: {big}"
-            )
+        big = [sorted(names(t)) for t in maximal_sets(t for t in facets if len(t) >= d)]
+        if big:
+            violations.append(f"replay ends with faces of cardinality >= {d}: {big}")
     return Verdict.passed() if not violations else Verdict.failed(violations)
 
 

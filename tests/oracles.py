@@ -450,13 +450,13 @@ def oracle_lex_first_collapse(complex_, d: int, strict_size: bool = False):
     return ("refuted" if steps is None else "proved"), steps, nodes
 
 
-def oracle_collapse_replays(complex_, d: int, strict_size: bool, steps) -> bool:
-    """Whether each step is a free pair of legal cardinality in the complex
-    left by the steps before it, and the last complex has no face of
-    cardinality >= d."""
+def oracle_collapse_replays(complex_, d: int, steps) -> bool:
+    """Whether each step is a free pair of 1..d vertices in the complex left
+    by the steps before it, and the last complex has no face of cardinality
+    >= d."""
     facets = frozenset(complex_.facets)
     for face, coface in steps:
-        if (face, coface) not in naive_free_pairs(facets, d, strict_size):
+        if (face, coface) not in naive_free_pairs(facets, d):
             return False
         facets = naive_collapse(facets, face)
     return _naive_collapsed(facets, d)

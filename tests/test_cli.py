@@ -102,6 +102,36 @@ class TestGenerate:
         code = main(["generate", "cycle-sharpness"])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "name, params, takes",
+        [
+            pytest.param(name, params, takes, id=name)
+            for name, params, takes in (
+                ("cycle-sharpness", ["3", "9", "9"], "1 (M)"),
+                ("hamming", ["4", "1", "2", "7"], "3 (n, t, q)"),
+                ("circles", ["1", "2", "3"], "0 (none)"),
+                ("poly", ["1", "2", "3"], "2 (d, D)"),
+                ("torus-grid", ["4", "2", "2"], "2 (k, s)"),
+                ("good-join", ["1", "1"], "1 (fold)"),
+            )
+        ],
+    )
+    def test_surplus_params_rejected(self, name, params, takes, capsys):
+        assert main(["generate", name, *params]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"input error: too many parameters for construction {name!r}: "
+            f"got {len(params)}, it takes at most {takes}\n"
+        )
+
+    def test_cycle_sharpness_cap(self, capsys):
+        # Rejected before the 2M members are built.
+        assert main(["generate", "cycle-sharpness", "100000"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "input error: M = 100000 exceeds the cap 256\n"
+
 
 class TestAnalyze:
     def test_sharpness_values(self, sharp2_path, capsys):
@@ -379,6 +409,30 @@ class TestPipelines:
         assert code == 0
         assert doc["kind"] == "empty_transversal"
 
+    def test_strict_size_flag_is_a_usage_error(self, torus_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["collapse", str(torus_path), "3", "--strict-size"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
+    def test_strict_size_certificate_still_verifies(self, torus_path, tmp_path, capsys):
+        # A sequence of exactly-d steps, as the removed --strict-size mode
+        # wrote it, is a legal sequence under the one rule of 1..d vertices.
+        from oracles import oracle_lex_first_collapse
+
+        from comatch.jsonio import certificate_to_doc, complex_from_doc
+        from comatch.topology import CollapseSequence
+
+        torus, _ = complex_from_doc(json.loads(torus_path.read_text()))
+        status, steps, _ = oracle_lex_first_collapse(torus, 3, strict_size=True)
+        assert status == "proved" and {len(face) for face, _ in steps} == {3}
+        cert = certificate_to_doc(CollapseSequence(3, steps), complex_=torus)
+        cert["strict_size"] = True
+        cert_path = tmp_path / "strict.json"
+        cert_path.write_text(json.dumps(cert))
+        code, doc = run_cli(capsys, "verify", str(cert_path), str(torus_path))
+        assert (code, doc) == (0, {"verified": True, "kind": "collapse_sequence"})
+
     def test_collapse_budget_exit(self, torus_path, capsys):
         code = main(["collapse", str(torus_path), "2", "--budget-nodes", "50"])
         assert code == 3
@@ -596,6 +650,11 @@ MALFORMED = {
     "collapse-d-not-an-integer": (
         "verify", {"kind": "collapse_sequence", "d": "x", "steps": []}, "torus"
     ),
+    "collapse-strict-size-not-a-boolean": (
+        "verify",
+        {"kind": "collapse_sequence", "d": 3, "strict_size": "yes", "steps": []},
+        "torus",
+    ),
     "leray-witness-without-dimension": (
         "verify", {"kind": "leray_witness", "d": 1, "vertices": ["1"]}, "torus"
     ),
@@ -655,6 +714,40 @@ def test_unreadable_file_is_an_input_error(case, sharp2_path, tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.startswith("input error:")
     assert not target.parent.exists()
+
+
+class TestOutChecked:
+    """An --out that cannot be written fails before the work; one that can
+    is written only after a successful run."""
+
+    def test_unwritable_out_fails_before_the_work(
+        self, sharp2_path, tmp_path, capsys, monkeypatch
+    ):
+        import comatch.cli as cli
+
+        def unreachable(*args):
+            raise AssertionError("analysis ran before --out was checked")
+
+        monkeypatch.setattr(cli, "_analyze_system", unreachable)
+        target = tmp_path / "missing" / "report.json"
+        assert main(["analyze", str(sharp2_path), "--out", str(target)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"input error: cannot write {target}: No such file or directory\n"
+        )
+
+    def test_out_is_written_only_after_a_successful_run(self, tmp_path, capsys):
+        new, existing = tmp_path / "new.json", tmp_path / "existing.json"
+        existing.write_text("kept")
+        missing_input = str(tmp_path / "absent.json")
+        for out in (new, existing):
+            assert main(["analyze", missing_input, "--out", str(out)]) == 2
+        assert not new.exists() and existing.read_text() == "kept"
+        assert main(["generate", "circles", "--out", str(existing)]) == 0
+        assert main(["generate", "circles", "--out", str(new)]) == 0
+        assert new.read_text() == existing.read_text() != "kept"
+        capsys.readouterr()
 
 
 class TestSuites:
@@ -797,7 +890,7 @@ ACCEPTED_OPTIONS = {
     "generate": {"--seed"},
     "nerve": set(),
     "homology": {"--budget-nodes", "--budget-ms"},
-    "collapse": {"--budget-nodes", "--budget-ms", "--strict-size"},
+    "collapse": {"--budget-nodes", "--budget-ms"},
     "leray": {"--budget-nodes", "--budget-ms"},
     "dichotomy": set(),
     "check-theorems": {"--seed", "--budget-nodes", "--budget-ms", "--systems"},
@@ -821,7 +914,7 @@ class TestPerCommandFlags:
         assert accepted == {
             name: flags | {"--out"} for name, flags in ACCEPTED_OPTIONS.items()
         }
-        assert sum(map(len, accepted.values())) == 32
+        assert sum(map(len, accepted.values())) == 31
 
     def test_flags_a_command_does_not_read_are_usage_errors(
         self, sharp2_path, tmp_path, capsys

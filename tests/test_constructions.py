@@ -6,6 +6,7 @@ import pytest
 
 from comatch.core import InputError
 from comatch.constructions import (
+    CYCLE_SHARPNESS_CAP,
     TORUS_VERTEX_CAP,
     GeometricCircleConfig,
     gen_circle_config,
@@ -44,6 +45,14 @@ class TestCycleSharpness:
     def test_rejects_m1(self):
         with pytest.raises(InputError):
             gen_cycle_sharpness(1)
+
+    def test_size_cap(self):
+        # 2M members of 2M - 2 points: 261,120 member entries at the cap.
+        s = gen_cycle_sharpness(CYCLE_SHARPNESS_CAP)
+        assert CYCLE_SHARPNESS_CAP == 256
+        assert sum(len(elems) for _, elems in s.members) == 261_120
+        with pytest.raises(InputError, match="M = 257 exceeds the cap 256"):
+            gen_cycle_sharpness(257)
 
     @pytest.mark.parametrize("m", [2, 3, 4])
     def test_true_invariants(self, m):

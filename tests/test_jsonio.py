@@ -209,11 +209,13 @@ class TestComplexCertificateLookups:
         facet = sorted(torus.facets[3])
         certs = [
             ComplexComatching(((facet[0], 5), (facet[1], 3))),
-            CollapseSequence(2, False, ((frozenset(facet[:1]), torus.facets[3]),)),
+            CollapseSequence(2, ((frozenset(facet[:1]), torus.facets[3]),)),
         ]
         for cert in certs:
             doc = certificate_to_doc(cert, complex_=torus)
             assert certificate_from_doc(doc, complex_=torus) == cert
+        # comatch-report/1 keeps the field of the removed exactly-d rule.
+        assert doc["strict_size"] is False
         labels = [torus.vertices[v] for v in facet]
         doc = {"kind": "leray_witness", "d": 1, "vertices": labels, "homology_dim": 1}
         verdict = certificate_from_doc(doc, complex_=torus)

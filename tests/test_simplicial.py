@@ -193,6 +193,24 @@ class TestComplexComatching:
             complex_comatching_number(k, budget)
             assert budget.nodes == nodes
 
+    def test_equals_comatching_number_of_the_facet_system(self, torus):
+        # "F_v meets M in M - {v}" is "x_i lies in F_j iff i != j", so a
+        # comatching of K is a comatching of the set system (vertices,
+        # facets), and the clique search over that system finds the same
+        # value.  The two searches may return different certificates.
+        cases = [torus, nerve(gen_hamming_system(4, 1))]
+        cases += [nerve(gen_cycle_sharpness(m)) for m in (3, 4, 5)]
+        rng = random.Random(4600)
+        cases += [random_complex(rng, 7, 7) for _ in range(200)]
+        for k in cases:
+            members = tuple((str(i), f) for i, f in enumerate(k.facets))
+            facets = SetSystem(k.vertices, members)
+            tau_k, cert_k, exact_k = complex_comatching_number(k)
+            tau, cert, exact = comatching_number(facets)
+            assert (tau_k, exact_k) == (tau, exact) == (tau, True), k
+            assert verify_complex_comatching(k, cert_k).ok
+            assert verify_comatching(facets, cert).ok
+
     @pytest.mark.parametrize("seed", range(8))
     def test_node_budget_sweep(self, seed):
         # Nerves of random systems: full searches of 1 to 58 nodes.

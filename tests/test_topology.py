@@ -274,6 +274,18 @@ class TestBudgetInBand:
         assert tau <= complex_comatching_number(k)[0]
 
 
+def _named_nerves():
+    from comatch.constructions import gen_cycle_sharpness, gen_hamming_system
+    from comatch.simplicial import nerve
+
+    named = [
+        (f"cycle{m}-nerve", nerve(gen_cycle_sharpness(m)), [5] if m == 5 else [])
+        for m in (3, 4, 5)
+    ]
+    named.append(("hamming41-nerve", nerve(gen_hamming_system(4, 1)), []))
+    return [pytest.param(k, undecided, id=name) for name, k, undecided in named]
+
+
 class TestCollapsibility:
     def test_full_simplex_collapses_at_one(self):
         status, seq = is_d_collapsible(full_simplex(5), 1)
@@ -310,45 +322,30 @@ class TestCollapsibility:
         status, _ = is_d_collapsible(torus, 2, SearchBudget(max_nodes=30_000))
         assert status in ("refuted", "budget_exhausted")
 
-    def test_strict_mode_still_collapses_simplex(self):
-        status, seq = is_d_collapsible(full_simplex(3), 1, strict_size=True)
-        assert status == "proved"
-        assert replay_collapse_sequence(full_simplex(3), seq).ok
-
     def test_replay_rejects_tampered_sequence(self, three_cycle):
         status, seq = is_d_collapsible(three_cycle, 2)
         assert status == "proved"
         first_face, first_coface = seq.steps[0]
         tampered = CollapseSequence(
-            seq.d,
-            seq.strict_size,
-            ((first_face, frozenset({0, 1, 2})),) + seq.steps[1:],
+            seq.d, ((first_face, frozenset({0, 1, 2})),) + seq.steps[1:]
         )
         assert not replay_collapse_sequence(three_cycle, tampered).ok
 
     def test_replay_rejects_incomplete_sequence(self, three_cycle):
         status, seq = is_d_collapsible(three_cycle, 2)
-        truncated = CollapseSequence(seq.d, seq.strict_size, seq.steps[:1])
+        truncated = CollapseSequence(seq.d, seq.steps[:1])
         assert not replay_collapse_sequence(three_cycle, truncated).ok
 
     @pytest.mark.parametrize("seed", range(40))
     def test_search_equals_lex_first_oracle(self, seed):
-        # The search must return the oracle's status, its exact sequence
-        # (the lexicographically least, comparing steps by face) and its
-        # node count.
-        from oracles import oracle_lex_first_collapse
-
         k = random_complex(random.Random(seed + 3300), 6, 5)
-        for d in range(1, k.dim + 2):
-            for strict in (False, True):
-                status, steps, nodes = oracle_lex_first_collapse(k, d, strict)
-                expected = None if steps is None else CollapseSequence(d, strict, steps)
-                budget = SearchBudget()
-                assert is_d_collapsible(k, d, budget, strict_size=strict) == (
-                    status,
-                    expected,
-                )
-                assert budget.nodes == nodes
+        assert _check_against_oracles(k) == []
+
+    @pytest.mark.parametrize("k, undecided", _named_nerves())
+    def test_search_equals_lex_first_oracle_on_nerves(self, k, undecided):
+        # The nerve of M=5 is not 5-collapsible (its Leray number is 6), and
+        # refuting that takes more than 20,000 nodes.
+        assert _check_against_oracles(k, 20_000) == undecided
 
     def test_memo_expands_each_complex_once(self):
         # A hollow triangle with a pendant edge at each corner: the three
@@ -399,11 +396,10 @@ class TestCollapsibility:
             steps.append((face, coface))
             facets = naive_collapse(facets, face)
         for d in range(1, k.dim + 2):
-            for strict in (False, True):
-                seq = CollapseSequence(d, strict, tuple(steps))
-                assert replay_collapse_sequence(k, seq).ok == oracle_collapse_replays(
-                    k, d, strict, steps
-                )
+            seq = CollapseSequence(d, tuple(steps))
+            assert replay_collapse_sequence(k, seq).ok == oracle_collapse_replays(
+                k, d, steps
+            )
 
     @pytest.mark.parametrize("seed", range(15))
     def test_proved_sequences_always_replay(self, seed):
@@ -412,6 +408,30 @@ class TestCollapsibility:
             status, seq = is_d_collapsible(k, d, SearchBudget(max_nodes=20_000))
             if status == "proved":
                 assert replay_collapse_sequence(k, seq).ok
+
+
+def _check_against_oracles(k, max_nodes=None):
+    """At every d, the search returns the oracle's status, its exact
+    sequence (the lexicographically least, comparing steps by face) and its
+    node count; and its status is the one of the rule that collapses only
+    free faces of exactly d vertices, which decides the same property.
+    Returns the d at which the search ran out of ``max_nodes``, where the
+    oracles are not run."""
+    from oracles import oracle_lex_first_collapse
+
+    undecided = []
+    for d in range(1, k.dim + 2):
+        budget = SearchBudget(max_nodes)
+        found = is_d_collapsible(k, d, budget)
+        if found[0] == "budget_exhausted":
+            undecided.append(d)
+            continue
+        status, steps, nodes = oracle_lex_first_collapse(k, d)
+        expected = None if steps is None else CollapseSequence(d, steps)
+        assert found == (status, expected)
+        assert budget.nodes == nodes
+        assert status == oracle_lex_first_collapse(k, d, strict_size=True)[0], d
+    return undecided
 
 
 def _sparse_complex(rng, n):
