@@ -14,7 +14,8 @@ unreadable file, an --out that cannot be written, found before any work,
 and a surplus generate parameter included), 3 budget exhaustion where
 the command needed an exact answer: homology, collapse and leray, whose
 document then reads "status": "budget_exhausted".  collapse steps on
-free faces of 1..d vertices, the one rule.
+free faces of 1..d vertices, the one rule, after a Leray check at d on
+the same budget, whose failure refutes with its leray_witness.
 
 Reports are deterministic: a report depends only on the argv and the
 input files, and identical ones produce byte-identical output.
@@ -465,10 +466,18 @@ def cmd_homology(args: argparse.Namespace, config: RunConfig) -> tuple[dict, int
 
 def cmd_collapse(args: argparse.Namespace, config: RunConfig) -> tuple[dict, int]:
     complex_, _ = jsonio.complex_from_doc(_load_doc(args.path))
-    status, sequence = is_d_collapsible(complex_, args.d, config.budget())
+    if args.d < 1:
+        raise InputError("collapse dimension must be at least 1")
+    # A d-collapsible complex is d-Leray (Wegner, 1975), so a failing Leray
+    # check refutes, with its witness as the certificate.
+    budget = config.budget()
+    verdict = leray_check(complex_, args.d, budget)
+    status, cert = ("refuted", verdict) if verdict.witness else (verdict.status, None)
+    if status == "holds":
+        status, cert = is_d_collapsible(complex_, args.d, budget)
     doc: dict = {"d": args.d, "status": status}
-    if sequence is not None:
-        doc["certificate"] = jsonio.certificate_to_doc(sequence, complex_=complex_)
+    if cert is not None:
+        doc["certificate"] = jsonio.certificate_to_doc(cert, complex_=complex_)
     return doc, EXIT_BUDGET if status == "budget_exhausted" else EXIT_OK
 
 

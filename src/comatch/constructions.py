@@ -15,7 +15,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import combinations_with_replacement, product
 from math import comb
 from typing import Optional
 
@@ -232,17 +232,12 @@ class PolynomialComatching:
 
 
 def _monomials(num_vars: int, degree_cap: int) -> list[tuple[int, ...]]:
-    out = []
-
-    def rec(prefix: tuple[int, ...], remaining: int, budget: int) -> None:
-        if remaining == 0:
-            out.append(prefix)
-            return
-        for e in range(budget + 1):
-            rec(prefix + (e,), remaining - 1, budget - e)
-
-    rec((), num_vars, degree_cap)
-    return sorted(out)
+    """Exponent vectors of total degree at most ``degree_cap``, sorted."""
+    return sorted(
+        tuple(c.count(v) for v in range(num_vars))
+        for k in range(degree_cap + 1)
+        for c in combinations_with_replacement(range(num_vars), k)
+    )
 
 
 def evaluate_polynomial(poly: Polynomial, point: tuple[Fraction, ...]) -> Fraction:

@@ -67,15 +67,17 @@ class SearchBudget:
         self.nodes = 0
         self.exhausted = False
 
-    def spend(self) -> bool:
-        """Count one node; False once the budget is exhausted."""
+    def spend(self, count: int = 1) -> bool:
+        """Count ``count`` nodes, False once exhausted.  Passing ``max_nodes``
+        leaves ``nodes`` at ``max_nodes + 1``, as single spends would; the
+        deadline is checked once per call."""
         if self.exhausted:
             return False
-        self.nodes += 1
+        self.nodes += count
         if self.max_nodes is not None and self.nodes > self.max_nodes:
+            self.nodes = self.max_nodes + 1
             self.exhausted = True
         elif self.deadline is not None and time.monotonic() > self.deadline:
-            # Checked on every spend: one node can cost a tenth of a second.
             self.exhausted = True
         return not self.exhausted
 

@@ -16,10 +16,10 @@ Everything here is exact and certificate-producing:
   empty intersection.  It sandwiches the value first, h <= eta <= 1 + tau'
   (the upper end when the caller passes an exact ``tau_prime``), and
   returns at once when the ends meet; otherwise it enumerates refuting
-  multisets level by level with Apriori pruning, skipped below the size
-  of the smallest minimal empty subfamily, where every multiset refutes,
-  and scores each candidate by whether its positions match a minimal
-  empty subfamily perfectly.
+  multisets level by level with Apriori pruning and scores each candidate
+  by whether its positions match a minimal empty subfamily perfectly.
+  Below the size of the smallest minimal empty subfamily every multiset
+  refutes, so those levels are counted, not listed.
 * ``colorful_transversal_dichotomy`` is the constructive step behind
   the bound eta <= 1 + tau': given subfamilies with empty intersections
   it returns either an empty transversal or a comatching-with-
@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 from math import comb
 from typing import Iterable, Optional, Sequence
 
@@ -498,44 +498,41 @@ def colorful_helly_number(
     eta <= 1 + tau'; when the two bounds meet, eta is exact with no search.
 
     Otherwise refuting multisets are enumerated level by level, in
-    lexicographic order, up to size tau' when it is known.  Refuting
-    multisets are closed under sub-multisets, so a candidate with a
-    one-element-dropped sub-multiset outside the previous level is skipped
-    unscored (the Apriori rule).  Below the size of the smallest minimal
-    empty subfamily every multiset refutes, since a transversal with fewer
-    distinct members always intersects; such a level holds every
-    sub-multiset, so there the test cannot fail and is not made, and the
-    same candidates are scored in the same order.  From that size up the
-    level is never complete, as that many copies of the smallest
-    subfamily admit an empty transversal.
+    lexicographic order, up to size tau' when it is known.  Below the size
+    s of the smallest of the n minimal empty subfamilies every multiset
+    refutes, as a transversal of fewer members always intersects: each
+    level of size k + 1 < s is charged its comb(n + k, k + 1) candidates
+    in one budget call and never built, and size s - 1 is walked lazily.
+    Only the levels from size s up are stored.  A candidate with a
+    one-element-dropped sub-multiset outside the stored level cannot
+    refute and is skipped unscored (the Apriori rule).  The bound on
+    exhaustion, h with the floor instance below size h, else size + 1
+    with the level's first key, does not depend on where in the level the
+    budget ran out, so each key spends its candidates in one call.
 
-    Each scored candidate spends one budget node and is scored by the
-    special case of the matching criterion of :func:`_has_empty_transversal`
-    in which every one-dropped sub-multiset refutes: then a minimal empty
-    subfamily S can map into the positions only if it uses every one, so
-    |S| = N and the map is a perfect matching.  Hence ``key + (i,)``
-    refutes exactly when family i contains none of the members s of size-N
-    subfamilies S for which the positions of ``key`` match S - {s}
-    perfectly.  That member set is computed once per key, from the
-    subfamilies that meet every position of the key.  Levels keep their
-    keys only, so memory is one tuple per refuting multiset of the current
-    and the previous size.
+    Every candidate costs one node and is scored by the special case of
+    the matching criterion of :func:`_has_empty_transversal` in which
+    every one-dropped sub-multiset refutes: then a minimal empty subfamily
+    S can map into the positions only if it uses every one, so |S| = N and
+    the map is a perfect matching.  Hence ``key + (i,)`` refutes exactly
+    when family i contains none of the members s of size-N subfamilies S
+    for which the positions of ``key`` match S - {s} perfectly.  That
+    member set is computed once per key, from the subfamilies that meet
+    every position of the key.
 
     Over a finite ground set every descending chain of intersections
     stabilizes, so restricting the definition to finite subfamilies loses
     nothing; the distinction only matters for infinite systems, which are
     out of scope here.
     """
-    if system.num_points == 0:
-        # Every transversal intersects to the empty set, so no instance
-        # refutes and the vacuous value applies.
-        return 1, True, None
     if minimal is None:
         minimal = minimal_empty_subfamilies(system)
-    if not minimal:
+    if system.num_points == 0 or not minimal:
+        # Every transversal intersects to the empty set, or no subfamily is
+        # empty, so no instance refutes and the vacuous value applies.
         return 1, True, None
-    h = max(len(s) for s in minimal)
-    largest = next(s for s in minimal if len(s) == h)
+    h = max(len(sel) for sel in minimal)
+    largest = next(sel for sel in minimal if len(sel) == h)
     floor_instance = ColorfulInstance((largest,) * (h - 1)) if h >= 2 else None
     if tau_prime is not None:
         if tau_prime < h - 1:
@@ -544,64 +541,54 @@ def colorful_helly_number(
             return h, True, floor_instance
     budget = budget or SearchBudget()
     member_bits = [sum(1 << j for j in sel) for sel in minimal]
-
-    # Refuting multisets of the current size, as sorted index tuples in
-    # lexicographic order; the values are unused.
-    level: dict[tuple[int, ...], None] = {(): None}
-
-    def lower_bound(size: int) -> tuple[int, bool, Optional[ColorfulInstance]]:
-        if size < h:
+    n, s = len(minimal), len(minimal[0])  # ``minimal`` is sorted by size
+    # Below s every multiset refutes: the candidates of size k + 1 are all
+    # comb(n + k, k + 1) multisets, charged at once and never built.
+    for k in range(s - 1):
+        if not budget.spend(comb(n + k, k + 1)):
             return h, False, floor_instance
-        return size + 1, False, _instance_of(minimal, next(iter(level)))
-
-    size = 0
+    # Size s - 1 is walked lazily; the refuting multisets of each size from
+    # s up are kept as sorted index tuples in lexicographic order, the dict
+    # values unused, and ``level`` is empty until then.
+    keys: Iterable[tuple[int, ...]] = combinations_with_replacement(range(n), s - 1)
+    level: dict[tuple[int, ...], None] = {}
+    size = s - 1
     while size != tau_prime:
+        # The minimal empty subfamilies of size + 1 as member bitsets, and per
+        # family the bitset of the indices of those it meets.
+        groups = [b for b, sel in zip(member_bits, minimal) if len(sel) == size + 1]
+        meets = [
+            sum(1 << g for g, group in enumerate(groups) if group & b)
+            for b in member_bits
+        ]
         next_level: dict[tuple[int, ...], None] = {}
-        # The minimal empty subfamilies of size + 1 as member bitsets, and
-        # per family the bitset of the indices of those it meets; built when
-        # the level scores its first candidate.
-        groups: list[int] = []
-        meets: list[int] = []
-        # Below the smallest minimal empty subfamily (``minimal`` is sorted
-        # by size) the level holds every multiset of its size, so it passes
-        # every Apriori test and the test is skipped there.
-        complete = size < len(minimal[0])
-        for key in level:
-            completions = None
-            for i in range(key[-1] if key else 0, len(minimal)):
-                cand = key + (i,)
-                if not complete and any(
-                    cand[:j] + cand[j + 1 :] not in level for j in range(size)
-                ):
-                    continue
-                if not budget.spend():
-                    return lower_bound(size)
-                if completions is None:
-                    if not meets:
-                        groups = [
-                            b for b, sel in zip(member_bits, minimal)
-                            if len(sel) == size + 1
-                        ]
-                        meets = [
-                            sum(1 << g for g, group in enumerate(groups) if group & b)
-                            for b in member_bits
-                        ]
-                    completions = _completions(key, member_bits, groups, meets)
+        for key in keys:
+            # The Apriori test: every one-dropped sub-multiset refutes, as all
+            # do when they are smaller than s.
+            cands = [
+                i for i in range(key[-1] if key else 0, n)
+                if not level
+                or all(key[:j] + key[j + 1 :] + (i,) in level for j in range(size))
+            ]
+            if not cands:
+                continue
+            if not budget.spend(len(cands)):
+                break
+            completions = _completions(key, member_bits, groups, meets)
+            for i in cands:
                 if not member_bits[i] & completions:
-                    next_level[cand] = None
-        if not next_level:
+                    next_level[key + (i,)] = None
+        if budget.exhausted or not next_level:
             break
-        level = next_level
+        level = keys = next_level
         size += 1
-    if not size:
-        return 1, True, None  # no single subfamily refutes
-    return size + 1, True, _instance_of(minimal, next(iter(level)))
-
-
-def _instance_of(
-    minimal: Sequence[frozenset[int]], key: tuple[int, ...]
-) -> ColorfulInstance:
-    return ColorfulInstance(tuple(minimal[i] for i in key))
+    exact = not budget.exhausted
+    if not level or not exact and size < h:
+        # A cut below h leaves the bound h.  When no multiset of size s
+        # refutes, eta = h = s, and the floor instance is the first key of
+        # size s - 1.
+        return h, exact, floor_instance
+    return size + 1, exact, ColorfulInstance(tuple(minimal[i] for i in next(iter(level))))
 
 
 def _completions(

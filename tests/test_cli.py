@@ -437,6 +437,55 @@ class TestPipelines:
         code = main(["collapse", str(torus_path), "2", "--budget-nodes", "50"])
         assert code == 3
 
+    def test_collapse_refuted_by_failing_leray_check(
+        self, torus_path, tmp_path, capsys
+    ):
+        # A d-collapsible complex is d-Leray: the torus fails Leray at d=2
+        # with a witness in dimension 2, and verify replays it.
+        out = tmp_path / "refuted.json"
+        assert main(["collapse", str(torus_path), "2", "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["status"] == "refuted"
+        assert doc["certificate"]["kind"] == "leray_witness"
+        assert (doc["certificate"]["d"], doc["certificate"]["homology_dim"]) == (2, 2)
+        code, verdict = run_cli(capsys, "verify", str(out), str(torus_path))
+        assert (code, verdict["verified"]) == (0, True)
+
+    def test_collapse_proved_when_leray_holds(self, torus_path, capsys):
+        # Leray holds at d=3, so the search runs and gives its own sequence.
+        from comatch.jsonio import certificate_to_doc, complex_from_doc
+        from comatch.topology import is_d_collapsible
+
+        torus, _ = complex_from_doc(json.loads(torus_path.read_text()))
+        status, sequence = is_d_collapsible(torus, 3)
+        code, doc = run_cli(capsys, "collapse", str(torus_path), "3")
+        assert (code, status) == (0, "proved")
+        assert doc == {
+            "d": 3,
+            "status": "proved",
+            "certificate": certificate_to_doc(sequence, complex_=torus),
+        }
+
+    def test_collapse_refutes_the_m5_nerve_within_a_small_budget(
+        self, tmp_path, capsys
+    ):
+        # The collapse search alone decides nothing at d=5 in 20,000 nodes;
+        # the Leray check fails in a few hundred.
+        system, nerve_path = tmp_path / "m5.json", tmp_path / "m5-nerve.json"
+        assert main(["generate", "cycle-sharpness", "5", "--out", str(system)]) == 0
+        assert main(["nerve", str(system), "--out", str(nerve_path)]) == 0
+        out = tmp_path / "refuted.json"
+        argv = ["collapse", str(nerve_path), "5", "--budget-nodes", "1000"]
+        assert main(argv + ["--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert (doc["status"], doc["certificate"]["kind"]) == ("refuted", "leray_witness")
+        code, verdict = run_cli(capsys, "verify", str(out), str(nerve_path))
+        assert (code, verdict["verified"]) == (0, True)
+
+    def test_collapse_dimension_zero_is_an_input_error(self, torus_path, capsys):
+        assert main(["collapse", str(torus_path), "0"]) == 2
+        assert capsys.readouterr().out == ""
+
     def test_homology_budget_exit(self, torus_path, capsys):
         code, doc = run_cli(capsys, "homology", str(torus_path), "--budget-nodes", "2")
         assert (code, doc) == (3, {"status": "budget_exhausted"})

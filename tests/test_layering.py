@@ -3,8 +3,9 @@
 The search budget is a core type, so the complex side (linear algebra,
 complexes, topology) needs nothing from the set-system search module.
 Both fields share one elimination kernel in ``linalg``.  No search in
-those modules or in ``search`` calls itself, so none is bounded by the
-recursion limit.
+those modules, in ``search`` or in ``constructions`` calls itself, so none
+is bounded by the recursion limit, and only ``core`` writes the budget's
+node count and exhaustion flag.
 """
 
 import ast
@@ -63,6 +64,34 @@ def test_one_row_update_for_both_fields():
     assert helpers == {"_axpy"}
 
 
+def budget_field_writes(path: Path) -> list[str]:
+    """Assignments and augmented assignments to a ``.nodes`` or
+    ``.exhausted`` attribute, as ``line: attribute``."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        else:
+            continue
+        for target in targets:
+            for sub in ast.walk(target):
+                if isinstance(sub, ast.Attribute) and sub.attr in ("nodes", "exhausted"):
+                    found.append(f"{node.lineno}: {sub.attr}")
+    return found
+
+
+def test_only_the_budget_keeps_its_books():
+    # Searches count nodes through ``SearchBudget.spend`` alone, so a batched
+    # spend cannot leave the budget in a state that single spends would not.
+    sources = sorted(PACKAGE.glob("*.py"))
+    for path in sources:
+        if path.stem != "core":
+            assert budget_field_writes(path) == [], path
+    assert budget_field_writes(PACKAGE / "core.py")
+
+
 def self_calling_functions(path: Path) -> list[str]:
     """Functions, nested ones included, whose body calls them by name,
     directly or as ``self.name`` / ``cls.name``."""
@@ -85,7 +114,9 @@ def self_calling_functions(path: Path) -> list[str]:
     return found
 
 
-@pytest.mark.parametrize("module", ["search", "topology", "simplicial", "linalg"])
+@pytest.mark.parametrize(
+    "module", ["search", "topology", "simplicial", "linalg", "constructions"]
+)
 def test_searches_do_not_recurse(module):
     # Every search runs on an explicit stack, so its depth is not bounded
     # by Python's recursion limit.

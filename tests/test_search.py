@@ -2,6 +2,7 @@ import json
 import random
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations
 
@@ -94,6 +95,17 @@ class TestSearchBudget:
         budget = SearchBudget(max_nodes=3)
         assert [budget.spend() for _ in range(5)] == [True, True, True, False, False]
         assert budget.exhausted
+
+    def test_batched_spend_leaves_the_state_of_single_spends(self):
+        budget = SearchBudget(max_nodes=5)
+        assert budget.spend(10) is False
+        assert (budget.nodes, budget.exhausted) == (6, True)
+        budget = SearchBudget(max_nodes=10)
+        assert [budget.spend(3) for _ in range(4)] == [True, True, True, False]
+        assert budget.nodes == 11
+        assert budget.spend(3) is False and budget.nodes == 11
+        unbounded = SearchBudget()
+        assert unbounded.spend(10**30) and unbounded.nodes == 10**30
 
     def test_deadline_checked_on_first_spend(self):
         budget = SearchBudget(max_millis=0)
@@ -594,6 +606,43 @@ class TestColorfulHellyNumber:
         eta, exact, refuting = colorful_helly_number(system, budget, 10, minimal)
         assert (eta, exact, refuting.families) == (10, False, (largest,) * 9)
         assert budget.nodes == 200_001
+
+
+    @pytest.mark.parametrize(
+        "nodes", [5_984, 5_985, 20_000, 26_333, 26_334, 27_355, 27_356]
+    )
+    def test_cycle_sharpness_m5_under_node_budgets(self, nodes):
+        # Sizes 1-4 take 5,984 nodes, one budget call per size; the scored
+        # candidates of size 5 bring the count to 26,333 and those of size 6
+        # to 27,356.  Every cut stops below h = 6, at the floor instance.
+        system = gen_cycle_sharpness(5)
+        minimal = minimal_empty_subfamilies(system)
+        largest = next(s for s in minimal if len(s) == 6)
+        low, high = frozenset(range(5)), frozenset(range(5, 10))
+        expected = (6, False, (largest,) * 5, nodes + 1)
+        if nodes == 27_356:
+            expected = (6, True, (low,) * 4 + (high,), nodes)
+        for given in (None, 6):
+            budget = SearchBudget(max_nodes=nodes)
+            eta, exact, refuting = colorful_helly_number(system, budget, given)
+            assert (eta, exact, refuting.families, budget.nodes) == expected, given
+
+    def test_cycle_sharpness_m8_counts_its_levels_without_listing_them(self):
+        # All 2,000,001 nodes of the default budget fall below size 8, where
+        # every multiset refutes; none of those levels is built.
+        system = gen_cycle_sharpness(8)
+        minimal = minimal_empty_subfamilies(system)
+        largest = next(s for s in minimal if len(s) == 10)
+        budget = SearchBudget(max_nodes=2_000_000)
+        tracemalloc.start()
+        try:
+            eta, exact, refuting = colorful_helly_number(system, budget, 10, minimal)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (eta, exact, refuting.families) == (10, False, (largest,) * 9)
+        assert budget.nodes == 2_000_001
+        assert peak < 1 << 20
 
 
 class TestEmptyTransversal:
