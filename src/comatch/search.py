@@ -19,7 +19,12 @@ Everything here is exact and certificate-producing:
   multisets level by level with Apriori pruning and scores each candidate
   by whether its positions match a minimal empty subfamily perfectly.
   Below the size of the smallest minimal empty subfamily every multiset
-  refutes, so those levels are counted, not listed.
+  refutes, so those levels are counted, not listed.  A level whose g
+  subfamilies of size N fit g * 2**N <= 4,096 bits is scored through a
+  bit-parallel lattice of the subsets each prefix of a key matches,
+  carried down the keys in lexicographic order; a wider level, where the
+  lattice would cost more than it saves, runs one bipartite matching per
+  key and subfamily.
 * ``colorful_transversal_dichotomy`` is the constructive step behind
   the bound eta <= 1 + tau': given subfamilies with empty intersections
   it returns either an empty transversal or a comatching-with-
@@ -35,9 +40,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import combinations, combinations_with_replacement
 from math import comb
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .core import (
     Comatching,
@@ -503,22 +509,32 @@ def colorful_helly_number(
     refutes, as a transversal of fewer members always intersects: each
     level of size k + 1 < s is charged its comb(n + k, k + 1) candidates
     in one budget call and never built, and size s - 1 is walked lazily.
-    Only the levels from size s up are stored.  A candidate with a
+    Only the levels from size s up are stored, each as a map from every
+    refuting multiset's prefix (all but its last index) to the bitset of
+    its last indices, in lexicographic order.  A candidate with a
     one-element-dropped sub-multiset outside the stored level cannot
-    refute and is skipped unscored (the Apriori rule).  The bound on
-    exhaustion, h with the floor instance below size h, else size + 1
-    with the level's first key, does not depend on where in the level the
-    budget ran out, so each key spends its candidates in one call.
+    refute and is skipped unscored (the Apriori rule); ``key + (i,)``
+    passes it exactly when bit i is set in the entry of every ``key``
+    with one position dropped, so a key's candidates are the AND of those
+    entries.  The bound on exhaustion, h with the floor instance below
+    size h, else size + 1 with the level's first key, does not depend on
+    where in the level the budget ran out, so each key spends its
+    candidates in one call.
 
     Every candidate costs one node and is scored by the special case of
     the matching criterion of :func:`_has_empty_transversal` in which
     every one-dropped sub-multiset refutes: then a minimal empty subfamily
     S can map into the positions only if it uses every one, so |S| = N and
     the map is a perfect matching.  Hence ``key + (i,)`` refutes exactly
-    when family i contains none of the members s of size-N subfamilies S
-    for which the positions of ``key`` match S - {s} perfectly.  That
-    member set is computed once per key, from the subfamilies that meet
-    every position of the key.
+    when family i contains no member t of a size-N subfamily S (a group)
+    for which the positions of ``key`` match S - {t} perfectly.  A level
+    with no group keeps every candidate.  A level whose g groups take
+    g * 2**N <= 4,096 bits finds the matchable subsets of every group at
+    once, through the bit-parallel subset lattice of
+    :class:`_SubsetLattice`, so a candidate is one AND against a test mask
+    of family i.  The lattice is exponential in N and linear in g, so a
+    wider level falls back to :func:`_completions`, which runs one
+    bipartite matching per key and per group that meets every position.
 
     Over a finite ground set every descending chain of intersections
     stabilizes, so restricting the definition to finite subfamilies loses
@@ -540,47 +556,73 @@ def colorful_helly_number(
         if h == 1 + tau_prime:
             return h, True, floor_instance
     budget = budget or SearchBudget()
-    member_bits = [sum(1 << j for j in sel) for sel in minimal]
     n, s = len(minimal), len(minimal[0])  # ``minimal`` is sorted by size
     # Below s every multiset refutes: the candidates of size k + 1 are all
     # comb(n + k, k + 1) multisets, charged at once and never built.
     for k in range(s - 1):
         if not budget.spend(comb(n + k, k + 1)):
             return h, False, floor_instance
-    # Size s - 1 is walked lazily; the refuting multisets of each size from
-    # s up are kept as sorted index tuples in lexicographic order, the dict
-    # values unused, and ``level`` is empty until then.
+    member_bits = [sum(1 << j for j in sel) for sel in minimal]
+    families_of: list[list[int]] = [[] for _ in range(system.num_members)]
+    for i, sel in enumerate(minimal):
+        for j in sel:
+            families_of[j].append(i)
+    # Size s - 1 is walked lazily; from size s up a level maps each prefix
+    # to the bitset of the last indices that complete it to a refuting
+    # multiset, and ``level`` is empty until then.
     keys: Iterable[tuple[int, ...]] = combinations_with_replacement(range(n), s - 1)
-    level: dict[tuple[int, ...], None] = {}
+    level: dict[tuple[int, ...], int] = {}
     size = s - 1
     while size != tau_prime:
-        # The minimal empty subfamilies of size + 1 as member bitsets, and per
-        # family the bitset of the indices of those it meets.
-        groups = [b for b, sel in zip(member_bits, minimal) if len(sel) == size + 1]
-        meets = [
-            sum(1 << g for g, group in enumerate(groups) if group & b)
-            for b in member_bits
-        ]
-        next_level: dict[tuple[int, ...], None] = {}
+        # A candidate key + (i,) refutes when tests[i] & block_of(key) is 0.
+        groups = [sel for sel in minimal if len(sel) == size + 1]
+        if not groups:
+            tests, block_of = member_bits, lambda key: 0
+        elif len(groups) << (size + 1) <= _LATTICE_BITS:
+            lattice = _SubsetLattice(groups, families_of, n)
+            tests, block_of = lattice.tests, lattice.row
+        else:
+            tests, block_of = member_bits, partial(
+                _completions,
+                member_bits=member_bits,
+                groups=[sum(1 << j for j in sel) for sel in groups],
+                meets=_meets(groups, minimal),
+            )
+        next_level: dict[tuple[int, ...], int] = {}
         for key in keys:
-            # The Apriori test: every one-dropped sub-multiset refutes, as all
-            # do when they are smaller than s.
-            cands = [
-                i for i in range(key[-1] if key else 0, n)
-                if not level
-                or all(key[:j] + key[j + 1 :] + (i,) in level for j in range(size))
-            ]
-            if not cands:
-                continue
-            if not budget.spend(len(cands)):
-                break
-            completions = _completions(key, member_bits, groups, meets)
-            for i in cands:
-                if not member_bits[i] & completions:
-                    next_level[key + (i,)] = None
+            # The Apriori test: every one-dropped sub-multiset refutes, as
+            # all do when they are smaller than s.  At a stored level that
+            # leaves the indices from key[-1] up that are set in the entry
+            # of key with each one position dropped.
+            if level:
+                cands = -1 << key[-1]
+                for j in range(size):
+                    cands &= level.get(key[:j] + key[j + 1 :], 0)
+                if not cands:
+                    continue
+                if not budget.spend(cands.bit_count()):
+                    break
+                block = block_of(key)
+                refuting = 0
+                while cands:
+                    bit = cands & -cands
+                    cands ^= bit
+                    if not tests[bit.bit_length() - 1] & block:
+                        refuting |= bit
+            else:
+                lo = key[-1] if key else 0
+                if not budget.spend(n - lo):
+                    break
+                block = block_of(key)
+                refuting = 0
+                for i in range(lo, n):
+                    if not tests[i] & block:
+                        refuting |= 1 << i
+            if refuting:
+                next_level[key] = refuting
         if budget.exhausted or not next_level:
             break
-        level = keys = next_level
+        level, keys = next_level, _level_keys(next_level)
         size += 1
     exact = not budget.exhausted
     if not level or not exact and size < h:
@@ -588,7 +630,107 @@ def colorful_helly_number(
         # refutes, eta = h = s, and the floor instance is the first key of
         # size s - 1.
         return h, exact, floor_instance
-    return size + 1, exact, ColorfulInstance(tuple(minimal[i] for i in next(iter(level))))
+    first = next(_level_keys(level))
+    return size + 1, exact, ColorfulInstance(tuple(minimal[i] for i in first))
+
+
+# A level is scored through the subset lattice when its g groups of size N
+# take g * 2**N bits at most this many.
+_LATTICE_BITS = 4096
+
+
+def _level_keys(level: dict[tuple[int, ...], int]) -> Iterator[tuple[int, ...]]:
+    """The multisets of a stored level, in lexicographic order."""
+    for prefix, lasts in level.items():
+        while lasts:
+            bit = lasts & -lasts
+            lasts ^= bit
+            yield prefix + (bit.bit_length() - 1,)
+
+
+class _SubsetLattice:
+    """The subsets of every group that the positions of a key can match
+    perfectly, as one int.
+
+    Group g, a minimal empty subfamily of size N with its members taken in
+    ascending order, owns bits g * 2**N up to (g + 1) * 2**N, and bit U of
+    its block stands for the members whose indices are the bits of U.
+    ``row(key)`` has bit U set in every block whose group's U can be
+    matched one to one by the positions of ``key``, each position to a
+    member of its own family.  The row of the empty key sets bit 0 of
+    every block, and appending family j maps each matched U without member
+    t to U + {t} when t lies in family j, that is ``(row & step) << 2**t``
+    for the pairs (2**t, step) in ``steps[j]``.
+
+    ``tests[i]`` has bit S - {t} of group S's block for each member t of S
+    in family i, so ``key + (i,)`` admits an empty transversal exactly
+    when ``row(key) & tests[i]`` is nonzero.  Keys arrive in lexicographic
+    order and the rows of the previous key's prefixes are kept, so a key
+    extends only from the first position where it differs.
+    """
+
+    def __init__(
+        self,
+        groups: Sequence[frozenset[int]],
+        families_of: Sequence[Sequence[int]],
+        n: int,
+    ) -> None:
+        size = len(groups[0])
+        width = 1 << size
+        # without[t]: the bits U of one block that leave member t out.
+        without = [
+            sum(1 << u for u in range(width) if not u >> t & 1) for t in range(size)
+        ]
+        steps = [[0] * size for _ in range(n)]
+        self.tests = [0] * n
+        for g, group in enumerate(groups):
+            base = g * width
+            for t, member in enumerate(sorted(group)):
+                step = without[t] << base
+                test = 1 << base + width - 1 - (1 << t)
+                for i in families_of[member]:
+                    steps[i][t] |= step
+                    self.tests[i] |= test
+        self.steps = [
+            [(1 << t, step) for t, step in enumerate(row) if step] for row in steps
+        ]
+        self.key = (-1,) * (size - 1)
+        self.rows = [sum(1 << g * width for g in range(len(groups)))]
+
+    def row(self, key: tuple[int, ...]) -> int:
+        rows, steps, last = self.rows, self.steps, self.key
+        d = 0
+        if key != last:  # both have size - 1 positions, so they differ at d
+            while key[d] == last[d]:
+                d += 1
+        del rows[d + 1 :]
+        row = rows[d]
+        for j in key[d:]:
+            grown = 0
+            for shift, step in steps[j]:
+                grown |= (row & step) << shift
+            rows.append(grown)
+            row = grown
+        self.key = key
+        return row
+
+
+def _meets(
+    groups: Sequence[frozenset[int]], minimal: Sequence[frozenset[int]]
+) -> list[int]:
+    """Per family, the bitset of the groups it meets: the OR over its
+    members of the groups that hold each member."""
+    holding: dict[int, int] = {}
+    for g, group in enumerate(groups):
+        for j in group:
+            holding[j] = holding.get(j, 0) | 1 << g
+    meets = []
+    for sel in minimal:
+        entry = 0
+        for j in sel:
+            entry |= holding.get(j, 0)
+        meets.append(entry)
+    return meets
 
 
 def _completions(

@@ -31,11 +31,15 @@ from comatch.search import (
     instance_admits_empty_transversal,
     minimal_empty_subfamilies,
 )
+from comatch import search
 from comatch.search import (
     _class_tops,
     _compatibility_tables,
+    _completions,
     _exposable_members,
     _lower_neighbours,
+    _meets,
+    _SubsetLattice,
 )
 
 from oracles import (
@@ -76,6 +80,28 @@ def density_system(seed):
         (f"m{j}", [p for p in range(n) if rng.random() < density]) for j in range(m)
     ]
     return SetSystem.build([str(p) for p in range(n)], members)
+
+
+def join_system(k):
+    """Cycle-sharpness M=2 (A={1,2}, B={3,4}, C={2,3}, D={4,1}) joined with
+    X - {x_i} on k points: A..D also take x1..xk, and y_i is {1,2,3,4} plus
+    every x but x_i.  Its two minimal empty subfamilies have k + 2 members,
+    and tau' = k + 2 = h, so eta is left to the level search."""
+    xs = [f"x{i}" for i in range(1, k + 1)]
+    cycle = [("A", ["1", "2"]), ("B", ["3", "4"]), ("C", ["2", "3"]), ("D", ["4", "1"])]
+    members = [(name, pts + xs) for name, pts in cycle]
+    members += [(f"y{i}", ["1", "2", "3", "4"] + xs[: i - 1] + xs[i:]) for i in range(1, k + 1)]
+    return SetSystem.from_labels(["1", "2", "3", "4"] + xs, members)
+
+
+def seed7_system():
+    """80 random 3-sets of 20 points: 3,466 minimal empty subfamilies, 1,920
+    of size 2 and 1,546 of size 3, and tau' = 3 = h."""
+    rng = random.Random(7)
+    ground = [str(i) for i in range(20)]
+    return SetSystem.from_labels(
+        ground, [(f"m{k}", rng.sample(ground, 3)) for k in range(80)]
+    )
 
 
 def shared_point_system():
@@ -643,6 +669,89 @@ class TestColorfulHellyNumber:
         assert (eta, exact, refuting.families) == (10, False, (largest,) * 9)
         assert budget.nodes == 2_000_001
         assert peak < 1 << 20
+
+
+    @pytest.mark.parametrize(
+        "k, nodes, lattice", [(3, 20, True), (10, 90, False), (28, 495, False)]
+    )
+    def test_join_systems_on_both_sides_of_the_lattice_width(
+        self, monkeypatch, k, nodes, lattice
+    ):
+        # The one scored level has N = k + 2 and two groups: 2 * 2**5 = 64
+        # lattice bits for k = 3, against 8,192 for k = 10 and 2**31 for
+        # k = 28, which take _completions.
+        system = join_system(k)
+        built = []
+
+        def lattice_spy(*args):
+            built.append(args)
+            return _SubsetLattice(*args)
+
+        monkeypatch.setattr(search, "_SubsetLattice", lattice_spy)
+        for given in (None, k + 2):
+            budget = SearchBudget()
+            eta, exact, refuting = colorful_helly_number(system, budget, given)
+            assert (eta, exact, budget.nodes) == (k + 2, True, nodes), given
+            assert len(refuting) == k + 1
+            assert not instance_admits_empty_transversal(system, refuting)
+            if k == 3:
+                assert (eta, exact, refuting.families, budget.nodes) == (
+                    oracle_eta_level_search(system, given)
+                ), given
+        assert len(built) == (2 if lattice else 0)
+
+    def test_many_group_level_under_node_budget(self):
+        # Level 2 has 1,920 groups (7,680 lattice bits), so it takes
+        # _completions, with each family's meets from its members' groups.
+        system = seed7_system()
+        minimal = minimal_empty_subfamilies(system)
+        assert len(minimal) == 3_466
+        largest = next(s for s in minimal if len(s) == 3)
+        for given in (None, 3):
+            budget = SearchBudget(300_000)
+            eta, exact, refuting = colorful_helly_number(system, budget, given, minimal)
+            assert (eta, exact, refuting.families) == (3, False, (largest,) * 2)
+            assert budget.nodes == 300_001
+
+
+class TestLevelScoring:
+    """The subset lattice and the per-group matchings score alike."""
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_lattice_rows_match_completions(self, seed):
+        system = density_system(seed)
+        minimal = minimal_empty_subfamilies(system)
+        if not minimal:
+            return
+        n = len(minimal)
+        member_bits = [sum(1 << j for j in sel) for sel in minimal]
+        families_of = [[] for _ in range(system.num_members)]
+        for i, sel in enumerate(minimal):
+            for j in sel:
+                families_of[j].append(i)
+        for size in sorted({len(sel) for sel in minimal}):
+            groups = [sel for sel in minimal if len(sel) == size]
+            group_bits = [sum(1 << j for j in sel) for sel in groups]
+            meets = _meets(groups, minimal)
+            lattice = _SubsetLattice(groups, families_of, n)
+            for key in list(combinations_with_replacement(range(n), size - 1))[:300]:
+                row = lattice.row(key)
+                completions = _completions(key, member_bits, group_bits, meets)
+                assert [not t & row for t in lattice.tests] == [
+                    not b & completions for b in member_bits
+                ], key
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_meets_is_the_intersection_table(self, seed):
+        system = density_system(seed)
+        minimal = minimal_empty_subfamilies(system)
+        member_bits = [sum(1 << j for j in sel) for sel in minimal]
+        for size in {len(sel) for sel in minimal}:
+            groups = [sel for sel in minimal if len(sel) == size]
+            assert _meets(groups, minimal) == [
+                sum(1 << g for g, group in enumerate(groups) if group & sel)
+                for sel in minimal
+            ]
 
 
 class TestEmptyTransversal:
