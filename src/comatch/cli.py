@@ -2,12 +2,13 @@
 
 Subcommands: analyze, generate, nerve, homology, collapse, leray,
 dichotomy, check-theorems, question1, verify.  Every subcommand takes
---out; each takes only those of --seed, --budget-nodes, --budget-ms,
---cap-ground, --cap-vertices and --wall-clock that it reads, and any
-other flag is a usage error (exit 2).  Each subparser names its
-handler, which returns the document and the exit code.  Flags are the
-only source of settings: a setting a subcommand has no flag for keeps
-RunConfig's default, and no environment variable is read.
+--out; each takes only those of --seed, --budget-nodes, --budget-ms and
+--wall-clock that it reads, and any other flag is a usage error (exit
+2).  Each subparser names its handler, which returns the document and
+the exit code.  Flags are the only source of settings: a setting a
+subcommand has no flag for keeps RunConfig's default, and no
+environment variable is read; a report's config block echoes exactly
+the settings its subcommand has flags for.
 
 Exit codes: 0 success, 1 invariant or suite failure, 2 input error (an
 unreadable file, an --out that cannot be written, found before any work,
@@ -84,7 +85,10 @@ EXIT_FAILURE = 1
 EXIT_INPUT = 2
 EXIT_BUDGET = 3
 
-REPORT_SCHEMA = "comatch-report/1"
+REPORT_SCHEMA = "comatch-report/2"
+
+ANALYZE_GROUND_CAP = 4096
+ANALYZE_VERTEX_CAP = 64
 
 
 @dataclass(frozen=True)
@@ -94,8 +98,6 @@ class RunConfig:
     seed: int = 0
     budget_nodes: Optional[int] = 2_000_000
     budget_millis: Optional[int] = 120_000
-    cap_ground: int = 4096
-    cap_vertices: int = 64
     out: Optional[str] = None
     wall_clock: bool = False
 
@@ -103,15 +105,9 @@ class RunConfig:
         """A fresh budget with the run's limits, its deadline starting now."""
         return SearchBudget(self.budget_nodes, self.budget_millis)
 
-    def doc(self) -> dict:
-        return {
-            "seed": self.seed,
-            "budget_nodes": self.budget_nodes,
-            "budget_millis": self.budget_millis,
-            "arith": "exact",  # the only arithmetic; comatch-report/1 keeps the field
-            "cap_ground": self.cap_ground,
-            "cap_vertices": self.cap_vertices,
-        }
+    def doc(self, fields: tuple[str, ...]) -> dict:
+        """The report's config block: the named fields and their values."""
+        return {field: getattr(self, field) for field in fields}
 
 
 def _capped_budget(
@@ -130,10 +126,13 @@ _FLAGS = (
     ("seed", "--seed", int),
     ("budget_nodes", "--budget-nodes", int),
     ("budget_millis", "--budget-ms", int),
-    ("cap_ground", "--cap-ground", int),
-    ("cap_vertices", "--cap-vertices", int),
     ("out", "--out", str),
 )
+
+# The settings of analyze and of the two suites: their parsers add a flag
+# for each, and their reports' config blocks echo each.
+_ANALYZE_SETTINGS = ("budget_nodes", "budget_millis")
+_SUITE_SETTINGS = ("seed", "budget_nodes", "budget_millis")
 
 
 def _add_common(parser: argparse.ArgumentParser, *fields: str) -> None:
@@ -207,16 +206,16 @@ def cmd_analyze(path: str, config: RunConfig) -> dict:
     started = time.monotonic()
     if kind == "set_system":
         system = jsonio.set_system_from_doc(doc)
-        if system.num_points > config.cap_ground:
+        if system.num_points > ANALYZE_GROUND_CAP:
             raise InputError(
-                f"ground size {system.num_points} exceeds cap {config.cap_ground}"
+                f"ground size {system.num_points} exceeds cap {ANALYZE_GROUND_CAP}"
             )
         report = _analyze_system(system, config)
     elif kind == "complex":
         complex_, notes = jsonio.complex_from_doc(doc)
-        if complex_.num_vertices > config.cap_vertices:
+        if complex_.num_vertices > ANALYZE_VERTEX_CAP:
             raise InputError(
-                f"vertex count {complex_.num_vertices} exceeds cap {config.cap_vertices}"
+                f"vertex count {complex_.num_vertices} exceeds cap {ANALYZE_VERTEX_CAP}"
             )
         report = _analyze_complex(complex_, config)
         if notes:
@@ -225,7 +224,7 @@ def cmd_analyze(path: str, config: RunConfig) -> dict:
         raise InputError("analyze expects a set system or a complex document")
     report["schema"] = REPORT_SCHEMA
     report["input"] = path
-    report["config"] = config.doc()
+    report["config"] = config.doc(_ANALYZE_SETTINGS)
     if config.wall_clock:
         report["timing"]["wall_ms"] = int((time.monotonic() - started) * 1000)
     return report
@@ -596,7 +595,7 @@ def cmd_check_theorems(args: argparse.Namespace, config: RunConfig) -> tuple[dic
     doc = {
         "schema": REPORT_SCHEMA,
         "kind": "theorem-suite",
-        "config": config.doc(),
+        "config": config.doc(_SUITE_SETTINGS),
         "systems_checked": checked,
         "systems_skipped_inexact": skipped,
         "complexes_checked": complexes_checked,
@@ -657,7 +656,7 @@ def cmd_question1(args: argparse.Namespace, config: RunConfig) -> tuple[dict, in
     return {
         "schema": REPORT_SCHEMA,
         "kind": "question1-log",
-        "config": config.doc(),
+        "config": config.doc(_SUITE_SETTINGS),
         "samples": len(records),
         "records": records,
         "max_nerve_leray_number_seen": running_max,
@@ -763,9 +762,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="full invariant report for a system or complex")
     p.add_argument("path")
-    _add_common(
-        p, "budget_nodes", "budget_millis", "cap_ground", "cap_vertices", "wall_clock"
-    )
+    _add_common(p, *_ANALYZE_SETTINGS, "wall_clock")
     p.set_defaults(run=lambda args, config: (cmd_analyze(args.path, config), EXIT_OK))
 
     p = sub.add_parser("generate", help="emit a named construction as JSON")
@@ -804,13 +801,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check-theorems", help="randomized invariant suites")
     p.add_argument("--systems", type=int, default=120)
-    _add_common(p, "seed", "budget_nodes", "budget_millis")
+    _add_common(p, *_SUITE_SETTINGS)
     p.set_defaults(run=cmd_check_theorems)
 
     p = sub.add_parser("question1", help="Leray numbers of low-comatching nerves")
     p.add_argument("--samples", type=int, default=40)
     p.add_argument("--include-torus", action="store_true")
-    _add_common(p, "seed", "budget_nodes", "budget_millis")
+    _add_common(p, *_SUITE_SETTINGS)
     p.set_defaults(run=cmd_question1)
 
     p = sub.add_parser("verify", help="replay a certificate against its object")

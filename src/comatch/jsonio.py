@@ -197,7 +197,6 @@ def certificate_to_doc(cert, system=None, complex_=None) -> dict:
         return {
             "kind": "collapse_sequence",
             "d": cert.d,
-            "strict_size": False,  # one collapse rule; comatch-report/1 keeps the field
             "steps": [
                 {
                     "free_face": sorted(complex_.vertex_labels(face)),
@@ -296,7 +295,7 @@ def certificate_from_doc(doc: dict, system=None, complex_=None):
             )
             for k, s in enumerate(_field(doc, "steps", list, kind))
         )
-        if "strict_size" in doc:  # true and false replay alike; others are errors
+        if "strict_size" in doc:  # as comatch-report/1 wrote it; true and false alike
             _field(doc, "strict_size", bool, kind)
         return CollapseSequence(_field(doc, "d", int, kind), steps)
     if kind == "leray_witness":
@@ -333,8 +332,7 @@ def profile_to_doc(profile: Optional[HomologyProfile]) -> dict:
         return {"status": "budget_exhausted"}
     doc = {
         "reduced_betti": list(profile.reduced_betti),
-        "arithmetic_mode": "exact-rational",  # the only arithmetic; kept in the schema
-        "exact": True,  # kept in comatch-report/1: perfbench/gate.py reads it
+        "exact": True,  # always true; kept only because perfbench/gate.py reads it
     }
     if profile.notes:
         doc["notes"] = list(profile.notes)

@@ -169,8 +169,29 @@ class TestAnalyze:
         bad.write_text("{not json")
         assert main(["analyze", str(bad)]) == 2
 
-    def test_cap_violation_exit_code(self, sharp2_path, capsys):
-        assert main(["analyze", str(sharp2_path), "--cap-ground", "2"]) == 2
+    def test_cap_violation_exit_code(self, sharp2_path, tmp_path, capsys):
+        # A ground set of 4,097 points and a complex of 65 vertices are one
+        # over the caps, which are constants: no flag moves them.
+        system = tmp_path / "wide.json"
+        points = [f"p{i}" for i in range(4097)]
+        system.write_text(json.dumps(
+            {"ground": points, "members": [{"name": "F", "elements": points}]}
+        ))
+        complex_ = tmp_path / "many.json"
+        vertices = [f"v{i}" for i in range(65)]
+        complex_.write_text(json.dumps({"vertices": vertices, "facets": [vertices]}))
+        for path, message in (
+            (system, "ground size 4097 exceeds cap 4096"),
+            (complex_, "vertex count 65 exceeds cap 64"),
+        ):
+            assert main(["analyze", str(path)]) == 2
+            captured = capsys.readouterr()
+            assert (captured.out, captured.err) == ("", f"input error: {message}\n")
+        for flag in ("--cap-ground", "--cap-vertices"):
+            with pytest.raises(SystemExit) as exc:
+                main(["analyze", str(sharp2_path), flag, "9"])
+            assert exc.value.code == 2
+            assert capsys.readouterr().out == ""
 
     def test_determinism_byte_identical(self, sharp2_path, tmp_path, capsys):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -415,9 +436,13 @@ class TestPipelines:
         assert exc.value.code == 2
         assert capsys.readouterr().out == ""
 
-    def test_strict_size_certificate_still_verifies(self, torus_path, tmp_path, capsys):
+    @pytest.mark.parametrize("strict_size", [False, True, None])
+    def test_strict_size_certificate_still_verifies(
+        self, torus_path, tmp_path, capsys, strict_size
+    ):
         # A sequence of exactly-d steps, as the removed --strict-size mode
         # wrote it, is a legal sequence under the one rule of 1..d vertices.
+        # comatch-report/1 wrote strict_size (true or false); /2 writes none.
         from oracles import oracle_lex_first_collapse
 
         from comatch.jsonio import certificate_to_doc, complex_from_doc
@@ -427,7 +452,9 @@ class TestPipelines:
         status, steps, _ = oracle_lex_first_collapse(torus, 3, strict_size=True)
         assert status == "proved" and {len(face) for face, _ in steps} == {3}
         cert = certificate_to_doc(CollapseSequence(3, steps), complex_=torus)
-        cert["strict_size"] = True
+        assert "strict_size" not in cert
+        if strict_size is not None:
+            cert["strict_size"] = strict_size
         cert_path = tmp_path / "strict.json"
         cert_path.write_text(json.dumps(cert))
         code, doc = run_cli(capsys, "verify", str(cert_path), str(torus_path))
@@ -896,7 +923,7 @@ class TestSuites:
                 monkeypatch.setenv(name, value)
             assert (main(argv), capsys.readouterr()) == plain
             assert plain[0] == 0
-            assert json.loads(plain[1].out)["config"]["arith"] == "exact"
+            assert json.loads(plain[1].out)["config"]["budget_nodes"] == 2_000_000
         assert not trap.exists()
 
 
@@ -932,10 +959,7 @@ class TestParserReuse:
 
 # The flags each subcommand accepts besides -h: --out and those it reads.
 ACCEPTED_OPTIONS = {
-    "analyze": {
-        "--budget-nodes", "--budget-ms", "--cap-ground", "--cap-vertices",
-        "--wall-clock",
-    },
+    "analyze": {"--budget-nodes", "--budget-ms", "--wall-clock"},
     "generate": {"--seed"},
     "nerve": set(),
     "homology": {"--budget-nodes", "--budget-ms"},
@@ -963,7 +987,7 @@ class TestPerCommandFlags:
         assert accepted == {
             name: flags | {"--out"} for name, flags in ACCEPTED_OPTIONS.items()
         }
-        assert sum(map(len, accepted.values())) == 31
+        assert sum(map(len, accepted.values())) == 29
 
     def test_flags_a_command_does_not_read_are_usage_errors(
         self, sharp2_path, tmp_path, capsys
@@ -983,20 +1007,26 @@ class TestPerCommandFlags:
             assert capsys.readouterr().out == ""
 
     def test_each_setting_flag_reaches_the_config_echo(self, sharp2_path, capsys):
-        # The other fields echo RunConfig's defaults, seed 0 in analyze and
-        # the caps in check-theorems and question1 included.
-        analyze = ["analyze", str(sharp2_path)]
-        cases = (
-            (["check-theorems", "--systems", "1"], "--seed", "seed", 5),
-            (["question1", "--samples", "1"], "--budget-nodes", "budget_nodes", 7000),
-            (analyze, "--budget-ms", "budget_millis", 60000),
-            (analyze, "--cap-ground", "cap_ground", 9),
-            (analyze, "--cap-vertices", "cap_vertices", 7),
-        )
-        for argv, flag, field, value in cases:
-            code, doc = run_cli(capsys, *argv, flag, str(value))
+        # A config block names exactly the settings its subcommand has flags
+        # for: their defaults without the flags, each flag's value with it.
+        settings = {"--seed": "seed", "--budget-nodes": "budget_nodes",
+                    "--budget-ms": "budget_millis"}
+        values = {"--seed": 5, "--budget-nodes": 7000, "--budget-ms": 60000}
+        commands = {
+            "analyze": ["analyze", str(sharp2_path)],
+            "check-theorems": ["check-theorems", "--systems", "1"],
+            "question1": ["question1", "--samples", "1"],
+        }
+        for name, argv in commands.items():
+            flags = sorted(ACCEPTED_OPTIONS[name] & settings.keys())
+            fields = [settings[flag] for flag in flags]
+            code, doc = run_cli(capsys, *argv)
             assert code == 0
-            assert doc["config"] == {**RunConfig().doc(), field: value}, argv
+            assert doc["config"] == {f: getattr(RunConfig(), f) for f in fields}, name
+            given = [str(x) for flag in flags for x in (flag, values[flag])]
+            code, doc = run_cli(capsys, *argv, *given)
+            assert code == 0
+            assert doc["config"] == {settings[f]: values[f] for f in flags}, name
 
 
 def _run_module(*argv):

@@ -91,7 +91,6 @@ class TestReducedBetti:
         assert profile.reduced_betti == (0, 2, 1, 0)
         assert profile_to_doc(profile) == {
             "reduced_betti": [0, 2, 1, 0],
-            "arithmetic_mode": "exact-rational",
             "exact": True,
         }
 
