@@ -25,6 +25,7 @@ from .core import (
 )
 from .search import (
     ColorfulInstance,
+    CompatibilityGraph,
     DichotomyOutcome,
     FractionalHellyProfile,
     colorful_helly_number,

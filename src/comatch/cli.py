@@ -51,6 +51,7 @@ from .core import (
 )
 from .search import (
     ColorfulInstance,
+    CompatibilityGraph,
     DichotomyOutcome,
     colorful_helly_number,
     colorful_transversal_dichotomy,
@@ -234,9 +235,10 @@ def _analyze_system(system: SetSystem, config: RunConfig) -> dict:
     budgets = {name: config.budget() for name in ("tau", "tau_prime", "eta")}
     minimal = minimal_empty_subfamilies(system)
     h = max((len(s) for s in minimal), default=1)
-    tau, tau_cert, tau_exact = comatching_number(system, budgets["tau"])
+    graph = CompatibilityGraph.build(system)
+    tau, tau_cert, tau_exact = comatching_number(system, budgets["tau"], graph)
     taup, taup_cert, taup_exact = comatching_with_intersection_number(
-        system, budgets["tau_prime"]
+        system, budgets["tau_prime"], graph
     )
     if minimal and (tau < h or taup < h - 1):
         # Only a search that ran out of budget ends below these bounds; it
@@ -522,8 +524,11 @@ def cmd_check_theorems(args: argparse.Namespace, config: RunConfig) -> tuple[dic
     skipped = 0
     for index in range(args.systems):
         system = random_system(rng, 7, 7)
-        tau, tau_cert, e1 = comatching_number(system, config.budget())
-        taup, taup_cert, e2 = comatching_with_intersection_number(system, config.budget())
+        graph = CompatibilityGraph.build(system)
+        tau, tau_cert, e1 = comatching_number(system, config.budget(), graph)
+        taup, taup_cert, e2 = comatching_with_intersection_number(
+            system, config.budget(), graph
+        )
         minimal = minimal_empty_subfamilies(system)
         h = max((len(s) for s in minimal), default=1)
         # No tau_prime here: eta is searched without the 1 + tau' cap, so the

@@ -3,10 +3,14 @@
 Everything here is exact and certificate-producing:
 
 * ``comatching_number`` / ``comatching_with_intersection_number`` run a
-  bit-parallel maximum-clique search on the compatibility graph of the
-  (member, point) pairs, bounded by greedy colouring read from a
-  triangular table of each pair's lower neighbours (n(n+1)/2 bits for n
-  pairs), which colours as the full neighbourhoods would.
+  bit-parallel maximum-clique search on one compatibility graph of the
+  (member, point) pairs, which a caller computing both builds once.  A
+  value pass branches in colour order (Tomita and Seki 2003, in the
+  bitset form of San Segundo et al. 2011), bounded by greedy colouring
+  read from a triangular table of each pair's lower neighbours (n(n+1)/2
+  bits for n pairs).  The certificate is the lexicographically first
+  optimum: a greedy chain of lowest compatible pairs when it reaches the
+  value, else the first clique of that size in ascending pair order.
 * ``minimal_empty_subfamilies`` enumerates the inclusion-minimal
   subfamilies with empty intersection (the minimal non-faces of the
   nerve) as minimal hitting sets of the complement hypergraph, holding
@@ -43,7 +47,7 @@ from fractions import Fraction
 from functools import partial
 from itertools import combinations, combinations_with_replacement
 from math import comb
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .core import (
     Comatching,
@@ -58,6 +62,7 @@ from .core import (
 
 __all__ = [
     "ColorfulInstance",
+    "CompatibilityGraph",
     "DichotomyOutcome",
     "FractionalHellyProfile",
     "comatching_number",
@@ -134,106 +139,263 @@ class FractionalHellyProfile:
 # ---------------------------------------------------------------------------
 
 
+class CompatibilityGraph(NamedTuple):
+    """The compatibility graph of a system's (member, point) pairs with the
+    point outside the member, built once and shared by tau and tau'.
+
+    (m, p) and (m', p') are compatible when p lies in m' and p' in m, which
+    forces m != m' and p != p', so a comatching is a clique.  The pairs are
+    bits in (member, point) order, and a clique's pairs in bit order are in
+    member order.  The neighbours of (m, p) are ``containing[p] &
+    inside[m]``: the pairs whose member contains p, among those whose point
+    lies in m.  ``lower[i]`` is pair i's neighbours below i plus i itself,
+    n(n+1)/2 bits for n pairs: about 0.8 MB on Hamming(6,1)'s 3,648 pairs
+    and 15 MB on Hamming(7,1)'s 15,360.  Greedy colouring from the highest
+    pair down reads only this table.  ``nonempty`` holds the pairs whose
+    member has a point, the candidates of tau'.
+    """
+
+    pairs: tuple[tuple[int, int], ...]
+    containing: list[int]
+    inside: list[int]
+    lower: list[int]
+    nonempty: int
+
+    @classmethod
+    def build(cls, system: SetSystem) -> "CompatibilityGraph":
+        pairs = tuple((m, p) for p, m in complement_incidence(system))
+        containing, inside = _compatibility_tables(system, pairs)
+        nonempty = 0  # a member is nonempty when it contains some point
+        for row in containing:
+            nonempty |= row
+        lower = _lower_neighbours(containing, inside, pairs)
+        return cls(pairs, containing, inside, lower, nonempty)
+
+
 def _comatching_search(
-    system: SetSystem, budget: Optional[SearchBudget], need_common_point: bool
+    system: SetSystem,
+    budget: Optional[SearchBudget],
+    need_common_point: bool,
+    graph: Optional[CompatibilityGraph],
 ) -> tuple[int, tuple[tuple[int, int], ...], int, bool]:
     """Shared maximum-clique search for tau and tau'.
 
     Returns (best size, best pairs as (point, member), common-point mask
     of the best solution, exact flag).
 
-    A comatching is a clique in the compatibility graph on the (member,
-    point) pairs with the point outside the member: (m, p) and (m', p')
-    are compatible when p lies in m' and p' in m, which forces m != m'
-    and p != p'.  The pairs are bits in (member, point) order, and the
-    neighbours of (m, p) are ``containing[p] & inside[m]``: the pairs
-    whose member contains p, among those whose point lies in m.
+    The search runs in three steps over the compatibility graph, for tau'
+    restricted to the pairs whose member is nonempty (a nonempty ground
+    set always admits the size-0 certificate, but a positive tau' needs
+    an extendable pair).  Both passes are depth-first on an explicit
+    stack, so their depth is not bounded by the recursion limit, and for
+    tau' every node carries the intersection of its members, and its
+    children keep only the pairs whose member meets it.
 
-    The search is depth-first on an explicit stack, so its depth is not
-    bounded by the recursion limit.  Children are taken in ascending bit
-    order, each narrowing the candidates to its later neighbours.  Each
-    node greedily colours its candidates into independent sets, and a
-    clique takes at most one pair from each.  A node is not expanded when
-    its size plus its colour count cannot beat the best, and its child
-    loop stops once its size plus the number of classes with an untried
-    pair cannot.  Both rules only cut branches with no strictly larger
-    clique, and the best is replaced only by a strictly larger one, so the
-    certificate is the lexicographically first optimum and reruns are
-    reproducible.  For tau' a node also carries the intersection of its
-    members, and its children keep only the pairs whose member meets it.
+    1. The value pass (:func:`_value_pass`) branches in colour order.
+       Each node colours its candidates greedily from the highest pair
+       down and branches only on pairs whose class k has size + k > best,
+       highest class first, dropping each tried pair from the node.  Once
+       the classes above k are tried and dropped, the candidates left lie
+       in classes 1..k, each independent, so no clique among them has more
+       than k pairs: the cut loses no strictly larger clique, and the
+       value is exact when the pass ends.
+    2. The greedy chain starts from the lowest candidate and repeatedly
+       adds the lowest later candidate compatible with every pair chosen
+       so far (for tau', one whose member also meets their intersection).
+       When it reaches the value, it is the lexicographically first
+       optimum: the lowest candidate is the least possible first pair,
+       and at each step the chain's prefix extends to an optimum (the
+       chain) while no later pair below the chain's next one fits the
+       prefix at all.  It costs no search node.
+    3. Otherwise the certificate pass (:func:`_certificate_pass`) branches in
+       ascending pair order and stops at its first clique of the value's
+       size, the lexicographically first optimum.  So certificates and
+       reruns do not depend on the colour order.
 
-    The colouring reads ``lower[i]``, pair i's neighbours below i plus i,
-    built once per search: n(n+1)/2 bits for n pairs, about 0.8 MB on
-    Hamming(6,1)'s 3,648 pairs and 15 MB on Hamming(7,1)'s 15,360.  It
-    gives the classes that the full neighbourhoods give, so the search
-    tree and its node counts are the same.  Children narrow with the
-    full ``containing[p] & inside[m]``, as they need the later pairs.
+    Both passes spend from the one budget.  A cut inside the value pass
+    returns the best clique found so far, inexact.  A cut inside the
+    certificate pass returns the value, which the value pass proved, as
+    exact, with the value pass's clique as certificate.
     """
-    masks = system.masks
-    full = system.full_mask
+    if graph is None:
+        graph = CompatibilityGraph.build(system)
     budget = budget or SearchBudget()
-    candidates = [(m, p) for p, m in complement_incidence(system)]
-    if need_common_point:
-        # A nonempty ground set always admits the size-0 certificate, but a
-        # positive tau' needs at least one extendable pair.
-        candidates = [(m, p) for (m, p) in candidates if masks[m]]
-    containing, inside = _compatibility_tables(system, candidates)
-    lower = _lower_neighbours(containing, inside, candidates)
+    root = graph.nonempty if need_common_point else (1 << len(graph.pairs)) - 1
+    clique, exact = _value_pass(system, graph, root, need_common_point, budget)
+    if exact and clique:
+        chain = _greedy_chain(system, graph, root, need_common_point)
+        if len(chain) == len(clique):
+            clique = chain
+        else:
+            clique = (
+                _certificate_pass(
+                    system, graph, root, need_common_point, budget, len(clique)
+                )
+                or clique
+            )
+    common = system.full_mask
+    for i in clique:
+        common &= system.masks[graph.pairs[i][0]]
+    pairs = tuple((graph.pairs[i][1], graph.pairs[i][0]) for i in clique)
+    return len(clique), pairs, common if need_common_point else 0, exact
 
-    best_pairs: tuple[tuple[int, int], ...] = ()
-    best_size = 0
-    best_common = full if need_common_point else 0
+
+def _meeting(containing: Sequence[int], inter: int) -> int:
+    """The pairs whose member meets the point set ``inter``."""
+    meets = 0
+    while inter:
+        bit = inter & -inter
+        inter ^= bit
+        meets |= containing[bit.bit_length() - 1]
+    return meets
+
+
+def _value_pass(
+    system: SetSystem,
+    graph: CompatibilityGraph,
+    root: int,
+    need_common_point: bool,
+    budget: SearchBudget,
+) -> tuple[tuple[int, ...], bool]:
+    """A maximum clique among ``root`` by colour-ordered branching, as
+    (pair indices in ascending order, exact flag)."""
+    masks, pairs, lower = system.masks, graph.pairs, graph.lower
+    containing, inside = graph.containing, graph.inside
+    best: list[int] = []
     if not budget.spend():
-        return best_size, best_pairs, best_common, False
-    # stack[d] is [untried candidates, colour-class tops] of the node at
-    # depth d; its pairs are chosen[:d] and its intersection is inters[d].
-    root = (1 << len(candidates)) - 1
-    stack = [[root, _class_tops(root, lower)]]
-    chosen: list[tuple[int, int]] = []
-    inters = [full]
+        return (), False
+    # stack[d] is [untried candidates, classes above cut, cut] of the node
+    # at depth d, classes[j] being class number cut + j + 1; its pairs are
+    # chosen[:d] and its intersection is inters[d].
+    stack = [[root, _colour_classes(root, lower, 0), 0]]
+    chosen: list[int] = []
+    inters = [system.full_mask]
     while stack:
         frame = stack[-1]
-        cand, tops = frame
-        # The untried pairs are the candidates from bit low up, and -low has
-        # every bit from low up set (none once low is 0), so a class whose
-        # top misses -low has no untried pair left.
-        low = cand & -cand
-        while tops and not tops[-1] & -low:
-            tops.pop()
+        cand, classes, cut = frame
         size = len(chosen)
-        if size + len(tops) <= best_size:
+        if size + cut + len(classes) <= len(best):
+            stack.pop()
+            if chosen:
+                chosen.pop()
+                inters.pop()
+            continue
+        top = classes[-1]
+        low = top & -top
+        if top == low:
+            classes.pop()
+        else:
+            classes[-1] = top ^ low
+        frame[0] = cand = cand ^ low
+        if not budget.spend():
+            return tuple(sorted(best)), False
+        i = low.bit_length() - 1
+        chosen.append(i)
+        m, p = pairs[i]
+        inter = inters[-1] & masks[m]
+        if size + 1 > len(best):
+            best = chosen[:]
+        child = cand & containing[p] & inside[m]
+        if need_common_point and child:
+            child &= _meeting(containing, inter)
+        cut = len(best) - size - 1
+        if child.bit_count() > cut:
+            classes = _colour_classes(child, lower, cut)
+            if classes:
+                stack.append([child, classes, cut])
+                inters.append(inter)
+                continue
+        chosen.pop()
+    return tuple(sorted(best)), True
+
+
+def _greedy_chain(
+    system: SetSystem, graph: CompatibilityGraph, root: int, need_common_point: bool
+) -> tuple[int, ...]:
+    """The clique that repeatedly takes the lowest candidate compatible with
+    every pair taken so far; for tau' its member must also meet their
+    intersection.  A pair that misses the intersection once misses it for
+    good, as the intersection only shrinks."""
+    chain = []
+    cand = root
+    inter = system.full_mask
+    while cand:
+        low = cand & -cand
+        cand ^= low
+        i = low.bit_length() - 1
+        m, p = graph.pairs[i]
+        if need_common_point and not system.masks[m] & inter:
+            continue
+        chain.append(i)
+        inter &= system.masks[m]
+        cand &= graph.containing[p] & graph.inside[m]
+    return tuple(chain)
+
+
+def _certificate_pass(
+    system: SetSystem,
+    graph: CompatibilityGraph,
+    root: int,
+    need_common_point: bool,
+    budget: SearchBudget,
+    target: int,
+) -> Optional[tuple[int, ...]]:
+    """The lexicographically first clique of ``target`` pairs among
+    ``root``, or None if the budget runs out first.
+
+    Children are taken in ascending bit order, each narrowing the
+    candidates to its later neighbours, so cliques are met in
+    lexicographic order.  Each node greedily colours its candidates, and
+    a clique takes at most one pair from each class.  A node is not
+    expanded when its size plus its colour count falls short of
+    ``target``, and its child loop stops once its size plus the number of
+    classes with an untried pair does: both rules only cut branches with
+    no clique of ``target`` pairs.  The root is the value pass's root, so
+    only the children spend budget nodes."""
+    masks, pairs, lower = system.masks, graph.pairs, graph.lower
+    containing, inside = graph.containing, graph.inside
+    # stack[d] is [untried candidates, colour classes] of the node at depth
+    # d; its pairs are chosen[:d] and its intersection is inters[d].
+    stack = [[root, _colour_classes(root, lower, 0)]]
+    chosen: list[int] = []
+    inters = [system.full_mask]
+    while stack:
+        frame = stack[-1]
+        cand, classes = frame
+        # The untried pairs are the candidates from bit low up, and -low has
+        # every bit from low up set (none once low is 0).  The last class
+        # has the lowest top, so classes that miss -low, which have no
+        # untried pair left, come off the end.
+        low = cand & -cand
+        while classes and not classes[-1] & -low:
+            classes.pop()
+        size = len(chosen)
+        if size + len(classes) < target:
             stack.pop()
             if chosen:
                 chosen.pop()
                 inters.pop()
             continue
         frame[0] = cand = cand ^ low
-        m, p = candidates[low.bit_length() - 1]
         if not budget.spend():
-            break
-        chosen.append((m, p))
+            return None
+        i = low.bit_length() - 1
+        chosen.append(i)
+        if size + 1 == target:
+            return tuple(chosen)
+        m, p = pairs[i]
         inter = inters[-1] & masks[m]
-        if size + 1 > best_size:
-            best_size = size + 1
-            best_pairs = tuple((q, n) for (n, q) in chosen)
-            best_common = inter
         child = cand & containing[p] & inside[m]
         if need_common_point and child:
-            meets = 0
-            rest = inter
-            while rest:
-                bit = rest & -rest
-                rest ^= bit
-                meets |= containing[bit.bit_length() - 1]
-            child &= meets
-        if size + 1 + child.bit_count() > best_size:
-            tops = _class_tops(child, lower)
-            if size + 1 + len(tops) > best_size:
-                stack.append([child, tops])
+            child &= _meeting(containing, inter)
+        if size + 1 + child.bit_count() >= target:
+            classes = _colour_classes(child, lower, 0)
+            if size + 1 + len(classes) >= target:
+                stack.append([child, classes])
                 inters.append(inter)
                 continue
         chosen.pop()
-    return best_size, best_pairs, best_common, not budget.exhausted
+    return None
 
 
 def _compatibility_tables(
@@ -273,49 +435,60 @@ def _lower_neighbours(
     ]
 
 
-def _class_tops(cand: int, lower: Sequence[int]) -> list[int]:
+def _colour_classes(cand: int, lower: Sequence[int], cut: int) -> list[int]:
     """Greedy colouring of ``cand`` into independent sets, each built from
-    the highest uncoloured pair down; returns each class's highest pair as
-    a bit, in descending order.
+    the highest uncoloured pair down, so class 1 holds the highest pair and
+    the classes' highest pairs descend.  Returns the classes numbered above
+    ``cut`` as bitsets, in ascending class order.
 
     A class takes the highest pair i left in ``free`` and drops i and its
     neighbours from ``free``.  ``free`` then has no bit above i, so the
     neighbours below i, ``lower[i]``, are all that need dropping."""
-    tops = []
+    classes = []
+    number = 0
     while cand:
         free = cand
-        tops.append(1 << (free.bit_length() - 1))
+        members = 0
         while free:
             i = free.bit_length() - 1
-            cand ^= 1 << i
+            members |= 1 << i
             free ^= free & lower[i]
-    return tops
+        cand ^= members
+        number += 1
+        if number > cut:
+            classes.append(members)
+    return classes
 
 
 def comatching_number(
-    system: SetSystem, budget: Optional[SearchBudget] = None
+    system: SetSystem,
+    budget: Optional[SearchBudget] = None,
+    graph: Optional[CompatibilityGraph] = None,
 ) -> tuple[int, Comatching, bool]:
     """Largest induced matching in the bipartite complement, with certificate.
 
     ``exact`` is True when the search space was exhausted; on budget
     exhaustion the returned size is still a valid lower bound and the
-    certificate still verifies.
+    certificate still verifies.  Pass ``graph`` only when it is
+    ``CompatibilityGraph.build(system)`` (a caller that computes tau and
+    tau' saves building it twice).
     """
-    size, pairs, _, exact = _comatching_search(system, budget, need_common_point=False)
+    size, pairs, _, exact = _comatching_search(system, budget, False, graph)
     return size, Comatching(pairs), exact
 
 
 def comatching_with_intersection_number(
-    system: SetSystem, budget: Optional[SearchBudget] = None
+    system: SetSystem,
+    budget: Optional[SearchBudget] = None,
+    graph: Optional[CompatibilityGraph] = None,
 ) -> tuple[int, Optional[ComatchingWithIntersection], bool]:
     """Largest comatching whose members share a common point.
 
     Returns (tau', certificate or None for tau' = 0, exact).  Whenever both
     this and :func:`comatching_number` are exact, tau' is tau or tau - 1.
+    ``graph`` is as for :func:`comatching_number`.
     """
-    size, pairs, common, exact = _comatching_search(
-        system, budget, need_common_point=True
-    )
+    size, pairs, common, exact = _comatching_search(system, budget, True, graph)
     if size == 0:
         return 0, None, exact
     common_point = (common & -common).bit_length() - 1

@@ -25,8 +25,10 @@ RANDOM_DRAWS = 30
 
 # The calls before the verify calls, which replay every certificate written.
 CALLS = [
-    *(f"analyze cs{m}.json" for m in (3, 4, 5, 6)),
+    *(f"analyze cs{m}.json" for m in (3, 4, 5, 6, 7, 8)),
     "analyze ham4.json",
+    "analyze ham5.json",
+    "analyze ham6.json --budget-nodes 200000",
     "analyze circles.json",
     "analyze torus.json",
     "analyze nerve-ham4.json",
@@ -42,8 +44,8 @@ CALLS = [
 def write_inputs() -> None:
     """Write every input file into the current directory."""
     for argv in (
-        *(f"generate cycle-sharpness {m} --out cs{m}.json" for m in (3, 4, 5, 6)),
-        "generate hamming 4 1 --out ham4.json",
+        *(f"generate cycle-sharpness {m} --out cs{m}.json" for m in (3, 4, 5, 6, 7, 8)),
+        *(f"generate hamming {n} 1 --out ham{n}.json" for n in (4, 5, 6)),
         "generate circles --out circles.json",
         "generate torus-grid 4 2 --out torus.json",
         "nerve ham4.json --out nerve-ham4.json",
@@ -86,15 +88,23 @@ def verify_calls() -> list[str]:
 # (call, exit code, SHA-256 of stdout), in the order they run.
 GOLDEN = [
     ("analyze cs3.json", 0,
-     "bdd4671e184886e3924104dee1a50f6d290c7995ee677b9135860a20be7b13cc"),
+     "261064cf0483df3b35e1c2467dad6d01243cce8e5ae8e3768df11a2aca812c56"),
     ("analyze cs4.json", 0,
-     "f21c0fca916e227985dbcbe4685be3448e838e551bac15c5e804e6a8f3bfb8bc"),
+     "d11494c9af850dc1f16928ffb97e8cfb85f4f166a21040f6474e4f4cdb7e2b32"),
     ("analyze cs5.json", 0,
-     "4b24379d9b840cf864982e2f78767e7c38cefdf0079a8b0390cf1de02b018ade"),
+     "34935356a624fc7a7865474725d04016af1122dab1ce882019fb3bd57a9772b4"),
     ("analyze cs6.json", 0,
-     "f86befcebc101f3feb2331b943a276cb711029225c4d69b2969908f21e664549"),
+     "835777303a77f92eb52fe0b78fd0a8ecceac0e078ec8d56db9a807c202a75999"),
+    ("analyze cs7.json", 0,
+     "e0e1879d96212169fc7f342e8bb01f2b8970f2d5d6a045e88d3e5ff8cb672173"),
+    ("analyze cs8.json", 0,
+     "7108aa265230239b5a0376106b786f941c20260885a896d933d6e4798ade2c02"),
     ("analyze ham4.json", 0,
-     "32818c644ac3d63bd6a6a3d872f979fa621820feca75a0d1baddf95e922db3ca"),
+     "30b90ab6c22dd2408eb648138e9de5ad11c7e6cb6559e5803a12a44e04fd78f3"),
+    ("analyze ham5.json", 0,
+     "1dc5ce7e3ef53aab4733f6f812adba17e50f3982ff637a0ca6211877008dda17"),
+    ("analyze ham6.json --budget-nodes 200000", 0,
+     "c869f4002dbb04a301abd82648a6caa8b19a5c7deaa52d68c0c69486dfd2b932"),
     ("analyze circles.json", 0,
      "23cf153079a55e0620b8b828f80ba7fe6ae7e1aef10e73e6d2c081a5edec2d7d"),
     ("analyze torus.json", 0,
@@ -106,13 +116,13 @@ GOLDEN = [
     ("analyze r01.json", 0,
      "da18936bcc928771cdb0c0c5f35d7fa56ed03a286b6c719849fd0b4dd9f6e3f7"),
     ("analyze r02.json", 0,
-     "8de8fcb3b53537b6a680df63e15535997182f0a1f99093f2ecfb79c3abfb9286"),
+     "9d2e6d50f4587d65383c0479e7959c93580d67e7c3c9affb56ecbb91d645b8a2"),
     ("analyze r03.json", 0,
      "20b47e10f85d1a6e573a6f43a7d2a1230857dfba18aa333205414637ce5b622d"),
     ("analyze r04.json", 0,
      "76130e25189bd7eceba71b8fa4a9ab6f94d618bcabbc6c2046dbeb8a7f954528"),
     ("analyze r05.json", 0,
-     "170344c2191161eb903baa2ec69685992e0df9b8cb8a3c2f33348a289a6317f5"),
+     "798e2cb4ebd030bfebe119fd7dfa4d1f83ecbcbb831e4f0cba381e0f85f7b28a"),
     ("analyze r06.json", 0,
      "3172c7679b3f3b0632e5035fc0fc572cf606b297284b9c90d73b017cf5d509c7"),
     ("analyze r07.json", 0,
@@ -124,19 +134,19 @@ GOLDEN = [
     ("analyze r10.json", 0,
      "58d1528f2ba47f6189a9d20d3fbed3c22dfad75fa3590ec94b43aae141f6d528"),
     ("analyze r11.json", 0,
-     "2a64682c7e04e3bb4ec32758861ac88b17a56c6f607b7709390762f93707edb4"),
+     "d7355d467d2516d1324ad3db345061984012facd94aa470ea97bb02edb2ca0ad"),
     ("analyze r12.json", 0,
      "6b1e46c2230d56a93f68d1173ec266afb5fca53094c20073674f19a1994e1046"),
     ("analyze r13.json", 0,
      "fd1c29b58fd565091b35017759486fd775b5685ccf1bdd5cf80ae325aadfd36c"),
     ("analyze r14.json", 0,
-     "5a616910e0d645cf7a4bf69982c84bc80391cca46806dbc493b29cf36c0cc0cd"),
+     "0858fd147547fb6ce89a4ef640f6f4f72f4e47d4bc94ce30249f40bad862f69a"),
     ("analyze r15.json", 0,
      "4578c1a460052b5688a1a8bea833cf2410ad90c9f560d4c9602669d9f3109c55"),
     ("analyze r16.json", 0,
      "655be0ae78815d7d7c7f3a31efeec116715e3b638288c45b6a087bb38b13c529"),
     ("analyze r17.json", 0,
-     "51537115a793696559c47845a5a68e1cc02274199f929af2f7c36abc66f84608"),
+     "5a7b0cf3fd320fd10fd1d4eed1b46551e8f4bfe5085c29cd0ac2b0de273b82ad"),
     ("analyze r18.json", 0,
      "7b98a07c566d540e07443e499c670bd5874c48ed56a6cf85b530a0985e746153"),
     ("analyze r19.json", 0,
@@ -150,15 +160,15 @@ GOLDEN = [
     ("analyze r23.json", 0,
      "d9225c518602a3e07007029f0cf02de0287ba46a374816d3ba091cf34eec4917"),
     ("analyze r24.json", 0,
-     "5c42bcc15289e820e96233236753f5fb95f735e677534fb03f5e2f9b87f44276"),
+     "033ac29e1b1e55acb666b638601e9086c119d50d2c4809fee6450d8dcb21943f"),
     ("analyze r25.json", 0,
      "79788a92b8ca1c81eaeec2f610bfe1f0a7cf9cb2f658053486cc059298dedd35"),
     ("analyze r26.json", 0,
      "68363e0a2cdc85ef4d0da99b546bd7cc6718e848161b2ec2bafc0c31fc159bc3"),
     ("analyze r27.json", 0,
-     "8e68a3e64a80ca19f02efe2cf4294ae838daae31f89a442631817748278b0f25"),
+     "62764eacf250e0ad2c5d9209af6b5e8c50334a88ac357e061334d8986283597e"),
     ("analyze r28.json", 0,
-     "81a9b8cc1ce518a8f8ea2acbecfcc3ad52c658a21b068eeb105b3ead5f23c4ef"),
+     "67547c6dc8b4560e040a4b52bea9d19ff29f23aa3d813c9be248870d30df7dd4"),
     ("analyze r29.json", 0,
      "256d2eaa4815fd7d466c221a017313d6a89e8e56d4d94cd1809d28cae8cae4f5"),
     ("homology torus.json", 0,
@@ -201,11 +211,35 @@ GOLDEN = [
      "731179dcd9fc3c1ea781b41202c7c0247dc423a7796e3b44220ba5ad170b4de0"),
     ("verify cs6.refuting_instance.cert.json cs6.json", 0,
      "3f3c8a8b49119c90810232f8601454729abdab1d90fc0c06c24ffedfe0be13c6"),
+    ("verify cs7.comatching.cert.json cs7.json", 0,
+     "0cd7bbce7dd4fddf96a15fa25006155806b649024cc5d5b9a19c70a5aa3e7475"),
+    ("verify cs7.comatching_with_intersection.cert.json cs7.json", 0,
+     "731179dcd9fc3c1ea781b41202c7c0247dc423a7796e3b44220ba5ad170b4de0"),
+    ("verify cs7.refuting_instance.cert.json cs7.json", 0,
+     "3f3c8a8b49119c90810232f8601454729abdab1d90fc0c06c24ffedfe0be13c6"),
+    ("verify cs8.comatching.cert.json cs8.json", 0,
+     "0cd7bbce7dd4fddf96a15fa25006155806b649024cc5d5b9a19c70a5aa3e7475"),
+    ("verify cs8.comatching_with_intersection.cert.json cs8.json", 0,
+     "731179dcd9fc3c1ea781b41202c7c0247dc423a7796e3b44220ba5ad170b4de0"),
+    ("verify cs8.refuting_instance.cert.json cs8.json", 0,
+     "3f3c8a8b49119c90810232f8601454729abdab1d90fc0c06c24ffedfe0be13c6"),
     ("verify ham4.comatching.cert.json ham4.json", 0,
      "0cd7bbce7dd4fddf96a15fa25006155806b649024cc5d5b9a19c70a5aa3e7475"),
     ("verify ham4.comatching_with_intersection.cert.json ham4.json", 0,
      "731179dcd9fc3c1ea781b41202c7c0247dc423a7796e3b44220ba5ad170b4de0"),
     ("verify ham4.refuting_instance.cert.json ham4.json", 0,
+     "3f3c8a8b49119c90810232f8601454729abdab1d90fc0c06c24ffedfe0be13c6"),
+    ("verify ham5.comatching.cert.json ham5.json", 0,
+     "0cd7bbce7dd4fddf96a15fa25006155806b649024cc5d5b9a19c70a5aa3e7475"),
+    ("verify ham5.comatching_with_intersection.cert.json ham5.json", 0,
+     "731179dcd9fc3c1ea781b41202c7c0247dc423a7796e3b44220ba5ad170b4de0"),
+    ("verify ham5.refuting_instance.cert.json ham5.json", 0,
+     "3f3c8a8b49119c90810232f8601454729abdab1d90fc0c06c24ffedfe0be13c6"),
+    ("verify ham6.comatching.cert.json ham6.json", 0,
+     "0cd7bbce7dd4fddf96a15fa25006155806b649024cc5d5b9a19c70a5aa3e7475"),
+    ("verify ham6.comatching_with_intersection.cert.json ham6.json", 0,
+     "731179dcd9fc3c1ea781b41202c7c0247dc423a7796e3b44220ba5ad170b4de0"),
+    ("verify ham6.refuting_instance.cert.json ham6.json", 0,
      "3f3c8a8b49119c90810232f8601454729abdab1d90fc0c06c24ffedfe0be13c6"),
     ("verify nerve-ham4.collapse_sequence.cert.json nerve-ham4.json", 0,
      "709f0bbd2c977fdf71f5effcd1bd2e5f808ceab5f79df9e007933590ec0ee734"),

@@ -33,7 +33,9 @@ from comatch.search import (
 )
 from comatch import search
 from comatch.search import (
-    _class_tops,
+    CompatibilityGraph,
+    _value_pass,
+    _colour_classes,
     _compatibility_tables,
     _completions,
     _exposable_members,
@@ -247,14 +249,14 @@ class TestPinnedSearches:
         [
             pytest.param(
                 lambda: gen_hamming_system(6, 1),
-                (4, 3_424, H61_TAU),
-                (3, 6_558, H61_TAU[:3], 0),
+                (4, 950, H61_TAU),
+                (3, 2_562, H61_TAU[:3], 0),
                 id="hamming-6-1",
             ),
             pytest.param(
                 lambda: gen_cycle_sharpness(12),
-                (16, 5_152, M12_TAU),
-                (15, 10_396, M12_TAU_PRIME, 5),
+                (16, 3_842, M12_TAU),
+                (15, 4_057, M12_TAU_PRIME, 5),
                 id="cycle-sharpness-12",
             ),
         ],
@@ -300,7 +302,148 @@ class TestClassTops:
         for chosen in subsets:
             cand = sum(1 << i for i in chosen)
             tops = oracle_first_fit_class_tops(system, pairs, chosen)
-            assert _class_tops(cand, lower) == [1 << i for i in tops]
+            classes = _colour_classes(cand, lower, 0)
+            assert [c.bit_length() - 1 for c in classes] == tops
+
+
+class TestColourClasses:
+    """The classes a value-pass node branches on, against the pair
+    definition: a first-fit colouring from the highest pair down, cut to
+    the classes above a given number."""
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_classes_are_the_first_fit_colouring_above_the_cut(self, seed):
+        system = density_system(seed + 9100)
+        rng = random.Random(seed + 9100)
+        graph = CompatibilityGraph.build(system)
+        pairs = graph.pairs
+        assert graph.nonempty == sum(
+            1 << i for i, (m, _) in enumerate(pairs) if system.member_elements(m)
+        )
+        subsets = [range(len(pairs))]
+        for _ in range(20):
+            share = rng.random()
+            subsets.append([i for i in range(len(pairs)) if rng.random() < share])
+        for chosen in subsets:
+            cand = sum(1 << i for i in chosen)
+            classes = _colour_classes(cand, graph.lower, 0)
+            members = [[i for i in range(len(pairs)) if c >> i & 1] for c in classes]
+            # The classes partition the candidates, and each is independent.
+            assert sorted(i for group in members for i in group) == sorted(chosen)
+            for group in members:
+                assert not any(
+                    oracle_pairs_compatible(system, pairs[i], pairs[j])
+                    for i in group
+                    for j in group
+                    if i < j
+                )
+            # First fit from the top: a pair of class k meets a higher pair
+            # in every earlier class, and the classes come in ascending order.
+            for k, group in enumerate(members):
+                for i in group:
+                    for earlier in members[:k]:
+                        assert any(
+                            oracle_pairs_compatible(system, pairs[i], pairs[j])
+                            for j in earlier
+                            if j > i
+                        )
+            tops = oracle_first_fit_class_tops(system, pairs, chosen)
+            assert [max(group) for group in members] == tops
+            for cut in range(len(classes) + 2):
+                assert _colour_classes(cand, graph.lower, cut) == classes[cut:]
+
+
+class TestThreeSteps:
+    """The value pass, the greedy chain and the certificate pass together:
+    the certificate is the lexicographically first optimum whichever step
+    produced it, and every budget gives a certified result."""
+
+    def test_certificates_equal_oracle_through_chain_and_certificate_pass(
+        self, monkeypatch
+    ):
+        passes = []
+        certificate_pass = search._certificate_pass
+
+        def spy(*args):
+            passes.append(args[-1])
+            return certificate_pass(*args)
+
+        monkeypatch.setattr(search, "_certificate_pass", spy)
+        runs = 0
+        for seed in range(40):
+            system = random_system(random.Random(seed + 7200), 6, 6)
+            graph = CompatibilityGraph.build(system)
+            tau, cert, exact = comatching_number(system, None, graph)
+            assert exact
+            assert (tau, cert.pairs) == oracle_lex_first_comatching(system)[:2]
+            taup, cert, exact = comatching_with_intersection_number(system, None, graph)
+            size, pairs, common = oracle_lex_first_comatching(system, common_point=True)
+            assert exact and taup == size
+            if size == 0:
+                assert cert is None
+            else:
+                assert (cert.base.pairs, cert.common_point) == (pairs, common)
+            runs += (tau > 0) + (taup > 0)
+        # The chain reaches the value on most searches, not on all.
+        assert 0 < len(passes) < runs
+
+    @staticmethod
+    def value_pass(system, need_common_point):
+        graph = CompatibilityGraph.build(system)
+        root = graph.nonempty if need_common_point else (1 << len(graph.pairs)) - 1
+        budget = SearchBudget()
+        clique, exact = _value_pass(system, graph, root, need_common_point, budget)
+        assert exact
+        pairs = tuple((graph.pairs[i][1], graph.pairs[i][0]) for i in clique)
+        return pairs, budget.nodes
+
+    @pytest.mark.parametrize(
+        "system, need_common_point",
+        [
+            pytest.param(
+                gen_cycle_sharpness(8), True, id="cycle-sharpness-8-tau-prime"
+            ),
+            pytest.param(
+                random_system(random.Random(92), 8, 9), False, id="random-92-tau"
+            ),
+            pytest.param(
+                random_system(random.Random(381), 8, 9), True, id="random-381-tau-prime"
+            ),
+        ],
+    )
+    def test_every_budget_through_both_passes(self, system, need_common_point):
+        # Below the value pass's node count the result is a certified lower
+        # bound; from there the value is proved, and a cut inside the
+        # certificate pass keeps the value pass's clique; once the budget
+        # covers both passes the certificate is the lexicographically first.
+        search_fn = (
+            comatching_with_intersection_number
+            if need_common_point
+            else comatching_number
+        )
+        budget = SearchBudget()
+        truth, first, _ = search_fn(system, budget)
+        total = budget.nodes
+        clique, value_nodes = self.value_pass(system, need_common_point)
+        first = first.base.pairs if need_common_point else first.pairs
+        assert len(clique) == truth and clique != first
+        assert value_nodes < total
+        verify = (
+            verify_comatching_with_intersection
+            if need_common_point
+            else verify_comatching
+        )
+        for nodes in range(total + 1):
+            value, cert, exact = search_fn(system, SearchBudget(max_nodes=nodes))
+            if cert is None:
+                assert value == 0
+            else:
+                assert len(cert) == value and verify(system, cert).ok, nodes
+            assert value <= truth and (not exact or value == truth), nodes
+            assert exact == (nodes >= value_nodes), nodes
+            if exact:
+                pairs = cert.base.pairs if need_common_point else cert.pairs
+                assert pairs == (first if nodes == total else clique), nodes
 
 
 def square_system(seed, n):
