@@ -10,7 +10,7 @@ from comatch import (
     gen_circle_config,
 )
 
-config, system = gen_circle_config(tolerance=1e-9)
+config, system = gen_circle_config()
 
 print("circles (center, radius):")
 for name, ((x, y), r) in zip(config.circle_names, config.circles):

@@ -25,7 +25,6 @@ from .core import (
 )
 from .search import (
     ColorfulInstance,
-    CompatibilityGraph,
     DichotomyOutcome,
     FractionalHellyProfile,
     colorful_helly_number,

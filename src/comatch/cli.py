@@ -51,12 +51,12 @@ from .core import (
 )
 from .search import (
     ColorfulInstance,
-    CompatibilityGraph,
     DichotomyOutcome,
     colorful_helly_number,
     colorful_transversal_dichotomy,
     comatching_number,
     comatching_with_intersection_number,
+    helly_number,
     instance_admits_empty_transversal,
     minimal_empty_subfamilies,
 )
@@ -235,10 +235,9 @@ def _analyze_system(system: SetSystem, config: RunConfig) -> dict:
     budgets = {name: config.budget() for name in ("tau", "tau_prime", "eta")}
     minimal = minimal_empty_subfamilies(system)
     h = max((len(s) for s in minimal), default=1)
-    graph = CompatibilityGraph.build(system)
-    tau, tau_cert, tau_exact = comatching_number(system, budgets["tau"], graph)
+    tau, tau_cert, tau_exact = comatching_number(system, budgets["tau"])
     taup, taup_cert, taup_exact = comatching_with_intersection_number(
-        system, budgets["tau_prime"], graph
+        system, budgets["tau_prime"]
     )
     if minimal and (tau < h or taup < h - 1):
         # Only a search that ran out of budget ends below these bounds; it
@@ -251,10 +250,7 @@ def _analyze_system(system: SetSystem, config: RunConfig) -> dict:
         if taup < h - 1:
             taup, taup_cert = h - 1, bound_prime
     eta, eta_exact, refuting = colorful_helly_number(
-        system,
-        budgets["eta"],
-        tau_prime=taup if taup_exact else None,
-        minimal=minimal,
+        system, budgets["eta"], tau_prime=taup if taup_exact else None
     )
 
     if not _check(tau_cert, system).ok:
@@ -524,18 +520,14 @@ def cmd_check_theorems(args: argparse.Namespace, config: RunConfig) -> tuple[dic
     skipped = 0
     for index in range(args.systems):
         system = random_system(rng, 7, 7)
-        graph = CompatibilityGraph.build(system)
-        tau, tau_cert, e1 = comatching_number(system, config.budget(), graph)
+        tau, tau_cert, e1 = comatching_number(system, config.budget())
         taup, taup_cert, e2 = comatching_with_intersection_number(
-            system, config.budget(), graph
+            system, config.budget()
         )
-        minimal = minimal_empty_subfamilies(system)
-        h = max((len(s) for s in minimal), default=1)
+        h = helly_number(system)
         # No tau_prime here: eta is searched without the 1 + tau' cap, so the
         # eta <= 1 + tau' check below stays an independent test of the theorem.
-        eta, e3, refuting = colorful_helly_number(
-            system, config.budget(), minimal=minimal
-        )
+        eta, e3, refuting = colorful_helly_number(system, config.budget())
         if not (e1 and e2 and e3):
             skipped += 1
             continue

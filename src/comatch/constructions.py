@@ -43,6 +43,10 @@ HAMMING_GROUND_CAP = 4096
 TORUS_VERTEX_CAP = 1024
 POLY_COUNT_CAP = 64
 JOIN_FOLD_CAP = 2
+# The circle configuration's incidence tolerance, and how many point samples
+# gen_poly_comatching draws before it gives up.
+CIRCLE_TOLERANCE = 1e-9
+POLY_SAMPLE_ATTEMPTS = 64
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +168,7 @@ class GeometricCircleConfig:
         return False
 
 
-def gen_circle_config(tolerance: float = 1e-9) -> tuple[GeometricCircleConfig, SetSystem]:
+def gen_circle_config() -> tuple[GeometricCircleConfig, SetSystem]:
     """Four unit circles and four points realizing a size-4 comatching.
 
     Three circles are centered at the vertices of an equilateral triangle
@@ -173,8 +177,6 @@ def gen_circle_config(tolerance: float = 1e-9) -> tuple[GeometricCircleConfig, S
     points of the circumcircle with the vertex circles.  Each point lies on
     exactly three circles, missing the one it is matched to.
     """
-    if tolerance <= 0:
-        raise InputError("tolerance must be positive")
 
     def on_circle(angle_deg: float) -> tuple[float, float]:
         rad = math.radians(angle_deg)
@@ -194,7 +196,9 @@ def gen_circle_config(tolerance: float = 1e-9) -> tuple[GeometricCircleConfig, S
         (0.0, 0.0),
     )
     point_names = ("P180", "P300", "P60", "center")
-    config = GeometricCircleConfig(circles, circle_names, points, point_names, tolerance)
+    config = GeometricCircleConfig(
+        circles, circle_names, points, point_names, CIRCLE_TOLERANCE
+    )
     members = []
     for j, name in enumerate(circle_names):
         elems = frozenset(
@@ -251,7 +255,7 @@ def evaluate_polynomial(poly: Polynomial, point: tuple[Fraction, ...]) -> Fracti
 
 
 def gen_poly_comatching(
-    d: int, degree_cap: int, seed: int = 7, max_attempts: int = 64
+    d: int, degree_cap: int, seed: int = 7
 ) -> PolynomialComatching:
     """Interpolated comatching of full size m = C(D+d, d).
 
@@ -267,7 +271,7 @@ def gen_poly_comatching(
     monomials = _monomials(d, degree_cap)
     rng = random.Random(seed)
     box = 3 * m
-    for _ in range(max_attempts):
+    for _ in range(POLY_SAMPLE_ATTEMPTS):
         points = [
             tuple(Fraction(rng.randint(-box, box)) for _ in range(d))
             for _ in range(m)
@@ -302,7 +306,8 @@ def gen_poly_comatching(
             d, degree_cap, tuple(polynomials), tuple(points)
         )
     raise InputError(
-        f"could not sample a nonsingular evaluation matrix in {max_attempts} attempts"
+        "could not sample a nonsingular evaluation matrix in "
+        f"{POLY_SAMPLE_ATTEMPTS} attempts"
     )
 
 

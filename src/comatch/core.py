@@ -15,7 +15,10 @@ carries a common point lying in every matched member.
 All values are immutable after construction and all operations are pure
 functions, so concurrent use on shared inputs is safe, except that every
 search counts its nodes into the :class:`SearchBudget` it is passed: a
-caller shares a budget by passing one object to several searches.
+caller shares a budget by passing one object to several searches.  A
+:class:`SetSystem` carries no cache: ``search`` keeps the structures it
+derives from a system in memos of its own, keyed weakly by the system,
+so systems stay safe to share across threads.
 """
 
 from __future__ import annotations

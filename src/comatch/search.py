@@ -4,7 +4,7 @@ Everything here is exact and certificate-producing:
 
 * ``comatching_number`` / ``comatching_with_intersection_number`` run a
   bit-parallel maximum-clique search on one compatibility graph of the
-  (member, point) pairs, which a caller computing both builds once.  A
+  (member, point) pairs, which both searches on a system share.  A
   value pass branches in colour order (Tomita and Seki 2003, in the
   bitset form of San Segundo et al. 2011), bounded by greedy colouring
   read from a triangular table of each pair's lower neighbours (n(n+1)/2
@@ -14,7 +14,8 @@ Everything here is exact and certificate-producing:
 * ``minimal_empty_subfamilies`` enumerates the inclusion-minimal
   subfamilies with empty intersection (the minimal non-faces of the
   nerve) as minimal hitting sets of the complement hypergraph, holding
-  sets of edges as bitsets over edge indices.
+  sets of edges as bitsets over edge indices.  Later calls on the system,
+  and eta, reuse the enumeration.
 * ``colorful_helly_number`` finds the least N such that every N-tuple of
   empty-intersection subfamilies admits a colorful transversal with
   empty intersection.  It sandwiches the value first, h <= eta <= 1 + tau'
@@ -34,6 +35,13 @@ Everything here is exact and certificate-producing:
   it returns either an empty transversal or a comatching-with-
   intersection witness of full size.
 
+The compatibility graph and the minimal empty subfamilies depend only on
+the system, so each is built once per system, on first use, and kept in a
+memo keyed weakly by the system: an entry goes when its system does, and
+no caller passes or checks either structure.  Neither spends a budget
+node, so no result depends on which call built it.  Two threads that miss
+the memo at once both build the same value, and one is kept.
+
 Every search takes an optional :class:`comatch.core.SearchBudget` and
 counts its nodes into it.  Budgets are never errors: results carry
 exactness flags instead, so property tests can filter on them.  No
@@ -47,7 +55,8 @@ from fractions import Fraction
 from functools import partial
 from itertools import combinations, combinations_with_replacement
 from math import comb
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
+from weakref import WeakKeyDictionary
 
 from .core import (
     Comatching,
@@ -62,7 +71,6 @@ from .core import (
 
 __all__ = [
     "ColorfulInstance",
-    "CompatibilityGraph",
     "DichotomyOutcome",
     "FractionalHellyProfile",
     "comatching_number",
@@ -134,6 +142,21 @@ class FractionalHellyProfile:
     beta: Fraction
 
 
+# Structures derived from a system alone, built on its first search: the
+# compatibility graph of tau and tau', and the minimal empty subfamilies.
+_graphs: WeakKeyDictionary = WeakKeyDictionary()
+_minimal_empties: WeakKeyDictionary = WeakKeyDictionary()
+
+
+def _derived(memo: WeakKeyDictionary, system: SetSystem, build: Callable):
+    """``build(system)``, built once per system and kept in ``memo`` until
+    the system goes."""
+    value = memo.get(system)
+    if value is None:
+        value = memo[system] = build(system)
+    return value
+
+
 # ---------------------------------------------------------------------------
 # Comatching number (tau) and comatching-with-intersection number (tau')
 # ---------------------------------------------------------------------------
@@ -141,7 +164,8 @@ class FractionalHellyProfile:
 
 class CompatibilityGraph(NamedTuple):
     """The compatibility graph of a system's (member, point) pairs with the
-    point outside the member, built once and shared by tau and tau'.
+    point outside the member, built once per system and shared by tau and
+    tau'.
 
     (m, p) and (m', p') are compatible when p lies in m' and p' in m, which
     forces m != m' and p != p', so a comatching is a clique.  The pairs are
@@ -176,7 +200,6 @@ def _comatching_search(
     system: SetSystem,
     budget: Optional[SearchBudget],
     need_common_point: bool,
-    graph: Optional[CompatibilityGraph],
 ) -> tuple[int, tuple[tuple[int, int], ...], int, bool]:
     """Shared maximum-clique search for tau and tau'.
 
@@ -217,8 +240,7 @@ def _comatching_search(
     certificate pass returns the value, which the value pass proved, as
     exact, with the value pass's clique as certificate.
     """
-    if graph is None:
-        graph = CompatibilityGraph.build(system)
+    graph = _derived(_graphs, system, CompatibilityGraph.build)
     budget = budget or SearchBudget()
     root = graph.nonempty if need_common_point else (1 << len(graph.pairs)) - 1
     clique, exact = _value_pass(system, graph, root, need_common_point, budget)
@@ -461,34 +483,27 @@ def _colour_classes(cand: int, lower: Sequence[int], cut: int) -> list[int]:
 
 
 def comatching_number(
-    system: SetSystem,
-    budget: Optional[SearchBudget] = None,
-    graph: Optional[CompatibilityGraph] = None,
+    system: SetSystem, budget: Optional[SearchBudget] = None
 ) -> tuple[int, Comatching, bool]:
     """Largest induced matching in the bipartite complement, with certificate.
 
     ``exact`` is True when the search space was exhausted; on budget
     exhaustion the returned size is still a valid lower bound and the
-    certificate still verifies.  Pass ``graph`` only when it is
-    ``CompatibilityGraph.build(system)`` (a caller that computes tau and
-    tau' saves building it twice).
+    certificate still verifies.
     """
-    size, pairs, _, exact = _comatching_search(system, budget, False, graph)
+    size, pairs, _, exact = _comatching_search(system, budget, False)
     return size, Comatching(pairs), exact
 
 
 def comatching_with_intersection_number(
-    system: SetSystem,
-    budget: Optional[SearchBudget] = None,
-    graph: Optional[CompatibilityGraph] = None,
+    system: SetSystem, budget: Optional[SearchBudget] = None
 ) -> tuple[int, Optional[ComatchingWithIntersection], bool]:
     """Largest comatching whose members share a common point.
 
     Returns (tau', certificate or None for tau' = 0, exact).  Whenever both
     this and :func:`comatching_number` are exact, tau' is tau or tau - 1.
-    ``graph`` is as for :func:`comatching_number`.
     """
-    size, pairs, common, exact = _comatching_search(system, budget, True, graph)
+    size, pairs, common, exact = _comatching_search(system, budget, True)
     if size == 0:
         return 0, None, exact
     common_point = (common & -common).bit_length() - 1
@@ -509,7 +524,12 @@ def minimal_empty_subfamilies(system: SetSystem) -> tuple[frozenset[int], ...]:
     depth-first search on an explicit stack, branching on the unhit edge
     with the fewest allowed members and pruned by criticality: every
     chosen member must stay the unique chosen one hitting some edge.
+    Enumerated once per system; later calls return the same tuple.
     """
+    return _derived(_minimal_empties, system, _enumerate_minimal_empty)
+
+
+def _enumerate_minimal_empty(system: SetSystem) -> tuple[frozenset[int], ...]:
     if system.num_points == 0:
         # Over an empty ground set even the empty selection intersects to
         # nothing, and it has no proper subselection, so it is the unique
@@ -653,16 +673,15 @@ def colorful_helly_number(
     system: SetSystem,
     budget: Optional[SearchBudget] = None,
     tau_prime: Optional[int] = None,
-    minimal: Optional[Sequence[frozenset[int]]] = None,
 ) -> tuple[int, bool, Optional[ColorfulInstance]]:
     """Least N such that every N-tuple of empty subfamilies admits an
     empty colorful transversal.
 
     Returns (eta, exact, refuting instance of size eta - 1 when eta >= 2).
     Under budget exhaustion eta is a lower bound, never below h, that the
-    instance certifies.  Pass ``tau_prime`` only when it is exact, and
-    ``minimal`` only when it is ``minimal_empty_subfamilies(system)``
-    (a caller that already holds it saves enumerating it again).
+    instance certifies.  Pass ``tau_prime`` only when it is exact.  The
+    minimal empty subfamilies come from the system's enumeration, shared
+    with :func:`minimal_empty_subfamilies`.
 
     Positions range over the minimal empty subfamilies, with repetition:
     shrinking a position to a minimal empty subfamily inside it preserves
@@ -714,8 +733,7 @@ def colorful_helly_number(
     nothing; the distinction only matters for infinite systems, which are
     out of scope here.
     """
-    if minimal is None:
-        minimal = minimal_empty_subfamilies(system)
+    minimal = _derived(_minimal_empties, system, _enumerate_minimal_empty)
     if system.num_points == 0 or not minimal:
         # Every transversal intersects to the empty set, or no subfamily is
         # empty, so no instance refutes and the vacuous value applies.

@@ -200,7 +200,7 @@ def test_criterion_5_hamming_instance():
 
 def test_criterion_6_circle_configuration():
     with criterion(6, "four-circle configuration", 10.0):
-        config, system = gen_circle_config(tolerance=1e-9)
+        config, system = gen_circle_config()
         incidences = sum(
             config.incidence(i, j) for i in range(4) for j in range(4)
         )

@@ -826,6 +826,49 @@ class TestOutChecked:
         capsys.readouterr()
 
 
+class TestDerivedOncePerSystem:
+    """analyze and check-theorems get one compatibility graph and one
+    enumeration of minimal empty subfamilies per system from ``search``, and
+    keep neither past the system."""
+
+    def test_analyze_builds_each_once_and_keeps_neither(
+        self, derivations, tmp_path, capsys
+    ):
+        from comatch import search
+
+        builds, enumerations = derivations
+        path = tmp_path / "cs5.json"
+        assert main(["generate", "cycle-sharpness", "5", "--out", str(path)]) == 0
+        code, report = run_cli(capsys, "analyze", str(path))
+        assert code == 0 and report["results"]["helly_number"] == 6
+        assert len(builds) == len(enumerations) == 1
+        assert builds[0] is enumerations[0]
+        builds.clear()
+        enumerations.clear()
+        assert len(search._graphs) == len(search._minimal_empties) == 0
+
+    def test_check_theorems_enumerates_once_per_drawn_system(
+        self, derivations, monkeypatch, capsys
+    ):
+        from comatch import cli
+
+        builds, enumerations = derivations
+        drawn = []
+        draw = cli.random_system
+        monkeypatch.setattr(
+            cli, "random_system", lambda *args: drawn.append(draw(*args)) or drawn[-1]
+        )
+        code, doc = run_cli(capsys, "check-theorems", "--systems", "20")
+        assert code == 0 and doc["systems_checked"] == 20
+        # The first 20 draws get tau, tau', h, eta and a refutable instance;
+        # the later ones, drawn beside the complexes, eta at most.
+        for k, system in enumerate(drawn):
+            count = sum(s is system for s in enumerations)
+            assert count == 1 if k < 20 else count <= 1, k
+            assert sum(s is system for s in builds) == (k < 20), k
+        assert len(drawn) > 20
+
+
 class TestSuites:
     def test_check_theorems_passes_on_default_seed(self, capsys):
         code, doc = run_cli(capsys, "check-theorems", "--systems", "25")

@@ -1,7 +1,8 @@
 """Module layering, read from the sources with ``ast``.
 
-The search budget is a core type, so the complex side (linear algebra,
-complexes, topology) needs nothing from the set-system search module.
+``core`` imports no other comatch module.  The search budget is a core
+type, so the complex side (linear algebra, complexes, topology) needs
+nothing from the set-system search module.
 Both fields share one elimination kernel in ``linalg``.  No search in
 those modules, in ``search`` or in ``constructions`` calls itself, so none
 is bounded by the recursion limit, and only ``core`` writes the budget's
@@ -47,6 +48,14 @@ def defined_names(path: Path) -> set[str]:
 @pytest.mark.parametrize("module", ["linalg", "simplicial", "topology"])
 def test_complex_side_does_not_import_search(module):
     assert "comatch.search" not in imported_modules(PACKAGE / f"{module}.py")
+
+
+def test_core_imports_no_other_comatch_module():
+    # Structures derived from a system live in search's memos, keyed weakly
+    # by the system, so SetSystem needs nothing from the modules above core,
+    # not even through an import inside a function.
+    imported = imported_modules(PACKAGE / "core.py")
+    assert not {name for name in imported if name.split(".")[0] == "comatch"}
 
 
 def test_one_budget_type():

@@ -1,8 +1,10 @@
+import gc
 import json
 import random
 import sys
 import time
 import tracemalloc
+import weakref
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations
 
@@ -12,6 +14,7 @@ from comatch import cli, jsonio
 from comatch.core import (
     SetSystem,
     InputError,
+    complement_incidence,
     intersect_subfamily,
     intersection_mask,
     verify_comatching,
@@ -372,11 +375,10 @@ class TestThreeSteps:
         runs = 0
         for seed in range(40):
             system = random_system(random.Random(seed + 7200), 6, 6)
-            graph = CompatibilityGraph.build(system)
-            tau, cert, exact = comatching_number(system, None, graph)
+            tau, cert, exact = comatching_number(system)
             assert exact
             assert (tau, cert.pairs) == oracle_lex_first_comatching(system)[:2]
-            taup, cert, exact = comatching_with_intersection_number(system, None, graph)
+            taup, cert, exact = comatching_with_intersection_number(system)
             size, pairs, common = oracle_lex_first_comatching(system, common_point=True)
             assert exact and taup == size
             if size == 0:
@@ -455,6 +457,68 @@ def square_system(seed, n):
     return SetSystem.build([f"x{p}" for p in range(n)], members)
 
 
+class TestDerivedStructures:
+    """tau and tau' share one compatibility graph per system, and
+    minimal_empty_subfamilies and eta one enumeration, each built on first
+    use and gone with the system."""
+
+    def test_each_structure_is_built_once_per_system(self, derivations):
+        builds, enumerations = derivations
+        system = gen_cycle_sharpness(5)
+        assert comatching_number(system)[0] == 6
+        assert comatching_with_intersection_number(system)[0] == 6
+        assert len(builds) == 1 and builds[0] is system and enumerations == []
+        minimal = minimal_empty_subfamilies(system)
+        assert helly_number(system) == 6
+        assert colorful_helly_number(system, tau_prime=6)[:2] == (6, True)
+        assert minimal_empty_subfamilies(system) is minimal
+        # The instance test enumerates its own subsystem, not the system.
+        instance = ColorfulInstance((minimal[0],) * len(minimal[0]))
+        assert instance_admits_empty_transversal(system, instance)
+        assert len(builds) == 1 and enumerations[0] is system
+        assert not any(s is system for s in enumerations[1:])
+
+    def test_unequal_systems_never_share_an_entry(self, derivations):
+        builds, enumerations = derivations
+        rng = random.Random(4400)
+        systems = [random_system(rng, 6, 6) for _ in range(20)]
+        # The same members under other ground labels: an unequal system.
+        first = systems[0]
+        systems.append(SetSystem(tuple(x + "'" for x in first.ground), first.members))
+        twin = SetSystem(systems[1].ground, systems[1].members)
+        for system in systems + [twin]:
+            comatching_number(system)
+            colorful_helly_number(system)
+        distinct = [s for i, s in enumerate(systems) if s not in systems[:i]]
+        assert len(distinct) > 10
+        # An equal system reads the entry of the first; no other shares one.
+        assert [id(s) for s in builds] == [id(s) for s in distinct]
+        assert [id(s) for s in enumerations] == [id(s) for s in distinct]
+        graphs = [search._graphs[s] for s in distinct]
+        assert len({id(g) for g in graphs}) == len(distinct)
+        for system, graph in zip(distinct, graphs):
+            pairs = tuple((m, p) for p, m in complement_incidence(system))
+            assert graph.pairs == pairs
+            assert search._minimal_empties[system] == tuple(
+                oracle_minimal_empty_subfamilies(system)
+            )
+            assert comatching_number(system)[0] == oracle_comatching_number(system)[0]
+
+    def test_entries_go_with_their_system(self, derivations):
+        builds, enumerations = derivations
+        system = random_system(random.Random(4401), 6, 6)
+        comatching_number(system)
+        minimal_empty_subfamilies(system)
+        assert len(search._graphs) == len(search._minimal_empties) == 1
+        builds.clear()
+        enumerations.clear()
+        ref = weakref.ref(system)
+        del system
+        gc.collect()
+        assert ref() is None
+        assert len(search._graphs) == len(search._minimal_empties) == 0
+
+
 class TestNodeBudgetSweep:
     @pytest.mark.parametrize("seed", range(8))
     def test_every_budget_gives_a_verified_certificate(self, seed):
@@ -514,7 +578,7 @@ class TestDeepSearch:
         # h = N and 1 + tau' = N close the sandwich; the floor instance is N - 1
         # copies of X, which no transversal empties.
         minimal = (frozenset(range(self.N)),)
-        eta, exact, refuting = colorful_helly_number(system, None, self.N - 1, minimal)
+        eta, exact, refuting = colorful_helly_number(system, None, self.N - 1)
         assert (eta, exact, refuting.families) == (self.N, True, minimal * (self.N - 1))
         assert not instance_admits_empty_transversal(system, refuting)
 
@@ -772,7 +836,7 @@ class TestColorfulHellyNumber:
             "e1", "e2", "e3", "e4", "e6", "e7", "o4", "o5", "o7", "o8"
         ]
         budget = SearchBudget(max_nodes=200_000)
-        eta, exact, refuting = colorful_helly_number(system, budget, 10, minimal)
+        eta, exact, refuting = colorful_helly_number(system, budget, 10)
         assert (eta, exact, refuting.families) == (10, False, (largest,) * 9)
         assert budget.nodes == 200_001
 
@@ -805,7 +869,7 @@ class TestColorfulHellyNumber:
         budget = SearchBudget(max_nodes=2_000_000)
         tracemalloc.start()
         try:
-            eta, exact, refuting = colorful_helly_number(system, budget, 10, minimal)
+            eta, exact, refuting = colorful_helly_number(system, budget, 10)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -852,7 +916,7 @@ class TestColorfulHellyNumber:
         largest = next(s for s in minimal if len(s) == 3)
         for given in (None, 3):
             budget = SearchBudget(300_000)
-            eta, exact, refuting = colorful_helly_number(system, budget, given, minimal)
+            eta, exact, refuting = colorful_helly_number(system, budget, given)
             assert (eta, exact, refuting.families) == (3, False, (largest,) * 2)
             assert budget.nodes == 300_001
 
