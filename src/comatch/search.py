@@ -7,15 +7,20 @@ Everything here is exact and certificate-producing:
   (member, point) pairs, which both searches on a system share.  A
   value pass branches in colour order (Tomita and Seki 2003, in the
   bitset form of San Segundo et al. 2011), bounded by greedy colouring
-  read from a triangular table of each pair's lower neighbours (n(n+1)/2
-  bits for n pairs).  The certificate is the lexicographically first
-  optimum: a greedy chain of lowest compatible pairs when it reaches the
-  value, else the first clique of that size in ascending pair order.
+  read from a triangular table of the pairs below each pair that are not
+  its neighbours (n(n-1)/2 bits for n pairs).  The certificate is the
+  lexicographically first optimum: a greedy chain of lowest compatible
+  pairs when it reaches the value, else the first clique of that size in
+  ascending pair order.
+  The graph memoizes, for tau', the pairs that meet each intersection,
+  and for both searches the colour classes of each root.
 * ``minimal_empty_subfamilies`` enumerates the inclusion-minimal
   subfamilies with empty intersection (the minimal non-faces of the
-  nerve) as minimal hitting sets of the complement hypergraph, holding
-  sets of edges as bitsets over edge indices.  Later calls on the system,
-  and eta, reuse the enumeration.
+  nerve) as minimal hitting sets of the complement hypergraph, by MMCS
+  (Murakami and Uno 2014) over bitsets of points and of members: the
+  members that would leave a chosen member redundant are excluded with
+  one bitset per chosen member before any child is built.  Later calls
+  on the system, and eta, reuse the enumeration.
 * ``colorful_helly_number`` finds the least N such that every N-tuple of
   empty-intersection subfamilies admits a colorful transversal with
   empty intersection.  It sandwiches the value first, h <= eta <= 1 + tau'
@@ -38,9 +43,11 @@ Everything here is exact and certificate-producing:
 The compatibility graph and the minimal empty subfamilies depend only on
 the system, so each is built once per system, on first use, and kept in a
 memo keyed weakly by the system: an entry goes when its system does, and
-no caller passes or checks either structure.  Neither spends a budget
-node, so no result depends on which call built it.  Two threads that miss
-the memo at once both build the same value, and one is kept.
+no caller passes or checks either structure.  The graph's own memos go
+with it.  None of these spends a budget node, so no result depends on
+which call built or filled them.  Two threads that miss a memo at once
+both build the same value, and one is kept.  No other state outlives a
+call.
 
 Every search takes an optional :class:`comatch.core.SearchBudget` and
 counts its nodes into it.  Budgets are never errors: results carry
@@ -65,7 +72,6 @@ from .core import (
     SearchBudget,
     SetSystem,
     SubfamilySelection,
-    complement_incidence,
     intersection_mask,
 )
 
@@ -172,28 +178,90 @@ class CompatibilityGraph(NamedTuple):
     bits in (member, point) order, and a clique's pairs in bit order are in
     member order.  The neighbours of (m, p) are ``containing[p] &
     inside[m]``: the pairs whose member contains p, among those whose point
-    lies in m.  ``lower[i]`` is pair i's neighbours below i plus i itself,
-    n(n+1)/2 bits for n pairs: about 0.8 MB on Hamming(6,1)'s 3,648 pairs
-    and 15 MB on Hamming(7,1)'s 15,360.  Greedy colouring from the highest
-    pair down reads only this table.  ``nonempty`` holds the pairs whose
-    member has a point, the candidates of tau'.
+    lies in m.  ``apart[i]`` holds the pairs below i that are not its
+    neighbours, i bits, so n(n-1)/2 bits for n pairs: about 0.8 MB on
+    Hamming(6,1)'s 3,648 pairs and 15 MB on Hamming(7,1)'s 15,360.  Greedy
+    colouring from the highest pair down reads only this table.
+    ``nonempty`` holds the pairs whose member has a point, the candidates
+    of tau'.
+
+    Two memos fill as the searches run.  ``meets`` maps a point set to the
+    pairs whose member meets it (:meth:`meeting`), which tau' reads for the
+    intersection of a node's members: one pair bitset per distinct
+    intersection, keys and values about 0.24 MB on Hamming(6,1) (468
+    intersections for 2,561 reads at 200,000 nodes), 0.80 MB on
+    Hamming(6,2) and 2.3 MB on Hamming(7,1).  ``colourings`` maps a root
+    to its greedy colour classes (:meth:`root_classes`), so the value and
+    certificate passes of tau and tau' colour a shared root once.  Both go
+    with the graph, and so with its system.
     """
 
     pairs: tuple[tuple[int, int], ...]
     containing: list[int]
     inside: list[int]
-    lower: list[int]
+    apart: list[int]
     nonempty: int
+    meets: dict[int, int]
+    colourings: dict[int, list[int]]
 
     @classmethod
     def build(cls, system: SetSystem) -> "CompatibilityGraph":
-        pairs = tuple((m, p) for p, m in complement_incidence(system))
-        containing, inside = _compatibility_tables(system, pairs)
+        masks, full = system.masks, system.full_mask
+        # by_member[m] and by_point[p]: the bits of the pairs of member m and
+        # of point p.  The pairs of a member are consecutive bits.
+        pairs: list[tuple[int, int]] = []
+        by_member, by_point = [], [0] * system.num_points
+        for m, mask in enumerate(masks):
+            start, rest = len(pairs), full & ~mask
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                p = bit.bit_length() - 1
+                by_point[p] |= 1 << len(pairs)
+                pairs.append((m, p))
+            by_member.append((1 << len(pairs)) - (1 << start))
+        containing = [0] * system.num_points
+        inside = [0] * system.num_members
+        for m, mask in enumerate(masks):
+            rest = mask
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                p = bit.bit_length() - 1
+                containing[p] |= by_member[m]
+                inside[m] |= by_point[p]
         nonempty = 0  # a member is nonempty when it contains some point
         for row in containing:
             nonempty |= row
-        lower = _lower_neighbours(containing, inside, pairs)
-        return cls(pairs, containing, inside, lower, nonempty)
+        # Member m contains no point of its own pairs, so a neighbour of its
+        # pair i lies below i exactly when it lies below m's first pair.
+        apart = []
+        for m, own in enumerate(by_member):
+            first = len(apart)
+            below = inside[m] & (1 << first) - 1
+            for i in range(first, first + own.bit_count()):
+                apart.append(((1 << i) - 1) ^ (containing[pairs[i][1]] & below))
+        return cls(tuple(pairs), containing, inside, apart, nonempty, {}, {})
+
+    def meeting(self, inter: int) -> int:
+        """The pairs whose member meets the point set ``inter``."""
+        meets = self.meets.get(inter)
+        if meets is None:
+            meets, rest = 0, inter
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                meets |= self.containing[bit.bit_length() - 1]
+            self.meets[inter] = meets
+        return meets
+
+    def root_classes(self, root: int) -> list[int]:
+        """A fresh list of the colour classes of ``root``, as
+        ``_colour_classes(root, apart, 0)`` returns them."""
+        classes = self.colourings.get(root)
+        if classes is None:
+            classes = self.colourings[root] = _colour_classes(root, self.apart, 0)
+        return classes[:]
 
 
 def _comatching_search(
@@ -262,16 +330,6 @@ def _comatching_search(
     return len(clique), pairs, common if need_common_point else 0, exact
 
 
-def _meeting(containing: Sequence[int], inter: int) -> int:
-    """The pairs whose member meets the point set ``inter``."""
-    meets = 0
-    while inter:
-        bit = inter & -inter
-        inter ^= bit
-        meets |= containing[bit.bit_length() - 1]
-    return meets
-
-
 def _value_pass(
     system: SetSystem,
     graph: CompatibilityGraph,
@@ -281,15 +339,15 @@ def _value_pass(
 ) -> tuple[tuple[int, ...], bool]:
     """A maximum clique among ``root`` by colour-ordered branching, as
     (pair indices in ascending order, exact flag)."""
-    masks, pairs, lower = system.masks, graph.pairs, graph.lower
-    containing, inside = graph.containing, graph.inside
+    masks, pairs, apart = system.masks, graph.pairs, graph.apart
+    containing, inside, meets = graph.containing, graph.inside, graph.meets
     best: list[int] = []
     if not budget.spend():
         return (), False
     # stack[d] is [untried candidates, classes above cut, cut] of the node
     # at depth d, classes[j] being class number cut + j + 1; its pairs are
     # chosen[:d] and its intersection is inters[d].
-    stack = [[root, _colour_classes(root, lower, 0), 0]]
+    stack = [[root, graph.root_classes(root), 0]]
     chosen: list[int] = []
     inters = [system.full_mask]
     while stack:
@@ -319,10 +377,10 @@ def _value_pass(
             best = chosen[:]
         child = cand & containing[p] & inside[m]
         if need_common_point and child:
-            child &= _meeting(containing, inter)
+            child &= meets.get(inter) or graph.meeting(inter)
         cut = len(best) - size - 1
         if child.bit_count() > cut:
-            classes = _colour_classes(child, lower, cut)
+            classes = _colour_classes(child, apart, cut)
             if classes:
                 stack.append([child, classes, cut])
                 inters.append(inter)
@@ -374,11 +432,11 @@ def _certificate_pass(
     classes with an untried pair does: both rules only cut branches with
     no clique of ``target`` pairs.  The root is the value pass's root, so
     only the children spend budget nodes."""
-    masks, pairs, lower = system.masks, graph.pairs, graph.lower
-    containing, inside = graph.containing, graph.inside
+    masks, pairs, apart = system.masks, graph.pairs, graph.apart
+    containing, inside, meets = graph.containing, graph.inside, graph.meets
     # stack[d] is [untried candidates, colour classes] of the node at depth
     # d; its pairs are chosen[:d] and its intersection is inters[d].
-    stack = [[root, _colour_classes(root, lower, 0)]]
+    stack = [[root, graph.root_classes(root)]]
     chosen: list[int] = []
     inters = [system.full_mask]
     while stack:
@@ -409,9 +467,9 @@ def _certificate_pass(
         inter = inters[-1] & masks[m]
         child = cand & containing[p] & inside[m]
         if need_common_point and child:
-            child &= _meeting(containing, inter)
+            child &= meets.get(inter) or graph.meeting(inter)
         if size + 1 + child.bit_count() >= target:
-            classes = _colour_classes(child, lower, 0)
+            classes = _colour_classes(child, apart, 0)
             if size + 1 + len(classes) >= target:
                 stack.append([child, classes])
                 inters.append(inter)
@@ -420,52 +478,16 @@ def _certificate_pass(
     return None
 
 
-def _compatibility_tables(
-    system: SetSystem, candidates: Sequence[tuple[int, int]]
-) -> tuple[list[int], list[int]]:
-    """``containing[p]``: candidate bits whose member contains p;
-    ``inside[m]``: candidate bits whose point lies in m."""
-    by_member = [0] * system.num_members
-    by_point = [0] * system.num_points
-    for i, (m, p) in enumerate(candidates):
-        by_member[m] |= 1 << i
-        by_point[p] |= 1 << i
-    containing = [0] * system.num_points
-    inside = [0] * system.num_members
-    for m, mask in enumerate(system.masks):
-        rest = mask
-        while rest:
-            bit = rest & -rest
-            rest ^= bit
-            p = bit.bit_length() - 1
-            containing[p] |= by_member[m]
-            inside[m] |= by_point[p]
-    return containing, inside
-
-
-def _lower_neighbours(
-    containing: Sequence[int],
-    inside: Sequence[int],
-    candidates: Sequence[tuple[int, int]],
-) -> list[int]:
-    """``lower[i]``: pair i's compatible pairs below i, plus i itself.
-    No entry has a bit above its own pair, so the table holds n(n+1)/2
-    bits for n candidate pairs, about n*n/16 bytes."""
-    return [
-        containing[p] & inside[m] & ((1 << i) - 1) | 1 << i
-        for i, (m, p) in enumerate(candidates)
-    ]
-
-
-def _colour_classes(cand: int, lower: Sequence[int], cut: int) -> list[int]:
+def _colour_classes(cand: int, apart: Sequence[int], cut: int) -> list[int]:
     """Greedy colouring of ``cand`` into independent sets, each built from
     the highest uncoloured pair down, so class 1 holds the highest pair and
     the classes' highest pairs descend.  Returns the classes numbered above
     ``cut`` as bitsets, in ascending class order.
 
     A class takes the highest pair i left in ``free`` and drops i and its
-    neighbours from ``free``.  ``free`` then has no bit above i, so the
-    neighbours below i, ``lower[i]``, are all that need dropping."""
+    neighbours from ``free``.  ``free`` then has no bit above i, so it
+    keeps just the pairs in ``apart[i]``, the pairs below i that are not
+    its neighbours."""
     classes = []
     number = 0
     while cand:
@@ -474,7 +496,7 @@ def _colour_classes(cand: int, lower: Sequence[int], cut: int) -> list[int]:
         while free:
             i = free.bit_length() - 1
             members |= 1 << i
-            free ^= free & lower[i]
+            free &= apart[i]
         cand ^= members
         number += 1
         if number > cut:
@@ -520,11 +542,16 @@ def minimal_empty_subfamilies(system: SetSystem) -> tuple[frozenset[int], ...]:
 
     A selection has empty intersection exactly when the complements of its
     members cover the ground set, so these are the minimal hitting sets of
-    the hypergraph {members missing x : x in ground}.  Enumerated by a
-    depth-first search on an explicit stack, branching on the unhit edge
-    with the fewest allowed members and pruned by criticality: every
-    chosen member must stay the unique chosen one hitting some edge.
-    Enumerated once per system; later calls return the same tuple.
+    the hypergraph {members missing x : x in ground}.  Enumerated by MMCS
+    (Murakami and Uno, Discrete Appl. Math. 170, 2014), a depth-first
+    search on an explicit stack that branches on the unhit point with the
+    fewest allowed members, each child excluding the siblings tried before
+    it, and pruned by criticality: every chosen member must stay the only
+    chosen one missing some point.  The members that would break that for
+    some chosen member are excluded before the children are built, one
+    bitset per chosen member, so no child is built only to fail the test.
+    Sorted by size, then as sorted member lists.  Enumerated once per
+    system; later calls return the same tuple.
     """
     return _derived(_minimal_empties, system, _enumerate_minimal_empty)
 
@@ -535,86 +562,92 @@ def _enumerate_minimal_empty(system: SetSystem) -> tuple[frozenset[int], ...]:
         # nothing, and it has no proper subselection, so it is the unique
         # minimal empty selection.
         return (frozenset(),)
-    n_members = system.num_members
-    edges = []
-    for p in range(system.num_points):
-        edge = 0
-        for j in range(n_members):
-            if not (system.masks[j] >> p & 1):
-                edge |= 1 << j
-        if edge == 0:
-            return ()  # some point lies in every member: nothing is empty
-        edges.append(edge)
-    edges = sorted(set(edges))
-    # hits[j]: the indices of the edges that member j hits, as a bitset.
-    hits = [0] * n_members
-    for e, edge in enumerate(edges):
-        rest = edge
+    masks = system.masks
+    everyone = (1 << system.num_members) - 1
+    missing = _missing_members(system)
+    if not all(missing):
+        return ()  # some point lies in every member: nothing is empty
+
+    # A node is (chosen, crits, uncov, excluded): point sets are bitsets
+    # over points, member sets bitsets over members.  uncov is the
+    # intersection of the chosen members, the points that no chosen member
+    # misses yet, and crits[k] holds the critical points of chosen[k],
+    # those that it alone misses.  A member kills chosen[k] when it misses
+    # every point of crits[k], so the killers of chosen[k] are the AND of
+    # ``missing`` over crits[k].  Crits only shrink along a branch, so a
+    # killer stays one, and a node excludes every chosen member's killers
+    # along with the siblings tried before the node.  A child that leaves
+    # no point uncovered is then a minimal hitting set.
+    killers_of: dict[int, int] = {}
+
+    def killers(crit: int) -> int:
+        """The members that miss every point of ``crit``."""
+        members = killers_of.get(crit)
+        if members is None:
+            members, rest = everyone, crit
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                members &= missing[bit.bit_length() - 1]
+            killers_of[crit] = members
+        return members
+
+    results: list[tuple[int, ...]] = []
+    stack = [((), [], system.full_mask, 0)]
+    while stack:
+        chosen, crits, uncov, excluded = stack.pop()
+        allowed = everyone & ~excluded
+        branch, fewest, rest = 0, system.num_members + 1, uncov
         while rest:
             bit = rest & -rest
             rest ^= bit
-            hits[bit.bit_length() - 1] |= 1 << e
-
-    # A frame is [chosen, crit, uncov, excluded, untried, tried]; edge sets
-    # are bitsets over edge indices.  Every edge outside uncov is hit by
-    # some chosen member; crit[k] holds the edges hit by chosen[k] alone
-    # among the chosen.  Criticality can only shrink along a branch, so an
-    # empty crit[k] kills the branch and every surviving leaf is a
-    # *minimal* hitting set.  A frame branches on the members of its
-    # fewest-choice unhit edge, and each child excludes the siblings tried
-    # before it.
-    results: list[frozenset[int]] = []
-    uncov = (1 << len(edges)) - 1
-    stack = [[(), (), uncov, 0, _fewest_choices(edges, uncov, 0), 0]]
-    while stack:
-        frame = stack[-1]
-        chosen, crit, uncov, excluded, untried, tried = frame
-        while untried:
-            bit = untried & -untried
-            untried ^= bit
+            members = missing[bit.bit_length() - 1] & allowed
+            count = members.bit_count()
+            if count < fewest:
+                branch, fewest = members, count
+                if count <= 1:  # one choice is forced; none ends the node
+                    break
+        tried = excluded
+        while branch:
+            bit = branch & -branch
+            branch ^= bit
             j = bit.bit_length() - 1
-            hit = hits[j]
-            new_crit = []
-            for critical in crit:
-                critical &= ~hit
-                if not critical:
-                    break
-                new_crit.append(critical)
+            mask = masks[j]
+            rest = uncov & mask
+            if not rest:
+                results.append(chosen + (j,))
             else:
-                rest = uncov & ~hit
-                if not rest:
-                    results.append(frozenset(chosen + (j,)))
-                else:
-                    new_crit.append(uncov & hit)
-                    child_excluded = excluded | tried
-                    frame[4], frame[5] = untried, tried | bit
-                    stack.append(
-                        [
-                            chosen + (j,),
-                            new_crit,
-                            rest,
-                            child_excluded,
-                            _fewest_choices(edges, rest, child_excluded),
-                            0,
-                        ]
-                    )
-                    break
+                child = [c & mask for c in crits]
+                child.append(uncov & ~mask)
+                dead = 0
+                for c in child:
+                    dead |= killers(c)
+                stack.append((chosen + (j,), child, rest, tried | dead))
             tried |= bit
-        else:
-            stack.pop()
 
-    return tuple(sorted(results, key=lambda s: (len(s), sorted(s))))
+    # By size, then as sorted lists: two stable sorts whose keys are C
+    # functions.
+    results.sort(key=sorted)
+    results.sort(key=len)
+    return tuple(map(frozenset, results))
 
 
-def _fewest_choices(edges: Sequence[int], uncov: int, excluded: int) -> int:
-    """The allowed members of the unhit edge with the fewest of them; ties
-    go to the lowest edge index, as ``min`` keeps the first minimum."""
-    allowed = []
-    while uncov:
-        bit = uncov & -uncov
-        uncov ^= bit
-        allowed.append(edges[bit.bit_length() - 1] & ~excluded)
-    return min(allowed, key=int.bit_count)
+def _missing_members(system: SetSystem) -> list[int]:
+    """Per point p, the bitset of the members that miss p: the edge of p in
+    the complement hypergraph.  Read from the sparser of the incidences and
+    the non-incidences, so a system of near-full members costs about as
+    little as one of small members."""
+    full, everyone = system.full_mask, (1 << system.num_members) - 1
+    inside = sum(mask.bit_count() for mask in system.masks)
+    dense = 2 * inside > system.num_points * system.num_members
+    rows = [0] * system.num_points  # the edges if dense, else the holders
+    for j, mask in enumerate(system.masks):
+        member, rest = 1 << j, full & ~mask if dense else mask
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            rows[bit.bit_length() - 1] |= member
+    return rows if dense else [everyone ^ row for row in rows]
 
 
 def helly_number(system: SetSystem) -> int:

@@ -145,3 +145,59 @@ def test_exports_are_in_step():
             exported = importlib.import_module(f"comatch.{node.module}").__all__
             for alias in node.names:
                 assert alias.name in exported, (node.module, alias.name)
+
+
+CACHE_DECORATORS = {"cache", "lru_cache", "cached_property"}
+
+
+def strong_module_state(path: Path) -> list[str]:
+    """Module-level and class-level bindings of a dict, list or set (a
+    display, a comprehension or a call of a container type), ``global``
+    statements, and uses of functools' caching decorators, as
+    ``line: name``.  Any of these could keep a value past the call that
+    made it."""
+    found = []
+    tree = ast.parse(path.read_text())
+    scopes = [tree] + [n for n in tree.body if isinstance(n, ast.ClassDef)]
+    containers = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
+    for scope in scopes:
+        for node in scope.body:
+            if isinstance(node, ast.Assign):
+                targets, value = node.targets, node.value
+            elif isinstance(node, ast.AnnAssign) and node.value is not None:
+                targets, value = [node.target], node.value
+            else:
+                continue
+            call = value.func if isinstance(value, ast.Call) else None
+            called = getattr(call, "id", getattr(call, "attr", None))
+            if isinstance(value, containers) or called is not None:
+                for target in targets:
+                    name = getattr(target, "id", "?")
+                    kind = called or type(value).__name__
+                    found.append(f"{node.lineno}: {name} = {kind}")
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Global):
+            found.append(f"{node.lineno}: global {', '.join(node.names)}")
+        elif isinstance(node, ast.ImportFrom) and node.module == "functools":
+            found.extend(
+                f"{node.lineno}: {alias.name}"
+                for alias in node.names
+                if alias.name in CACHE_DECORATORS
+            )
+        elif isinstance(node, ast.Attribute) and node.attr in CACHE_DECORATORS:
+            found.append(f"{node.lineno}: {node.attr}")
+    return found
+
+
+def test_search_keeps_no_strong_memo():
+    # Structures derived from a system live in the two memos keyed weakly by
+    # the system, so nothing a search builds outlives its system.  Any other
+    # module-level container or cache would keep values across calls.
+    found = strong_module_state(PACKAGE / "search.py")
+    memos = [entry for entry in found if entry.endswith("= WeakKeyDictionary")]
+    assert [entry.split(": ")[1] for entry in memos] == [
+        "_graphs = WeakKeyDictionary",
+        "_minimal_empties = WeakKeyDictionary",
+    ]
+    rest = [entry for entry in found if entry not in memos]
+    assert [entry.split(": ")[1] for entry in rest] == ["__all__ = List"]

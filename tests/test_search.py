@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import json
 import random
 import sys
@@ -39,10 +40,8 @@ from comatch.search import (
     CompatibilityGraph,
     _value_pass,
     _colour_classes,
-    _compatibility_tables,
     _completions,
     _exposable_members,
-    _lower_neighbours,
     _meets,
     _SubsetLattice,
 )
@@ -290,14 +289,19 @@ class TestClassTops:
             for p in range(system.num_points)
             if p not in system.member_elements(m)
         ]
-        lower = _lower_neighbours(*_compatibility_tables(system, pairs), pairs)
-        for i, entry in enumerate(lower):
+        graph = CompatibilityGraph.build(system)
+        assert graph.pairs == tuple(pairs)
+        apart = graph.apart
+        for i, entry in enumerate(apart):
             below = [
-                j for j in range(i) if oracle_pairs_compatible(system, pairs[i], pairs[j])
+                j
+                for j in range(i)
+                if not oracle_pairs_compatible(system, pairs[i], pairs[j])
             ]
-            # Pair i's own bit is the highest one: the table stays triangular.
-            assert entry >> i == 1
-            assert entry == sum(1 << j for j in below) | 1 << i
+            # apart[i] holds the pairs below i that are not compatible with
+            # it, and no bit from i's own up: the table stays triangular.
+            assert entry >> i == 0
+            assert entry == sum(1 << j for j in below)
         subsets = [range(len(pairs))]
         for _ in range(20):
             share = rng.random()
@@ -305,7 +309,7 @@ class TestClassTops:
         for chosen in subsets:
             cand = sum(1 << i for i in chosen)
             tops = oracle_first_fit_class_tops(system, pairs, chosen)
-            classes = _colour_classes(cand, lower, 0)
+            classes = _colour_classes(cand, apart, 0)
             assert [c.bit_length() - 1 for c in classes] == tops
 
 
@@ -329,7 +333,7 @@ class TestColourClasses:
             subsets.append([i for i in range(len(pairs)) if rng.random() < share])
         for chosen in subsets:
             cand = sum(1 << i for i in chosen)
-            classes = _colour_classes(cand, graph.lower, 0)
+            classes = _colour_classes(cand, graph.apart, 0)
             members = [[i for i in range(len(pairs)) if c >> i & 1] for c in classes]
             # The classes partition the candidates, and each is independent.
             assert sorted(i for group in members for i in group) == sorted(chosen)
@@ -353,7 +357,7 @@ class TestColourClasses:
             tops = oracle_first_fit_class_tops(system, pairs, chosen)
             assert [max(group) for group in members] == tops
             for cut in range(len(classes) + 2):
-                assert _colour_classes(cand, graph.lower, cut) == classes[cut:]
+                assert _colour_classes(cand, graph.apart, cut) == classes[cut:]
 
 
 class TestThreeSteps:
@@ -508,8 +512,16 @@ class TestDerivedStructures:
         builds, enumerations = derivations
         system = random_system(random.Random(4401), 6, 6)
         comatching_number(system)
+        comatching_with_intersection_number(system)
         minimal_empty_subfamilies(system)
         assert len(search._graphs) == len(search._minimal_empties) == 1
+        # The graph's memos go with it: a value planted in each is freed.
+        graph = search._graphs[system]
+        assert graph.meets and graph.colourings
+        planted = [Planted(), Planted()]
+        graph.meets[-1], graph.colourings[-1] = planted
+        refs = [weakref.ref(value) for value in planted]
+        del graph, planted
         builds.clear()
         enumerations.clear()
         ref = weakref.ref(system)
@@ -517,7 +529,59 @@ class TestDerivedStructures:
         gc.collect()
         assert ref() is None
         assert len(search._graphs) == len(search._minimal_empties) == 0
+        assert [r() for r in refs] == [None, None]
 
+
+class Planted:
+    """A value that can be weakly referenced, to watch a memo let go."""
+
+
+class TestGraphMemos:
+    """The compatibility graph's memos of meet masks and root colourings
+    never change what tau and tau' return: value, certificate, exact flag
+    and node count are the same from a fresh graph, from a graph that
+    earlier searches filled (the same system again, and an equal twin,
+    which reads the same entry) and under every node budget."""
+
+    @staticmethod
+    def outcome(search_fn, system, nodes):
+        budget = SearchBudget(max_nodes=nodes)
+        return (*search_fn(system, budget), budget.nodes)
+
+    @pytest.mark.parametrize(
+        "system",
+        [
+            pytest.param(gen_hamming_system(5, 1), id="hamming-5-1"),
+            # Its tau' runs the certificate pass.
+            pytest.param(gen_cycle_sharpness(8), id="cycle-sharpness-8"),
+        ]
+        + [
+            pytest.param(
+                random_system(random.Random(seed + 9300), 8, 9), id=f"random-{seed}"
+            )
+            for seed in range(20)
+        ],
+    )
+    def test_results_equal_from_cold_and_warm_graphs(self, system, derivations):
+        builds, _ = derivations
+        searches = (comatching_number, comatching_with_intersection_number)
+        budgets = (0, 1, 50, None)
+        cold = {}
+        for search_fn in searches:
+            for nodes in budgets:
+                fresh = SetSystem(system.ground, system.members)
+                cold[search_fn, nodes] = self.outcome(search_fn, fresh, nodes)
+                del search._graphs[fresh]
+        twin = SetSystem(system.ground, system.members)
+        for search_fn in searches:
+            for nodes in budgets:
+                expected = cold[search_fn, nodes]
+                assert self.outcome(search_fn, system, nodes) == expected
+                assert self.outcome(search_fn, system, nodes) == expected
+                assert self.outcome(search_fn, twin, nodes) == expected
+        assert len(builds) == len(cold) + 1
+        assert search._graphs[twin] is search._graphs[system]
+        assert search._graphs[system].colourings
 
 class TestNodeBudgetSweep:
     @pytest.mark.parametrize("seed", range(8))
@@ -648,6 +712,100 @@ class TestMinimalEmptySubfamilies:
             oracle_minimal_empty_subfamilies(system)
         )
 
+
+    # SHA-256 of repr([sorted(s) for s in minimal]), with the subfamily
+    # count, taken from the enumeration before it worked in point space.
+    REFERENCE_DIGESTS = [
+        ("hamming", (4, 1), 80,
+         "51c1280e94035d1cf3ea101d451f697968a277a8997851acb017a1fbf1041a79"),
+        ("hamming", (5, 1), 416,
+         "22eb279e966a359213f000142eeb4150a709f58b7f7970a8de9bf3acc954bb0f"),
+        ("hamming", (6, 1), 1904,
+         "9f13b9b039a8fc06fdfd23b80ae514a72d65a196379c8e396d54e5cf779305b6"),
+        ("hamming", (7, 1), 8128,
+         "5e1b2963fb8dd27051a390ea302cf5552941cc2f0d06ad0cf24a9d2885268997"),
+        ("hamming", (6, 2), 66024,
+         "92b9f4fcc9633ad1e7e5f6cb9cecff1b8d78bf155be2ebc148dd3c4f24d77129"),
+        ("cycle-sharpness", (2,), 2,
+         "72b51f0d1a57e54ee5f792c9617e75b218aa4dffce916945eb4387ad20e173dd"),
+        ("cycle-sharpness", (3,), 5,
+         "c38222dfb04e9d5b4b0032e6df38033899faa8e3db84d05607ff733ae095e80d"),
+        ("cycle-sharpness", (4,), 10,
+         "eff8f0d427a5b6bf4e02a4a37ab171413a9f51f09b78410d6ff0d6f69c87ee03"),
+        ("cycle-sharpness", (5,), 17,
+         "1198b1ad08a35bebf26f1e349f9f69fafbf0b81042abfc722217185cd9273e57"),
+        ("cycle-sharpness", (6,), 29,
+         "2965fb203d96b6d69b57252fabc072afae42709af8f2be344907526cfaa5cc8d"),
+        ("cycle-sharpness", (7,), 51,
+         "8bcc886464e7f74b3d29a880d6bc7ea1bae97584e77eccb6405056147dd06b7a"),
+        ("cycle-sharpness", (8,), 90,
+         "afdafad9d7a6002ee1b458cf4bf84c0eb9f0b4ce529fc9b6572a89a3fd8b28ec"),
+        ("cycle-sharpness", (9,), 158,
+         "2f4b560616455739088c94b484c9b699eeaffe1f500d0df6ee73a2128afb628d"),
+        ("cycle-sharpness", (10,), 277,
+         "7b056174e0ab97f88955a37a8c2193750723fc7f84c071d1465411e893a63872"),
+        ("cycle-sharpness", (11,), 486,
+         "d392256629f3500f59562619b78a767dbfcc12b0d60128a70d6f6dfb06ec7898"),
+    ]
+
+    @pytest.mark.parametrize(
+        "kind, params, count, digest",
+        REFERENCE_DIGESTS,
+        ids=["-".join(map(str, (k, *p))) for k, p, _, _ in REFERENCE_DIGESTS],
+    )
+    def test_tuple_is_the_reference_tuple(self, kind, params, count, digest):
+        # The whole tuple, order included: by size, then as sorted lists.
+        build = {"hamming": gen_hamming_system, "cycle-sharpness": gen_cycle_sharpness}
+        minimal = minimal_empty_subfamilies(build[kind](*params))
+        text = repr([sorted(s) for s in minimal])
+        assert len(minimal) == count
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    def test_matches_oracle_on_a_seeded_sweep(self):
+        # Up to 7 points and 8 members, empty ground and empty family
+        # included, at densities from sparse to nearly full.
+        sizes = set()
+        for seed in range(1000):
+            rng = random.Random(seed + 7700)
+            n, m = rng.randint(0, 7), rng.randint(0, 8)
+            density = rng.uniform(0.2, 0.9)
+            members = [
+                (f"F{j}", [p for p in range(n) if rng.random() < density])
+                for j in range(m)
+            ]
+            system = SetSystem.build([f"x{p}" for p in range(n)], members)
+            minimal = minimal_empty_subfamilies(system)
+            assert minimal == tuple(oracle_minimal_empty_subfamilies(system)), seed
+            sizes.update(len(s) for s in minimal)
+        assert sizes >= set(range(6))
+
+    @pytest.mark.parametrize(
+        "ground, members",
+        [
+            ([], [[], []]),
+            (["a", "b"], []),
+            # Points b and c lie in the same members.
+            (["a", "b", "c", "d"], [[0, 1, 2], [1, 2, 3], [0, 3], [0, 1, 2, 3]]),
+            # F1 and F3 are the same member under two names.
+            (["a", "b", "c"], [[0, 1], [1, 2], [0, 1], [0, 2]]),
+            (["a", "b", "c"], [[0, 1], [], [1, 2], [0, 2]]),
+            # F0 is the ground set, so it lies in no empty subfamily.
+            (["a", "b", "c"], [[0, 1, 2], [0], [1], [2, 0]]),
+        ],
+        ids=[
+            "no-points",
+            "no-members",
+            "duplicated-point",
+            "duplicated-member",
+            "empty-member",
+            "member-equal-to-ground",
+        ],
+    )
+    def test_matches_oracle_on_hand_built_systems(self, ground, members):
+        system = SetSystem.build(ground, [(f"F{j}", m) for j, m in enumerate(members)])
+        assert minimal_empty_subfamilies(system) == tuple(
+            oracle_minimal_empty_subfamilies(system)
+        )
 
 class TestHellyNumber:
     def test_sharpness_m2(self, sharp2):
