@@ -18,7 +18,6 @@ from .core import (
     SetSystem,
     SubfamilySelection,
     Verdict,
-    complement_incidence,
     intersect_subfamily,
     verify_comatching,
     verify_comatching_with_intersection,

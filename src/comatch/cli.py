@@ -90,6 +90,9 @@ REPORT_SCHEMA = "comatch-report/2"
 
 ANALYZE_GROUND_CAP = 4096
 ANALYZE_VERTEX_CAP = 64
+# The compatibility graph of n (member, point) pairs holds n(n-1)/2 bits, so
+# this bounds it at about 256 MiB; Hamming(8,1) has 63,232 pairs.
+ANALYZE_PAIR_CAP = 65536
 
 
 @dataclass(frozen=True)
@@ -211,6 +214,9 @@ def cmd_analyze(path: str, config: RunConfig) -> dict:
             raise InputError(
                 f"ground size {system.num_points} exceeds cap {ANALYZE_GROUND_CAP}"
             )
+        pairs = sum(system.num_points - mask.bit_count() for mask in system.masks)
+        if pairs > ANALYZE_PAIR_CAP:
+            raise InputError(f"pair count {pairs} exceeds cap {ANALYZE_PAIR_CAP}")
         report = _analyze_system(system, config)
     elif kind == "complex":
         complex_, notes = jsonio.complex_from_doc(doc)
@@ -372,6 +378,7 @@ _CONSTRUCTION_PARAMS = {
 def cmd_generate(args: argparse.Namespace, config: RunConfig) -> tuple[dict, int]:
     name = args.construction
     params = _construction_params(name, args.params)
+    code = EXIT_OK
     if name == "cycle-sharpness":
         m = params["M"]
         system = constructions.gen_cycle_sharpness(m)
@@ -392,6 +399,10 @@ def cmd_generate(args: argparse.Namespace, config: RunConfig) -> tuple[dict, int
         pc = constructions.gen_poly_comatching(params["d"], params["D"], seed=config.seed)
         doc = _poly_to_doc(pc)
         claims = {"size": len(pc.polynomials)}
+        verdict = constructions.verify_poly_comatching(pc)
+        if not verdict.ok:
+            doc["violations"] = list(verdict.violations)
+            code = EXIT_FAILURE
     elif name == "torus-grid":
         k, s = params["k"], params["s"]
         doc = jsonio.complex_to_doc(constructions.gen_torus_grid_complex(k, s))
@@ -404,7 +415,7 @@ def cmd_generate(args: argparse.Namespace, config: RunConfig) -> tuple[dict, int
         doc = jsonio.complex_to_doc(constructions.gen_good_join_complex(fold))
         claims = {"good_dimension": 3 * fold - 1}
     doc["provenance"] = {"generator": name, "parameters": params, "claims": claims}
-    return doc, EXIT_OK
+    return doc, code
 
 
 def _construction_params(name: str, given: list[str]) -> dict[str, int]:

@@ -38,7 +38,6 @@ __all__ = [
     "intersect_subfamily",
     "verify_comatching",
     "verify_comatching_with_intersection",
-    "complement_incidence",
 ]
 
 
@@ -302,14 +301,3 @@ def verify_comatching_with_intersection(
                 f"common point {common!r} equals the matched point of pair {i}"
             )
     return Verdict.passed() if not violations else Verdict.failed(violations)
-
-
-def complement_incidence(system: SetSystem) -> tuple[tuple[int, int], ...]:
-    """Edges (point, member) of the bipartite complement: x not in F."""
-    edges = []
-    for j in range(system.num_members):
-        mask = system.masks[j]
-        for i in range(system.num_points):
-            if not (mask >> i & 1):
-                edges.append((i, j))
-    return tuple(edges)

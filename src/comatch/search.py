@@ -10,10 +10,11 @@ Everything here is exact and certificate-producing:
   read from a triangular table of the pairs below each pair that are not
   its neighbours (n(n-1)/2 bits for n pairs).  The certificate is the
   lexicographically first optimum: a greedy chain of lowest compatible
-  pairs when it reaches the value, else the first clique of that size in
-  ascending pair order.
+  pairs when it reaches the value, else a clique built one pair at a
+  time, each pair the lowest whose later neighbours still hold a clique
+  of the remaining size, which the same colour-ordered search decides.
   The graph memoizes, for tau', the pairs that meet each intersection,
-  and for both searches the colour classes of each root.
+  and for both value passes the colour classes of each root.
 * ``minimal_empty_subfamilies`` enumerates the inclusion-minimal
   subfamilies with empty intersection (the minimal non-faces of the
   nerve) as minimal hitting sets of the complement hypergraph, by MMCS
@@ -191,9 +192,9 @@ class CompatibilityGraph(NamedTuple):
     intersection, keys and values about 0.24 MB on Hamming(6,1) (468
     intersections for 2,561 reads at 200,000 nodes), 0.80 MB on
     Hamming(6,2) and 2.3 MB on Hamming(7,1).  ``colourings`` maps a root
-    to its greedy colour classes (:meth:`root_classes`), so the value and
-    certificate passes of tau and tau' colour a shared root once.  Both go
-    with the graph, and so with its system.
+    to its greedy colour classes (:meth:`root_classes`), so the value
+    passes of tau and tau' colour a shared root once.  Both go with the
+    graph, and so with its system.
     """
 
     pairs: tuple[tuple[int, int], ...]
@@ -277,8 +278,8 @@ def _comatching_search(
     The search runs in three steps over the compatibility graph, for tau'
     restricted to the pairs whose member is nonempty (a nonempty ground
     set always admits the size-0 certificate, but a positive tau' needs
-    an extendable pair).  Both passes are depth-first on an explicit
-    stack, so their depth is not bounded by the recursion limit, and for
+    an extendable pair).  Every search is depth-first on an explicit
+    stack, so its depth is not bounded by the recursion limit, and for
     tau' every node carries the intersection of its members, and its
     children keep only the pairs whose member meets it.
 
@@ -298,32 +299,30 @@ def _comatching_search(
        and at each step the chain's prefix extends to an optimum (the
        chain) while no later pair below the chain's next one fits the
        prefix at all.  It costs no search node.
-    3. Otherwise the certificate pass (:func:`_certificate_pass`) branches in
-       ascending pair order and stops at its first clique of the value's
-       size, the lexicographically first optimum.  So certificates and
-       reruns do not depend on the colour order.
+    3. Otherwise prefix decisions (:func:`_first_clique`) build the
+       lexicographically first optimum one pair at a time, each decided
+       by the value pass.  So certificates and reruns do not depend on
+       the colour order.
 
-    Both passes spend from the one budget.  A cut inside the value pass
+    Steps 1 and 3 spend from the one budget.  A cut inside the value pass
     returns the best clique found so far, inexact.  A cut inside the
-    certificate pass returns the value, which the value pass proved, as
-    exact, with the value pass's clique as certificate.
+    decisions returns the value, which the value pass proved, as exact,
+    with the value pass's clique as certificate.
     """
     graph = _derived(_graphs, system, CompatibilityGraph.build)
     budget = budget or SearchBudget()
     root = graph.nonempty if need_common_point else (1 << len(graph.pairs)) - 1
-    clique, exact = _value_pass(system, graph, root, need_common_point, budget)
+    full = system.full_mask
+    clique, exact = _value_pass(system, graph, root, full, need_common_point, budget)
     if exact and clique:
         chain = _greedy_chain(system, graph, root, need_common_point)
         if len(chain) == len(clique):
             clique = chain
         else:
-            clique = (
-                _certificate_pass(
-                    system, graph, root, need_common_point, budget, len(clique)
-                )
-                or clique
-            )
-    common = system.full_mask
+            size = len(clique)
+            first = _first_clique(system, graph, root, need_common_point, budget, size)
+            clique = first or clique
+    common = full
     for i in clique:
         common &= system.masks[graph.pairs[i][0]]
     pairs = tuple((graph.pairs[i][1], graph.pairs[i][0]) for i in clique)
@@ -333,28 +332,44 @@ def _comatching_search(
 def _value_pass(
     system: SetSystem,
     graph: CompatibilityGraph,
-    root: int,
+    cand: int,
+    inter: int,
     need_common_point: bool,
     budget: SearchBudget,
+    floor: int = 0,
+    stop: Optional[int] = None,
 ) -> tuple[tuple[int, ...], bool]:
-    """A maximum clique among ``root`` by colour-ordered branching, as
-    (pair indices in ascending order, exact flag)."""
+    """A maximum clique among ``cand`` by colour-ordered branching, as (pair
+    indices in ascending order, exact flag); ``inter`` is the intersection
+    of the members chosen before.  Only cliques of more than ``floor``
+    pairs count, else the clique is empty, and the first of ``stop`` pairs
+    ends the pass: with ``floor = j - 1`` and ``stop = j`` it decides
+    whether ``cand`` holds a clique of j pairs.  Only a pass with no stop
+    reads the memo of root colourings."""
     masks, pairs, apart = system.masks, graph.pairs, graph.apart
     containing, inside, meets = graph.containing, graph.inside, graph.meets
+    if stop is None:
+        classes = graph.root_classes(cand)
+    else:
+        classes = _colour_classes(cand, apart, floor)
+        if not classes:  # the colouring alone rules out a larger clique
+            return (), True
     best: list[int] = []
     if not budget.spend():
         return (), False
     # stack[d] is [untried candidates, classes above cut, cut] of the node
     # at depth d, classes[j] being class number cut + j + 1; its pairs are
-    # chosen[:d] and its intersection is inters[d].
-    stack = [[root, graph.root_classes(root), 0]]
+    # chosen[:d] and its intersection is inters[d].  ``bound`` is the size
+    # to beat, the floor until a larger clique is found.
+    stack = [[cand, classes, floor]]
     chosen: list[int] = []
-    inters = [system.full_mask]
+    inters = [inter]
+    bound = floor
     while stack:
         frame = stack[-1]
         cand, classes, cut = frame
         size = len(chosen)
-        if size + cut + len(classes) <= len(best):
+        if size + cut + len(classes) <= bound:
             stack.pop()
             if chosen:
                 chosen.pop()
@@ -373,12 +388,15 @@ def _value_pass(
         chosen.append(i)
         m, p = pairs[i]
         inter = inters[-1] & masks[m]
-        if size + 1 > len(best):
+        if size + 1 > bound:
             best = chosen[:]
+            bound = size + 1
+            if bound == stop:
+                break
         child = cand & containing[p] & inside[m]
         if need_common_point and child:
             child &= meets.get(inter) or graph.meeting(inter)
-        cut = len(best) - size - 1
+        cut = bound - size - 1
         if child.bit_count() > cut:
             classes = _colour_classes(child, apart, cut)
             if classes:
@@ -412,7 +430,7 @@ def _greedy_chain(
     return tuple(chain)
 
 
-def _certificate_pass(
+def _first_clique(
     system: SetSystem,
     graph: CompatibilityGraph,
     root: int,
@@ -421,60 +439,38 @@ def _certificate_pass(
     target: int,
 ) -> Optional[tuple[int, ...]]:
     """The lexicographically first clique of ``target`` pairs among
-    ``root``, or None if the budget runs out first.
+    ``root``, which holds one, or None if the budget runs out first.
 
-    Children are taken in ascending bit order, each narrowing the
-    candidates to its later neighbours, so cliques are met in
-    lexicographic order.  Each node greedily colours its candidates, and
-    a clique takes at most one pair from each class.  A node is not
-    expanded when its size plus its colour count falls short of
-    ``target``, and its child loop stops once its size plus the number of
-    classes with an untried pair does: both rules only cut branches with
-    no clique of ``target`` pairs.  The root is the value pass's root, so
-    only the children spend budget nodes."""
-    masks, pairs, apart = system.masks, graph.pairs, graph.apart
-    containing, inside, meets = graph.containing, graph.inside, graph.meets
-    # stack[d] is [untried candidates, colour classes] of the node at depth
-    # d; its pairs are chosen[:d] and its intersection is inters[d].
-    stack = [[root, graph.root_classes(root)]]
+    The clique grows one pair at a time.  The prefix's candidates are
+    tried in ascending order, one node each, and the first is kept that
+    completes the clique or whose later candidates (for tau', those whose
+    member meets the new intersection) hold a clique of the remaining
+    size, as :func:`_value_pass` decides."""
+    masks, pairs = system.masks, graph.pairs
     chosen: list[int] = []
-    inters = [system.full_mask]
-    while stack:
-        frame = stack[-1]
-        cand, classes = frame
-        # The untried pairs are the candidates from bit low up, and -low has
-        # every bit from low up set (none once low is 0).  The last class
-        # has the lowest top, so classes that miss -low, which have no
-        # untried pair left, come off the end.
+    cand, inter = root, system.full_mask
+    while cand:
         low = cand & -cand
-        while classes and not classes[-1] & -low:
-            classes.pop()
-        size = len(chosen)
-        if size + len(classes) < target:
-            stack.pop()
-            if chosen:
-                chosen.pop()
-                inters.pop()
-            continue
-        frame[0] = cand = cand ^ low
+        cand ^= low
         if not budget.spend():
             return None
         i = low.bit_length() - 1
-        chosen.append(i)
-        if size + 1 == target:
-            return tuple(chosen)
+        rest = target - len(chosen) - 1
+        if not rest:
+            return (*chosen, i)
         m, p = pairs[i]
-        inter = inters[-1] & masks[m]
-        child = cand & containing[p] & inside[m]
+        meet = inter & masks[m]
+        child = cand & graph.containing[p] & graph.inside[m]
         if need_common_point and child:
-            child &= meets.get(inter) or graph.meeting(inter)
-        if size + 1 + child.bit_count() >= target:
-            classes = _colour_classes(child, apart, 0)
-            if size + 1 + len(classes) >= target:
-                stack.append([child, classes])
-                inters.append(inter)
-                continue
-        chosen.pop()
+            child &= graph.meeting(meet)
+        found, decided = _value_pass(
+            system, graph, child, meet, need_common_point, budget, rest - 1, rest
+        )
+        if not decided:
+            return None
+        if found:
+            chosen.append(i)
+            cand, inter = child, meet
     return None
 
 

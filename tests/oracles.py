@@ -231,6 +231,16 @@ def oracle_is_induced_matching_in_complement(system: SetSystem, pairs) -> bool:
     return True
 
 
+def complement_incidence(system: SetSystem) -> tuple[tuple[int, int], ...]:
+    """Edges (point, member) of the bipartite complement: x not in F."""
+    return tuple(
+        (i, j)
+        for j in range(system.num_members)
+        for i in range(system.num_points)
+        if i not in system.member_elements(j)
+    )
+
+
 def oracle_pairs_compatible(system: SetSystem, a, b) -> bool:
     """Whether the (member, point) pairs a and b can share a comatching:
     each pair's point lies in the other pair's member."""

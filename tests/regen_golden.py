@@ -2,8 +2,9 @@
 
     python3 tests/regen_golden.py
 
-Run it only after a change meant to alter report bytes or exit codes, and
-read the table's diff: each changed row is a changed output.
+Run it only after a change meant to alter report bytes or exit codes.  It
+prints each row whose exit code or digest changed, with the old and the new
+values, then the number of rows written.
 """
 
 import contextlib
@@ -36,6 +37,11 @@ def main() -> int:
     if count != 1:
         raise SystemExit(f"no GOLDEN table found in {module}")
     module.write_text(text)
+    old = {call: (code, digest) for call, code, digest in golden.GOLDEN}
+    for call, code, digest in rows:
+        if old.get(call) != (code, digest):
+            was = "absent" if call not in old else "exit {}, {}".format(*old[call])
+            print(f"{call}\n  old: {was}\n  new: exit {code}, {digest}")
     print(f"{len(rows)} rows written to {module}")
     return 0
 

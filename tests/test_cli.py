@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import json
 import os
 import random
@@ -125,6 +126,25 @@ class TestGenerate:
             f"got {len(params)}, it takes at most {takes}\n"
         )
 
+    def test_poly_claim_is_verified(self, capsys, monkeypatch):
+        code, doc = run_cli(capsys, "generate", "poly", "2", "2")
+        assert code == 0 and "violations" not in doc
+        assert doc["provenance"]["claims"] == {"size": 6}
+        # A comatching whose points are swapped no longer has f_i vanish
+        # exactly off x_i, so the claim fails its own check.
+        import comatch.constructions as constructions
+
+        real = constructions.gen_poly_comatching
+
+        def tampered(*args, **kwargs):
+            pc = real(*args, **kwargs)
+            return dataclasses.replace(pc, points=pc.points[::-1])
+
+        monkeypatch.setattr(constructions, "gen_poly_comatching", tampered)
+        code, doc = run_cli(capsys, "generate", "poly", "2", "2")
+        assert code == 1
+        assert "f_1 vanishes at its own point x_1" in doc["violations"]
+
     def test_cycle_sharpness_cap(self, capsys):
         # Rejected before the 2M members are built.
         assert main(["generate", "cycle-sharpness", "100000"]) == 2
@@ -193,6 +213,39 @@ class TestAnalyze:
             assert exc.value.code == 2
             assert capsys.readouterr().out == ""
 
+    def test_pair_cap_checked_before_the_graph(
+        self, sharp2_path, tmp_path, capsys, monkeypatch
+    ):
+        # 300 one-point members of 300 points make 300 * 299 = 89,700 pairs,
+        # whose graph would hold about 4.0e9 bits (500 MB): the input is
+        # rejected before the graph is built.
+        import comatch.cli as cli
+        from comatch.search import CompatibilityGraph
+
+        def no_build(system):
+            raise AssertionError("the compatibility graph was built")
+
+        monkeypatch.setattr(CompatibilityGraph, "build", no_build)
+        path = tmp_path / "singletons.json"
+        points = [f"p{i}" for i in range(300)]
+        path.write_text(json.dumps({
+            "ground": points,
+            "members": [{"name": f"F{i}", "elements": [p]} for i, p in enumerate(points)],
+        }))
+        assert main(["analyze", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "", "input error: pair count 89700 exceeds cap 65536\n"
+        )
+        # Cycle-sharpness M=2 has 8 pairs: a cap of 8 admits it, 7 does not.
+        monkeypatch.undo()
+        monkeypatch.setattr(cli, "ANALYZE_PAIR_CAP", 8)
+        assert main(["analyze", str(sharp2_path)]) == 0
+        monkeypatch.setattr(cli, "ANALYZE_PAIR_CAP", 7)
+        assert main(["analyze", str(sharp2_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "input error: pair count 8 exceeds cap 7\n"
+
     def test_determinism_byte_identical(self, sharp2_path, tmp_path, capsys):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         assert main(["analyze", str(sharp2_path), "--out", str(a)]) == 0
@@ -253,7 +306,7 @@ class TestAnalyze:
             [H51] * 3,
         ),
         ("cycle-sharpness", "5"): (
-            {"tau": 24, "tau_prime": 54, "eta": 27356},
+            {"tau": 44, "tau_prime": 66, "eta": 27356},
             dict(points=10, members=10, tau=6, tau_prime=6, eta=6, helly=6, minimal=17),
             [("e1", "1"), ("e2", "3"), ("e3", "5"), ("e5", "10"), ("o3", "7"),
              ("o4", "8")],

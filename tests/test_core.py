@@ -10,14 +10,13 @@ from comatch.core import (
     InputError,
     SetSystem,
     Verdict,
-    complement_incidence,
     intersect_subfamily,
     verify_comatching,
     verify_comatching_with_intersection,
 )
 from comatch.randsys import random_system
 
-from oracles import oracle_is_induced_matching_in_complement
+from oracles import complement_incidence, oracle_is_induced_matching_in_complement
 
 
 @pytest.fixture

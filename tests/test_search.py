@@ -15,7 +15,6 @@ from comatch import cli, jsonio
 from comatch.core import (
     SetSystem,
     InputError,
-    complement_incidence,
     intersect_subfamily,
     intersection_mask,
     verify_comatching,
@@ -47,6 +46,7 @@ from comatch.search import (
 )
 
 from oracles import (
+    complement_incidence,
     oracle_colorful_helly_number,
     oracle_comatching_number,
     oracle_eta_level_search,
@@ -257,8 +257,8 @@ class TestPinnedSearches:
             ),
             pytest.param(
                 lambda: gen_cycle_sharpness(12),
-                (16, 3_842, M12_TAU),
-                (15, 4_057, M12_TAU_PRIME, 5),
+                (16, 1_183, M12_TAU),
+                (15, 1_791, M12_TAU_PRIME, 5),
                 id="cycle-sharpness-12",
             ),
         ],
@@ -361,21 +361,21 @@ class TestColourClasses:
 
 
 class TestThreeSteps:
-    """The value pass, the greedy chain and the certificate pass together:
+    """The value pass, the greedy chain and the prefix decisions together:
     the certificate is the lexicographically first optimum whichever step
     produced it, and every budget gives a certified result."""
 
-    def test_certificates_equal_oracle_through_chain_and_certificate_pass(
+    def test_certificates_equal_oracle_through_chain_and_prefix_decisions(
         self, monkeypatch
     ):
         passes = []
-        certificate_pass = search._certificate_pass
+        first_clique = search._first_clique
 
         def spy(*args):
             passes.append(args[-1])
-            return certificate_pass(*args)
+            return first_clique(*args)
 
-        monkeypatch.setattr(search, "_certificate_pass", spy)
+        monkeypatch.setattr(search, "_first_clique", spy)
         runs = 0
         for seed in range(40):
             system = random_system(random.Random(seed + 7200), 6, 6)
@@ -398,7 +398,9 @@ class TestThreeSteps:
         graph = CompatibilityGraph.build(system)
         root = graph.nonempty if need_common_point else (1 << len(graph.pairs)) - 1
         budget = SearchBudget()
-        clique, exact = _value_pass(system, graph, root, need_common_point, budget)
+        clique, exact = _value_pass(
+            system, graph, root, system.full_mask, need_common_point, budget
+        )
         assert exact
         pairs = tuple((graph.pairs[i][1], graph.pairs[i][0]) for i in clique)
         return pairs, budget.nodes
@@ -419,9 +421,9 @@ class TestThreeSteps:
     )
     def test_every_budget_through_both_passes(self, system, need_common_point):
         # Below the value pass's node count the result is a certified lower
-        # bound; from there the value is proved, and a cut inside the
-        # certificate pass keeps the value pass's clique; once the budget
-        # covers both passes the certificate is the lexicographically first.
+        # bound; from there the value is proved, and a cut inside the prefix
+        # decisions keeps the value pass's clique; once the budget covers
+        # the decisions the certificate is the lexicographically first.
         search_fn = (
             comatching_with_intersection_number
             if need_common_point
@@ -450,6 +452,59 @@ class TestThreeSteps:
             if exact:
                 pairs = cert.base.pairs if need_common_point else cert.pairs
                 assert pairs == (first if nodes == total else clique), nodes
+
+
+class TestDecisions:
+    """The value pass with floor j - 1 and stop j, as the prefix decisions
+    run it, finds a clique of j pairs exactly when brute force does, on
+    random candidate subsets; for tau' the candidates are the pairs whose
+    member meets a random intersection, and so must the clique's members."""
+
+    @staticmethod
+    def cliques(system, pairs, cand, inter, need_common_point):
+        """Every clique among ``cand``, grown one later compatible pair at a
+        time; for tau', only those whose members meet ``inter``."""
+        found, frontier = [], [((), inter)]
+        while frontier:
+            grown = []
+            for clique, common in frontier:
+                for i in cand:
+                    if clique and i <= clique[-1]:
+                        continue
+                    meet = common & system.masks[pairs[i][0]]
+                    if (meet or not need_common_point) and all(
+                        oracle_pairs_compatible(system, pairs[i], pairs[j])
+                        for j in clique
+                    ):
+                        grown.append((clique + (i,), meet))
+            found += [clique for clique, _ in grown]
+            frontier = grown
+        return found
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_decisions_equal_brute_force(self, seed):
+        system = density_system(seed + 9500)
+        rng = random.Random(seed + 9500)
+        graph = CompatibilityGraph.build(system)
+        pairs = graph.pairs
+        for need_common_point in (False, True):
+            for _ in range(8):
+                share = rng.random()
+                cand = [i for i in range(len(pairs)) if rng.random() < share]
+                inter = system.full_mask
+                if need_common_point:
+                    inter = rng.randrange(1, system.full_mask + 1)
+                    cand = [i for i in cand if system.masks[pairs[i][0]] & inter]
+                cliques = self.cliques(system, pairs, cand, inter, need_common_point)
+                largest = max(map(len, cliques), default=0)
+                bits = sum(1 << i for i in cand)
+                for j in range(1, largest + 2):
+                    clique, exact = _value_pass(
+                        system, graph, bits, inter, need_common_point,
+                        SearchBudget(), j - 1, j,
+                    )
+                    assert exact and len(clique) == (j if j <= largest else 0)
+                    assert not clique or clique in cliques
 
 
 def square_system(seed, n):
@@ -552,7 +607,7 @@ class TestGraphMemos:
         "system",
         [
             pytest.param(gen_hamming_system(5, 1), id="hamming-5-1"),
-            # Its tau' runs the certificate pass.
+            # Its tau and tau' run the prefix decisions.
             pytest.param(gen_cycle_sharpness(8), id="cycle-sharpness-8"),
         ]
         + [
