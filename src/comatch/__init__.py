@@ -51,9 +51,7 @@ from .topology import (
     HomologyProfile,
     KunnethVerdict,
     LerayVerdict,
-    boundary_matrix,
     is_d_collapsible,
-    is_d_good,
     join_profile_from_factors,
     kunneth_betti_check,
     leray_check,

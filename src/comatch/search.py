@@ -9,10 +9,12 @@ Everything here is exact and certificate-producing:
   bitset form of San Segundo et al. 2011), bounded by greedy colouring
   read from a triangular table of the pairs below each pair that are not
   its neighbours (n(n-1)/2 bits for n pairs).  The certificate is the
-  lexicographically first optimum: a greedy chain of lowest compatible
-  pairs when it reaches the value, else a clique built one pair at a
-  time, each pair the lowest whose later neighbours still hold a clique
-  of the remaining size, which the same colour-ordered search decides.
+  lexicographically first optimum, built one pair at a time, each pair
+  the lowest whose later neighbours still hold a clique of the remaining
+  size.  The value pass's clique is the first witness of such a clique:
+  a pair that begins the witness is kept at no cost, and any other pair
+  is decided by the same colour-ordered search, whose clique becomes the
+  next witness.
   The graph memoizes, for tau', the pairs that meet each intersection,
   and for both value passes the colour classes of each root.
 * ``minimal_empty_subfamilies`` enumerates the inclusion-minimal
@@ -275,7 +277,7 @@ def _comatching_search(
     Returns (best size, best pairs as (point, member), common-point mask
     of the best solution, exact flag).
 
-    The search runs in three steps over the compatibility graph, for tau'
+    The search runs in two steps over the compatibility graph, for tau'
     restricted to the pairs whose member is nonempty (a nonempty ground
     set always admits the size-0 certificate, but a positive tau' needs
     an extendable pair).  Every search is depth-first on an explicit
@@ -291,20 +293,15 @@ def _comatching_search(
        in classes 1..k, each independent, so no clique among them has more
        than k pairs: the cut loses no strictly larger clique, and the
        value is exact when the pass ends.
-    2. The greedy chain starts from the lowest candidate and repeatedly
-       adds the lowest later candidate compatible with every pair chosen
-       so far (for tau', one whose member also meets their intersection).
-       When it reaches the value, it is the lexicographically first
-       optimum: the lowest candidate is the least possible first pair,
-       and at each step the chain's prefix extends to an optimum (the
-       chain) while no later pair below the chain's next one fits the
-       prefix at all.  It costs no search node.
-    3. Otherwise prefix decisions (:func:`_first_clique`) build the
-       lexicographically first optimum one pair at a time, each decided
-       by the value pass.  So certificates and reruns do not depend on
-       the colour order.
+    2. Prefix decisions (:func:`_first_clique`) build the
+       lexicographically first optimum one pair at a time, starting from
+       the value pass's clique as the witness.  The lowest candidate is
+       kept at no cost when it begins the witness or completes the
+       clique; any other costs one node and a decision by the value pass,
+       whose clique, when there is one, becomes the witness.  So
+       certificates and reruns do not depend on the colour order.
 
-    Steps 1 and 3 spend from the one budget.  A cut inside the value pass
+    Both steps spend from the one budget.  A cut inside the value pass
     returns the best clique found so far, inexact.  A cut inside the
     decisions returns the value, which the value pass proved, as exact,
     with the value pass's clique as certificate.
@@ -315,13 +312,8 @@ def _comatching_search(
     full = system.full_mask
     clique, exact = _value_pass(system, graph, root, full, need_common_point, budget)
     if exact and clique:
-        chain = _greedy_chain(system, graph, root, need_common_point)
-        if len(chain) == len(clique):
-            clique = chain
-        else:
-            size = len(clique)
-            first = _first_clique(system, graph, root, need_common_point, budget, size)
-            clique = first or clique
+        first = _first_clique(system, graph, root, need_common_point, budget, clique)
+        clique = first or clique
     common = full
     for i in clique:
         common &= system.masks[graph.pairs[i][0]]
@@ -407,55 +399,38 @@ def _value_pass(
     return tuple(sorted(best)), True
 
 
-def _greedy_chain(
-    system: SetSystem, graph: CompatibilityGraph, root: int, need_common_point: bool
-) -> tuple[int, ...]:
-    """The clique that repeatedly takes the lowest candidate compatible with
-    every pair taken so far; for tau' its member must also meet their
-    intersection.  A pair that misses the intersection once misses it for
-    good, as the intersection only shrinks."""
-    chain = []
-    cand = root
-    inter = system.full_mask
-    while cand:
-        low = cand & -cand
-        cand ^= low
-        i = low.bit_length() - 1
-        m, p = graph.pairs[i]
-        if need_common_point and not system.masks[m] & inter:
-            continue
-        chain.append(i)
-        inter &= system.masks[m]
-        cand &= graph.containing[p] & graph.inside[m]
-    return tuple(chain)
-
-
 def _first_clique(
     system: SetSystem,
     graph: CompatibilityGraph,
     root: int,
     need_common_point: bool,
     budget: SearchBudget,
-    target: int,
+    witness: tuple[int, ...],
 ) -> Optional[tuple[int, ...]]:
-    """The lexicographically first clique of ``target`` pairs among
-    ``root``, which holds one, or None if the budget runs out first.
+    """The lexicographically first clique of ``len(witness)`` pairs among
+    ``root``, or None if the budget runs out first.  ``witness`` is some
+    clique of that size among ``root``, its pairs in ascending order.
 
-    The clique grows one pair at a time.  The prefix's candidates are
-    tried in ascending order, one node each, and the first is kept that
-    completes the clique or whose later candidates (for tau', those whose
-    member meets the new intersection) hold a clique of the remaining
-    size, as :func:`_value_pass` decides."""
+    The clique grows one pair at a time, trying the prefix's candidates in
+    ascending order.  The loop keeps one invariant: the witness is a
+    clique of the remaining size among the candidates, compatible with
+    the pairs chosen (for tau', its members meet their intersection), so
+    the prefix extends to a clique of the full size.  The lowest candidate
+    i is kept at no cost when it completes the clique or is the witness's
+    first pair: no lower candidate is left, and the rest of the witness
+    lies in i's later neighbours (for tau', those whose member meets the
+    new intersection).  Otherwise one node is spent, and
+    :func:`_value_pass` decides whether i's later neighbours hold a clique
+    of the remaining size; if so i is kept and that clique becomes the
+    witness, and if not i is dropped and the witness, all above i, stays."""
     masks, pairs = system.masks, graph.pairs
     chosen: list[int] = []
     cand, inter = root, system.full_mask
     while cand:
         low = cand & -cand
         cand ^= low
-        if not budget.spend():
-            return None
         i = low.bit_length() - 1
-        rest = target - len(chosen) - 1
+        rest = len(witness) - 1
         if not rest:
             return (*chosen, i)
         m, p = pairs[i]
@@ -463,14 +438,19 @@ def _first_clique(
         child = cand & graph.containing[p] & graph.inside[m]
         if need_common_point and child:
             child &= graph.meeting(meet)
-        found, decided = _value_pass(
-            system, graph, child, meet, need_common_point, budget, rest - 1, rest
-        )
-        if not decided:
-            return None
+        if i == witness[0]:
+            found = witness[1:]
+        else:
+            if not budget.spend():
+                return None
+            found, decided = _value_pass(
+                system, graph, child, meet, need_common_point, budget, rest - 1, rest
+            )
+            if not decided:
+                return None
         if found:
             chosen.append(i)
-            cand, inter = child, meet
+            cand, inter, witness = child, meet, found
     return None
 
 

@@ -50,9 +50,7 @@ __all__ = [
     "CollapseSequence",
     "LerayVerdict",
     "KunnethVerdict",
-    "boundary_matrix",
     "reduced_betti",
-    "is_d_good",
     "join_profile_from_factors",
     "kunneth_betti_check",
     "is_d_collapsible",
@@ -111,28 +109,6 @@ class KunnethVerdict:
 # ---------------------------------------------------------------------------
 
 
-def boundary_matrix(complex_: SimplicialComplex, i: int) -> list[list[int]]:
-    """Dense signed boundary matrix from i-chains to (i-1)-chains.
-
-    Rows are the (i-1)-faces, columns the i-faces, both in lexicographic
-    order of sorted vertex tuples; signs alternate over each column's
-    sorted vertices.  The complex is augmented: i = 0 gives the all-ones
-    row over the empty face.
-    """
-    if not (-1 <= i <= complex_.dim + 1):
-        raise InputError(f"boundary dimension {i} out of range for dim {complex_.dim}")
-    cols = faces_of_dim(complex_, i)
-    rows = faces_of_dim(complex_, i - 1)
-    index = {tuple(sorted(f)): r for r, f in enumerate(rows)}
-    matrix = [[0] * len(cols) for _ in rows]
-    for c, face in enumerate(cols):
-        base = sorted(face)
-        for k in range(len(base)):
-            sub = tuple(base[:k] + base[k + 1 :])
-            matrix[index[sub]][c] = (-1) ** k
-    return matrix
-
-
 def _sparse_boundary_rows(
     lower: tuple[frozenset[int], ...], upper: tuple[frozenset[int], ...]
 ) -> list[dict[int, int]]:
@@ -181,15 +157,6 @@ def _betti_from(
         len(groups[i + 1]) - rank[i + 1] - rank[i + 2] if i >= low else 0
         for i in range(dim + 1)
     )
-
-
-def is_d_good(complex_: SimplicialComplex, d: int) -> bool:
-    """Nonzero reduced homology in dimension d and zero above it."""
-    profile = reduced_betti(complex_)
-    betti = profile.reduced_betti
-    if d < 0 or d >= len(betti):
-        return False
-    return betti[d] != 0 and all(b == 0 for b in betti[d + 1 :])
 
 
 def join_profile_from_factors(

@@ -5,6 +5,10 @@ bijections, and transversal products, and textbook dense Gaussian
 elimination over Fraction, sharing no code path with the library's
 clique search, hitting-set search, sparse elimination, incremental
 collapse search, or witness-bitset search for comatchings of complexes.
+It also keeps the reference helpers that left the library's public API
+once no library code called them: ``complement_incidence``,
+``boundary_matrix`` and ``is_d_good``, the last of which reads the
+library's Betti numbers.
 """
 
 from __future__ import annotations
@@ -12,8 +16,8 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
-from comatch.core import SetSystem
-from comatch.simplicial import ComplexComatching
+from comatch.core import InputError, SetSystem
+from comatch.simplicial import ComplexComatching, faces_of_dim
 
 
 def oracle_comatching_number(system: SetSystem):
@@ -345,10 +349,30 @@ def dense_rank_fraction(matrix) -> int:
     return rank
 
 
+def boundary_matrix(complex_, i: int) -> list[list[int]]:
+    """Dense signed boundary matrix from i-chains to (i-1)-chains.
+
+    Rows are the (i-1)-faces, columns the i-faces, both in lexicographic
+    order of sorted vertex tuples; signs alternate over each column's
+    sorted vertices.  The complex is augmented: i = 0 gives the all-ones
+    row over the empty face.
+    """
+    if not (-1 <= i <= complex_.dim + 1):
+        raise InputError(f"boundary dimension {i} out of range for dim {complex_.dim}")
+    cols = faces_of_dim(complex_, i)
+    rows = faces_of_dim(complex_, i - 1)
+    index = {tuple(sorted(f)): r for r, f in enumerate(rows)}
+    matrix = [[0] * len(cols) for _ in rows]
+    for c, face in enumerate(cols):
+        base = sorted(face)
+        for k in range(len(base)):
+            sub = tuple(base[:k] + base[k + 1 :])
+            matrix[index[sub]][c] = (-1) ** k
+    return matrix
+
+
 def oracle_reduced_betti(complex_) -> tuple:
     """Betti numbers from dense boundary matrices and Fraction elimination."""
-    from comatch.topology import boundary_matrix
-
     if complex_.num_vertices == 0:
         return ()
     out = []
@@ -359,6 +383,18 @@ def oracle_reduced_betti(complex_) -> tuple:
         upper_rank = dense_rank_fraction(upper) if upper and upper[0] else 0
         out.append(faces - dense_rank_fraction(lower) - upper_rank)
     return tuple(out)
+
+
+def is_d_good(complex_, d: int) -> bool:
+    """Nonzero reduced homology in dimension d and zero above it.  The
+    profile comes from the library's ``reduced_betti``: the dense oracle
+    above takes minutes on the joins of tori this is asked about."""
+    from comatch.topology import reduced_betti
+
+    betti = reduced_betti(complex_).reduced_betti
+    if d < 0 or d >= len(betti):
+        return False
+    return betti[d] != 0 and all(b == 0 for b in betti[d + 1 :])
 
 
 def oracle_max_nonzero_betti_over_subcomplexes(complex_) -> int:

@@ -48,7 +48,6 @@ from comatch.simplicial import (
 )
 from comatch.topology import (
     is_d_collapsible,
-    is_d_good,
     join_profile_from_factors,
     kunneth_betti_check,
     leray_check,
@@ -57,6 +56,7 @@ from comatch.topology import (
 )
 
 from oracles import (
+    is_d_good,
     oracle_comatching_number,
     oracle_helly_number,
     oracle_minimal_empty_subfamilies,

@@ -299,14 +299,14 @@ class TestAnalyze:
     E, O = [f"e{i}" for i in range(1, 6)], [f"o{i}" for i in range(1, 6)]
     PINNED_REPORTS = {
         ("hamming", "5", "1"): (
-            {"tau": 209, "tau_prime": 639, "eta": 0},
+            {"tau": 214, "tau_prime": 643, "eta": 0},
             dict(points=32, members=32, tau=4, tau_prime=3, eta=4, helly=4, minimal=416),
             list(zip(H51, ("00011", "00010", "00001", "00000"))),
             list(zip(H51[:3], ("00011", "00010", "00001"))) + ["00000"],
             [H51] * 3,
         ),
         ("cycle-sharpness", "5"): (
-            {"tau": 44, "tau_prime": 66, "eta": 27356},
+            {"tau": 29, "tau_prime": 46, "eta": 27356},
             dict(points=10, members=10, tau=6, tau_prime=6, eta=6, helly=6, minimal=17),
             [("e1", "1"), ("e2", "3"), ("e3", "5"), ("e5", "10"), ("o3", "7"),
              ("o4", "8")],

@@ -231,6 +231,79 @@ class TestLexFirstCertificates:
             assert (cert.base.pairs, cert.common_point) == (pairs, common)
 
 
+def certificate_corpus(name):
+    """The systems of one corpus of the certificate digests."""
+    if name == "random-2026":
+        rng = random.Random(2026)
+        return [
+            random_system(rng, rng.randint(4, 9), rng.randint(4, 10))
+            for _ in range(400)
+        ]
+    kind, *params = name.split("-")
+    build = {"hamming": gen_hamming_system, "cs": gen_cycle_sharpness}[kind]
+    return [build(*map(int, params))]
+
+
+def certificate_records(systems):
+    """tau and tau' of each system: value, pairs, common point, exact."""
+    records = []
+    for system in systems:
+        tau, cert, exact = comatching_number(system)
+        records.append((tau, cert.pairs, exact))
+        taup, cert, exact = comatching_with_intersection_number(system)
+        if cert is None:
+            records.append((taup, None, None, exact))
+        else:
+            records.append((taup, cert.base.pairs, cert.common_point, exact))
+    return records
+
+
+class TestCertificateDigests:
+    """SHA-256 of ``repr(certificate_records(corpus))``, taken before the
+    certificate came from prefix decisions that start from the value
+    pass's clique: any change to a value, a certificate or an exact flag
+    on these corpora shows here."""
+
+    # Hamming(n, 1) has the same certificates, as indices, for each n.
+    REFERENCE_DIGESTS = [
+        ("random-2026",
+         "9a9ee69de88591c9d6b1622fd95de7e406696369744ce2e81c56b2ab0a44c873"),
+        ("cs-3",
+         "df92ea56d5d0d5844270a791d0add77ec3db45be2b86854b26696bdb3ec35dca"),
+        ("cs-4",
+         "18d3ceb12e6da32aeb394f5daa68cd27d2469b624f4bfe7e0343922c9b05bc7f"),
+        ("cs-5",
+         "2afcae1e2306aa3f13662fbdc278649463cfc72de68c669954d5ecbdaba084f1"),
+        ("cs-6",
+         "7184bc87e41afa4aaf300ec56cf1ef4cc7045268196777ee06a8be2bf30d5a00"),
+        ("cs-7",
+         "99030b06d49b8702f0437a633f2ee7da8cb1a50ffcdbe62041191ffe3162d0d9"),
+        ("cs-8",
+         "a81457d8010b7d99e85bba9f955d98422cffa5a6f58bff31519d87d39f7451cd"),
+        ("cs-9",
+         "5fafd8400d15a59227dc4a5c495813955cd350d525e5e4a8fa1b4c38c8aa7990"),
+        ("cs-10",
+         "28b15e96ebf3ee84af7dfbdb1fbc032cc606453b807df76e549919c3b7db1d08"),
+        ("cs-11",
+         "3635a1a36760f2af7550d90060cfa8b8ea75023f9b7496f7170da93566d8e0b9"),
+        ("cs-12",
+         "00be318fa6bf57914c61d9e87ba070c07843ba56cac9ff830d02f90117aa0ac5"),
+        ("hamming-4-1",
+         "475049d68f5051b095bc8dca6e543426b8c33b22b070a58cfe2d22d62213a5ca"),
+        ("hamming-5-1",
+         "475049d68f5051b095bc8dca6e543426b8c33b22b070a58cfe2d22d62213a5ca"),
+        ("hamming-6-1",
+         "475049d68f5051b095bc8dca6e543426b8c33b22b070a58cfe2d22d62213a5ca"),
+    ]
+
+    @pytest.mark.parametrize(
+        "corpus, digest", REFERENCE_DIGESTS, ids=[c for c, _ in REFERENCE_DIGESTS]
+    )
+    def test_records_are_the_reference_records(self, corpus, digest):
+        text = repr(certificate_records(certificate_corpus(corpus)))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 class TestPinnedSearches:
     """Values, node counts and certificates (pairs as (point, member)
     indices, then the common point) of tau and tau' on systems where the
@@ -251,14 +324,14 @@ class TestPinnedSearches:
         [
             pytest.param(
                 lambda: gen_hamming_system(6, 1),
-                (4, 950, H61_TAU),
-                (3, 2_562, H61_TAU[:3], 0),
+                (4, 955, H61_TAU),
+                (3, 2_566, H61_TAU[:3], 0),
                 id="hamming-6-1",
             ),
             pytest.param(
                 lambda: gen_cycle_sharpness(12),
-                (16, 1_183, M12_TAU),
-                (15, 1_791, M12_TAU_PRIME, 5),
+                (16, 1_032, M12_TAU),
+                (15, 1_686, M12_TAU_PRIME, 5),
                 id="cycle-sharpness-12",
             ),
         ],
@@ -360,20 +433,23 @@ class TestColourClasses:
                 assert _colour_classes(cand, graph.apart, cut) == classes[cut:]
 
 
-class TestThreeSteps:
-    """The value pass, the greedy chain and the prefix decisions together:
-    the certificate is the lexicographically first optimum whichever step
-    produced it, and every budget gives a certified result."""
+class TestTwoSteps:
+    """The value pass and the prefix decisions together: the certificate is
+    the lexicographically first optimum whether the value pass's clique
+    already was or the decisions had to find it, and every budget gives a
+    certified result."""
 
-    def test_certificates_equal_oracle_through_chain_and_prefix_decisions(
+    def test_certificates_equal_oracle_through_witness_hits_and_decisions(
         self, monkeypatch
     ):
-        passes = []
+        spent = []
         first_clique = search._first_clique
 
-        def spy(*args):
-            passes.append(args[-1])
-            return first_clique(*args)
+        def spy(system, graph, root, need_common_point, budget, witness):
+            before = budget.nodes
+            first = first_clique(system, graph, root, need_common_point, budget, witness)
+            spent.append(budget.nodes - before)
+            return first
 
         monkeypatch.setattr(search, "_first_clique", spy)
         runs = 0
@@ -390,8 +466,11 @@ class TestThreeSteps:
             else:
                 assert (cert.base.pairs, cert.common_point) == (pairs, common)
             runs += (tau > 0) + (taup > 0)
-        # The chain reaches the value on most searches, not on all.
-        assert 0 < len(passes) < runs
+        # Every search with a positive value runs the prefix loop.  On some
+        # the witness hits every step and no node is spent; on others a
+        # decision has to run.
+        assert len(spent) == runs
+        assert 0 in spent and any(spent)
 
     @staticmethod
     def value_pass(system, need_common_point):
@@ -505,6 +584,27 @@ class TestDecisions:
                     )
                     assert exact and len(clique) == (j if j <= largest else 0)
                     assert not clique or clique in cliques
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_first_clique_from_any_maximum_witness(self, seed):
+        # Whichever maximum clique the value pass hands over, the prefix
+        # loop returns the lexicographically first one.
+        system = density_system(seed + 9600)
+        graph = CompatibilityGraph.build(system)
+        pairs = graph.pairs
+        for need_common_point in (False, True):
+            root = graph.nonempty if need_common_point else (1 << len(pairs)) - 1
+            cand = [i for i in range(len(pairs)) if root >> i & 1]
+            cliques = self.cliques(
+                system, pairs, cand, system.full_mask, need_common_point
+            )
+            largest = max(map(len, cliques), default=0)
+            maximum = [clique for clique in cliques if len(clique) == largest]
+            for witness in maximum if largest else ():
+                first = search._first_clique(
+                    system, graph, root, need_common_point, SearchBudget(), witness
+                )
+                assert first == min(maximum), witness
 
 
 def square_system(seed, n):

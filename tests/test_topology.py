@@ -15,9 +15,7 @@ from comatch.topology import (
     KunnethVerdict,
     LerayVerdict,
     _betti_from,
-    boundary_matrix,
     is_d_collapsible,
-    is_d_good,
     join_profile_from_factors,
     kunneth_betti_check,
     leray_check,
@@ -25,6 +23,8 @@ from comatch.topology import (
     reduced_betti,
     replay_collapse_sequence,
 )
+
+from oracles import boundary_matrix, is_d_good
 
 
 @pytest.fixture
