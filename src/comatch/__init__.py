@@ -26,6 +26,7 @@ from .search import (
     ColorfulInstance,
     DichotomyOutcome,
     FractionalHellyProfile,
+    are_automorphisms,
     colorful_helly_number,
     colorful_transversal_dichotomy,
     comatching_number,
@@ -62,12 +63,14 @@ from .topology import (
 from .constructions import (
     GeometricCircleConfig,
     PolynomialComatching,
+    cycle_sharpness_automorphisms,
     gen_circle_config,
     gen_cycle_sharpness,
     gen_good_join_complex,
     gen_hamming_system,
     gen_poly_comatching,
     gen_torus_grid_complex,
+    hamming_automorphisms,
     verify_poly_comatching,
 )
 

@@ -52,6 +52,7 @@ from .core import (
 from .search import (
     ColorfulInstance,
     DichotomyOutcome,
+    are_automorphisms,
     colorful_helly_number,
     colorful_transversal_dichotomy,
     comatching_number,
@@ -217,7 +218,11 @@ def cmd_analyze(path: str, config: RunConfig) -> dict:
         pairs = sum(system.num_points - mask.bit_count() for mask in system.masks)
         if pairs > ANALYZE_PAIR_CAP:
             raise InputError(f"pair count {pairs} exceeds cap {ANALYZE_PAIR_CAP}")
-        report = _analyze_system(system, config)
+        automorphisms = jsonio.automorphisms_from_doc(doc, system)
+        report = _analyze_system(system, config, automorphisms)
+        mismatches = _claim_mismatches(doc, report["results"])
+        if mismatches:
+            report["provenance_mismatches"] = mismatches
     elif kind == "complex":
         complex_, notes = jsonio.complex_from_doc(doc)
         if complex_.num_vertices > ANALYZE_VERTEX_CAP:
@@ -237,13 +242,24 @@ def cmd_analyze(path: str, config: RunConfig) -> dict:
     return report
 
 
-def _analyze_system(system: SetSystem, config: RunConfig) -> dict:
+def _analyze_system(
+    system: SetSystem,
+    config: RunConfig,
+    automorphisms: Optional[tuple[tuple[int, ...], ...]],
+) -> dict:
+    """The report of a set system.  ``automorphisms``, the point maps the
+    input lists (None when it lists none), prune tau and tau' only when
+    every one passes the library's check; the report then says how many
+    were listed and used."""
     budgets = {name: config.budget() for name in ("tau", "tau_prime", "eta")}
     minimal = minimal_empty_subfamilies(system)
     h = max((len(s) for s in minimal), default=1)
-    tau, tau_cert, tau_exact = comatching_number(system, budgets["tau"])
+    used = ()
+    if automorphisms and are_automorphisms(system, automorphisms):
+        used = automorphisms
+    tau, tau_cert, tau_exact = comatching_number(system, budgets["tau"], used)
     taup, taup_cert, taup_exact = comatching_with_intersection_number(
-        system, budgets["tau_prime"]
+        system, budgets["tau_prime"], used
     )
     if minimal and (tau < h or taup < h - 1):
         # Only a search that ran out of budget ends below these bounds; it
@@ -273,7 +289,7 @@ def _analyze_system(system: SetSystem, config: RunConfig) -> dict:
         certificates["refuting_instance"] = jsonio.certificate_to_doc(
             refuting, system=system
         )
-    return {
+    report = {
         "kind": "set_system",
         "results": {
             "num_points": system.num_points,
@@ -290,6 +306,34 @@ def _analyze_system(system: SetSystem, config: RunConfig) -> dict:
         "certificates": certificates,
         "timing": {"nodes": {name: budget.nodes for name, budget in budgets.items()}},
     }
+    if automorphisms is not None:
+        report["automorphisms"] = {"checked": len(automorphisms), "used": len(used)}
+    return report
+
+
+# The claims of a set system's provenance that analyze checks: each names a
+# result of the report.
+_CHECKED_CLAIMS = (
+    "comatching_number",
+    "comatching_with_intersection_number",
+    "colorful_helly_number",
+)
+
+
+def _claim_mismatches(doc: dict, results: dict) -> list[str]:
+    """Each claim in the document's ``provenance.claims`` on tau, tau' or eta
+    that the exact result contradicts; an inexact result contradicts none."""
+    provenance = doc.get("provenance")
+    claims = provenance.get("claims") if isinstance(provenance, dict) else None
+    if not isinstance(claims, dict):
+        return []
+    return [
+        f"{name}: claimed {json.dumps(claims[name])}, computed {results[name]['value']}"
+        for name in _CHECKED_CLAIMS
+        if name in claims
+        and results[name]["exact"]
+        and claims[name] != results[name]["value"]
+    ]
 
 
 def _helly_bound_certificates(
@@ -379,9 +423,11 @@ def cmd_generate(args: argparse.Namespace, config: RunConfig) -> tuple[dict, int
     name = args.construction
     params = _construction_params(name, args.params)
     code = EXIT_OK
+    maps = ()  # automorphisms of the generated set system, as point maps
     if name == "cycle-sharpness":
         m = params["M"]
         system = constructions.gen_cycle_sharpness(m)
+        maps = constructions.cycle_sharpness_automorphisms(m)
         doc = jsonio.set_system_to_doc(system)
         claims = {"comatching_number": 4 * m // 3}
         if m <= 4:
@@ -389,7 +435,9 @@ def cmd_generate(args: argparse.Namespace, config: RunConfig) -> tuple[dict, int
             claims["colorful_helly_number"] = m + 1
     elif name == "hamming":
         n, t, q = params.values()
-        doc = jsonio.set_system_to_doc(constructions.gen_hamming_system(n, t, q))
+        system = constructions.gen_hamming_system(n, t, q)
+        maps = constructions.hamming_automorphisms(n, q)
+        doc = jsonio.set_system_to_doc(system)
         claims = {"ball_radius": t, "word_length": n, "alphabet": q}
     elif name == "circles":
         _, system = constructions.gen_circle_config()
@@ -415,6 +463,8 @@ def cmd_generate(args: argparse.Namespace, config: RunConfig) -> tuple[dict, int
         doc = jsonio.complex_to_doc(constructions.gen_good_join_complex(fold))
         claims = {"good_dimension": 3 * fold - 1}
     doc["provenance"] = {"generator": name, "parameters": params, "claims": claims}
+    if maps:
+        doc["provenance"]["automorphisms"] = jsonio.automorphisms_to_doc(maps, system)
     return doc, code
 
 

@@ -26,8 +26,10 @@ from .simplicial import SimplicialComplex, join
 __all__ = [
     "GeometricCircleConfig",
     "PolynomialComatching",
+    "cycle_sharpness_automorphisms",
     "gen_cycle_sharpness",
     "gen_hamming_system",
+    "hamming_automorphisms",
     "gen_circle_config",
     "gen_poly_comatching",
     "verify_poly_comatching",
@@ -100,6 +102,19 @@ def gen_cycle_sharpness(m: int) -> SetSystem:
     return SetSystem(tuple(ground), tuple(members))
 
 
+def cycle_sharpness_automorphisms(m: int) -> tuple[tuple[int, ...], ...]:
+    """Two point maps of ``gen_cycle_sharpness(m)``'s ground, each as the
+    image of every point index in turn: the rotation of the 2M-cycle by two
+    points and its reflection p -> -p.  The members are the 2M cyclic
+    dominoes {i, i+1} (M = 2) or their complements (M >= 3), and every
+    symmetry of the cycle maps dominoes onto dominoes."""
+    n = 2 * m
+    return (
+        tuple((p + 2) % n for p in range(n)),
+        tuple(-p % n for p in range(n)),
+    )
+
+
 # ---------------------------------------------------------------------------
 # Hamming balls
 # ---------------------------------------------------------------------------
@@ -132,6 +147,25 @@ def gen_hamming_system(n: int, t: int, q: int = 2) -> SetSystem:
         )
         members.append((f"B({c})", ball))
     return SetSystem(tuple(strings), tuple(members))
+
+
+def hamming_automorphisms(n: int, q: int = 2) -> tuple[tuple[int, ...], ...]:
+    """Point maps of ``gen_hamming_system(n, t, q)``'s ground for every t,
+    each as the image of every point index in turn: the n shifts of one
+    coordinate by 1 mod q, then the n - 1 swaps of adjacent coordinates.
+    Both keep Hamming distances, so they map the ball around c onto the
+    ball around c's image."""
+    words = list(product(range(q), repeat=n))
+    index = {word: i for i, word in enumerate(words)}
+    shifts = [
+        tuple(index[w[:k] + ((w[k] + 1) % q,) + w[k + 1 :]] for w in words)
+        for k in range(n)
+    ]
+    swaps = [
+        tuple(index[w[:k] + (w[k + 1], w[k]) + w[k + 2 :]] for w in words)
+        for k in range(n - 1)
+    ]
+    return (*shifts, *swaps)
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,8 @@ from .topology import CollapseSequence, HomologyProfile, LerayVerdict
 __all__ = [
     "set_system_to_doc",
     "set_system_from_doc",
+    "automorphisms_to_doc",
+    "automorphisms_from_doc",
     "complex_to_doc",
     "complex_from_doc",
     "detect_kind",
@@ -49,6 +51,7 @@ _TYPE_NAMES = {
     str: ("a string", "strings"),
     int: ("an integer", "integers"),
     bool: ("true or false", "booleans"),
+    dict: ("an object", "objects"),
 }
 
 
@@ -97,6 +100,39 @@ def set_system_from_doc(doc: dict) -> SetSystem:
         name = _field(m, "name", str, where)
         members.append((name, _field(m, "elements", list, where, items=str)))
     return SetSystem.from_labels(ground, members)
+
+
+def automorphisms_to_doc(maps, system: SetSystem) -> list[dict[str, str]]:
+    """Point maps, each given as the image of every point index in turn, as
+    objects from ground label to image label that leave out fixed points."""
+    ground = system.ground
+    return [
+        {ground[p]: ground[q] for p, q in enumerate(image) if p != q} for image in maps
+    ]
+
+
+def automorphisms_from_doc(
+    doc: dict, system: SetSystem
+) -> Optional[tuple[tuple[int, ...], ...]]:
+    """The point maps of ``provenance.automorphisms``, each as the image of
+    every point index in turn, or None when the document lists none.  Each
+    map is an object from ground label to image label, the points it leaves
+    out fixed.  A map that names a label outside the ground set comes back
+    empty, which is no map of the points, so no check accepts it."""
+    provenance = doc.get("provenance")
+    if not isinstance(provenance, dict) or "automorphisms" not in provenance:
+        return None
+    point = {label: p for p, label in enumerate(system.ground)}
+    maps = []
+    for listed in _field(provenance, "automorphisms", list, "provenance", items=dict):
+        image = list(range(system.num_points))
+        for label, target in listed.items():
+            if label not in point or not isinstance(target, str) or target not in point:
+                image = []
+                break
+            image[point[label]] = point[target]
+        maps.append(tuple(image))
+    return tuple(maps)
 
 
 # ---------------------------------------------------------------------------

@@ -14,9 +14,13 @@ Everything here is exact and certificate-producing:
   size.  The value pass's clique is the first witness of such a clique:
   a pair that begins the witness is kept at no cost, and any other pair
   is decided by the same colour-ordered search, whose clique becomes the
-  next witness.
+  next witness.  Given automorphisms of the system (point maps that the
+  search checks itself), the value pass's root drops the whole orbit of
+  each pair it has branched on (McKay 1998): a clique through another
+  pair of the orbit maps onto one through the branched pair.
   The graph memoizes, for tau', the pairs that meet each intersection,
-  and for both value passes the colour classes of each root.
+  for both value passes the colour classes of each root, and the pair
+  orbits of each set of automorphisms.
 * ``minimal_empty_subfamilies`` enumerates the inclusion-minimal
   subfamilies with empty intersection (the minimal non-faces of the
   nerve) as minimal hitting sets of the complement hypergraph, by MMCS
@@ -82,6 +86,7 @@ __all__ = [
     "ColorfulInstance",
     "DichotomyOutcome",
     "FractionalHellyProfile",
+    "are_automorphisms",
     "comatching_number",
     "comatching_with_intersection_number",
     "minimal_empty_subfamilies",
@@ -195,8 +200,14 @@ class CompatibilityGraph(NamedTuple):
     intersections for 2,561 reads at 200,000 nodes), 0.80 MB on
     Hamming(6,2) and 2.3 MB on Hamming(7,1).  ``colourings`` maps a root
     to its greedy colour classes (:meth:`root_classes`), so the value
-    passes of tau and tau' colour a shared root once.  Both go with the
-    graph, and so with its system.
+    passes of tau and tau' colour a shared root once.  ``orbits`` maps a
+    tuple of point maps to the pair orbits of the group they generate, or
+    to None when one of them is not an automorphism (:meth:`pair_orbits`),
+    so tau and tau' check and orbit one set of generators once, spending no
+    node: one bitset per orbit and a list of n references, about 40 KB for
+    Hamming(6,1)'s 11 generators and 140 KB for Hamming(7,1)'s 13 (the
+    pairs' images under each generator, about 0.6 and 2.9 MB at the peak,
+    are not kept).  All three go with the graph, and so with its system.
     """
 
     pairs: tuple[tuple[int, int], ...]
@@ -206,6 +217,7 @@ class CompatibilityGraph(NamedTuple):
     nonempty: int
     meets: dict[int, int]
     colourings: dict[int, list[int]]
+    orbits: dict[tuple[tuple[int, ...], ...], Optional[list[int]]]
 
     @classmethod
     def build(cls, system: SetSystem) -> "CompatibilityGraph":
@@ -244,7 +256,7 @@ class CompatibilityGraph(NamedTuple):
             below = inside[m] & (1 << first) - 1
             for i in range(first, first + own.bit_count()):
                 apart.append(((1 << i) - 1) ^ (containing[pairs[i][1]] & below))
-        return cls(tuple(pairs), containing, inside, apart, nonempty, {}, {})
+        return cls(tuple(pairs), containing, inside, apart, nonempty, {}, {}, {})
 
     def meeting(self, inter: int) -> int:
         """The pairs whose member meets the point set ``inter``."""
@@ -266,11 +278,98 @@ class CompatibilityGraph(NamedTuple):
             classes = self.colourings[root] = _colour_classes(root, self.apart, 0)
         return classes[:]
 
+    def pair_orbits(
+        self, system: SetSystem, generators: tuple[tuple[int, ...], ...]
+    ) -> Optional[list[int]]:
+        """Per pair, the bitset of its orbit under the group that the point
+        maps ``generators`` generate, or None unless each map is an
+        automorphism of ``system`` (:func:`_member_maps`).  A generator
+        maps pair (m, p) to (m', p') with p' the image of p and m' the
+        member that m's mask maps onto, so the orbits are sets of pairs that
+        the group permutes.  Each generator's image of every pair is one
+        list of pair indices, and a breadth-first search over those lists
+        reads each pair's images once: n times the number of generators
+        lookups in all."""
+        if generators in self.orbits:
+            return self.orbits[generators]
+        maps = _member_maps(system, generators)
+        orbits = None
+        if maps is not None:
+            # at[m][p]: the bit of pair (m, p), in ascending p.
+            at: list[dict[int, int]] = [{} for _ in system.masks]
+            for i, (m, p) in enumerate(self.pairs):
+                at[m][p] = i
+            images = [
+                [at[members[m]][image[p]] for m, own in enumerate(at) for p in own]
+                for image, members in zip(generators, maps)
+            ]
+            orbits = [0] * len(self.pairs)
+            seen = bytearray(len(self.pairs))
+            for start in range(len(self.pairs)):
+                if seen[start]:
+                    continue
+                seen[start] = 1
+                orbit = [start]
+                for i in orbit:  # grows while it is read: a breadth-first search
+                    for moved in images:
+                        j = moved[i]
+                        if not seen[j]:
+                            seen[j] = 1
+                            orbit.append(j)
+                bits = 0
+                for i in orbit:
+                    bits |= 1 << i
+                for i in orbit:
+                    orbits[i] = bits
+        self.orbits[generators] = orbits
+        return orbits
+
+
+def _member_maps(
+    system: SetSystem, generators: Iterable[Sequence[int]]
+) -> Optional[list[list[int]]]:
+    """Per generator, the member each member maps onto, or None unless every
+    generator is an automorphism: a permutation of the points (entry p the
+    image of point p) that maps every member's mask onto a member's mask.
+    Equal masks map in index order onto equal masks, so a mask and its
+    image must be held by equally many members."""
+    points = range(system.num_points)
+    powers = [1 << p for p in points]
+    holders: dict[int, list[int]] = {}
+    for m, mask in enumerate(system.masks):
+        holders.setdefault(mask, []).append(m)
+    maps = []
+    for image in generators:
+        if len(image) != len(points) or set(image) != set(points):
+            return None
+        members = [0] * system.num_members
+        for group in holders.values():
+            elements = system.members[group[0]][1]
+            moved = sum([powers[image[p]] for p in elements])
+            targets = holders.get(moved, ())
+            if len(targets) != len(group):
+                return None
+            for m, target in zip(group, targets):
+                members[m] = target
+        maps.append(members)
+    return maps
+
+
+def are_automorphisms(system: SetSystem, generators: Iterable[Sequence[int]]) -> bool:
+    """Whether each of ``generators``, a map of points given as the image of
+    each point index in turn, is an automorphism of ``system``: a
+    permutation of its points that maps every member onto a member.  The
+    answer is kept with the pair orbits that tau and tau' read, so asking
+    first costs them nothing."""
+    graph = _derived(_graphs, system, CompatibilityGraph.build)
+    return graph.pair_orbits(system, tuple(map(tuple, generators))) is not None
+
 
 def _comatching_search(
     system: SetSystem,
     budget: Optional[SearchBudget],
     need_common_point: bool,
+    automorphisms: Optional[Iterable[Sequence[int]]],
 ) -> tuple[int, tuple[tuple[int, int], ...], int, bool]:
     """Shared maximum-clique search for tau and tau'.
 
@@ -293,6 +392,8 @@ def _comatching_search(
        in classes 1..k, each independent, so no clique among them has more
        than k pairs: the cut loses no strictly larger clique, and the
        value is exact when the pass ends.
+       With ``automorphisms`` the root also drops each branched pair's
+       whole orbit, which loses no clique size (see :func:`_value_pass`).
     2. Prefix decisions (:func:`_first_clique`) build the
        lexicographically first optimum one pair at a time, starting from
        the value pass's clique as the witness.  The lowest candidate is
@@ -307,10 +408,17 @@ def _comatching_search(
     with the value pass's clique as certificate.
     """
     graph = _derived(_graphs, system, CompatibilityGraph.build)
+    orbits = None
+    if automorphisms:
+        orbits = graph.pair_orbits(system, tuple(map(tuple, automorphisms)))
+        if orbits is None:
+            raise InputError("a generator is not an automorphism of the system")
     budget = budget or SearchBudget()
     root = graph.nonempty if need_common_point else (1 << len(graph.pairs)) - 1
     full = system.full_mask
-    clique, exact = _value_pass(system, graph, root, full, need_common_point, budget)
+    clique, exact = _value_pass(
+        system, graph, root, full, need_common_point, budget, orbits=orbits
+    )
     if exact and clique:
         first = _first_clique(system, graph, root, need_common_point, budget, clique)
         clique = first or clique
@@ -330,6 +438,7 @@ def _value_pass(
     budget: SearchBudget,
     floor: int = 0,
     stop: Optional[int] = None,
+    orbits: Optional[list[int]] = None,
 ) -> tuple[tuple[int, ...], bool]:
     """A maximum clique among ``cand`` by colour-ordered branching, as (pair
     indices in ascending order, exact flag); ``inter`` is the intersection
@@ -337,7 +446,20 @@ def _value_pass(
     pairs count, else the clique is empty, and the first of ``stop`` pairs
     ends the pass: with ``floor = j - 1`` and ``stop = j`` it decides
     whether ``cand`` holds a clique of j pairs.  Only a pass with no stop
-    reads the memo of root colourings."""
+    reads the memo of root colourings.
+
+    ``orbits``, given only with a root that the group permutes (all pairs
+    for tau, ``nonempty`` for tau') and ``inter`` the full ground, acts at
+    the root alone.  Once a root pair i's child is built from the untried
+    candidates minus i, the root drops the rest of i's orbit from its
+    candidates and colour classes.  The untried candidates are then the
+    root less the orbits of the pairs branched so far, a set the group
+    permutes.  So a clique among them through a pair g(i) of i's orbit
+    maps by g^-1 onto a clique of the same size through i among the
+    candidates of i's child, which that subtree has already matched or
+    beaten; the members of the image share a point when those of the
+    clique do.  The value is unchanged, and the remaining candidates still
+    lie in the remaining classes, so the colouring bound stays valid."""
     masks, pairs, apart = system.masks, graph.pairs, graph.apart
     containing, inside, meets = graph.containing, graph.inside, graph.meets
     if stop is None:
@@ -388,6 +510,10 @@ def _value_pass(
         child = cand & containing[p] & inside[m]
         if need_common_point and child:
             child &= meets.get(inter) or graph.meeting(inter)
+        if orbits and not size:  # the root drops the rest of i's orbit
+            keep = ~orbits[i]
+            frame[0] &= keep
+            frame[1] = [rest for c in classes if (rest := c & keep)]
         cut = bound - size - 1
         if child.bit_count() > cut:
             classes = _colour_classes(child, apart, cut)
@@ -481,27 +607,40 @@ def _colour_classes(cand: int, apart: Sequence[int], cut: int) -> list[int]:
 
 
 def comatching_number(
-    system: SetSystem, budget: Optional[SearchBudget] = None
+    system: SetSystem,
+    budget: Optional[SearchBudget] = None,
+    automorphisms: Optional[Iterable[Sequence[int]]] = None,
 ) -> tuple[int, Comatching, bool]:
     """Largest induced matching in the bipartite complement, with certificate.
 
     ``exact`` is True when the search space was exhausted; on budget
     exhaustion the returned size is still a valid lower bound and the
     certificate still verifies.
+
+    ``automorphisms`` are optional maps of the points, each given as the
+    image of every point index in turn; the search checks them (an
+    InputError unless :func:`are_automorphisms` holds) and prunes its
+    value pass by their pair orbits.  The value, certificate and exact
+    flag do not depend on them; the node count does.
     """
-    size, pairs, _, exact = _comatching_search(system, budget, False)
+    size, pairs, _, exact = _comatching_search(system, budget, False, automorphisms)
     return size, Comatching(pairs), exact
 
 
 def comatching_with_intersection_number(
-    system: SetSystem, budget: Optional[SearchBudget] = None
+    system: SetSystem,
+    budget: Optional[SearchBudget] = None,
+    automorphisms: Optional[Iterable[Sequence[int]]] = None,
 ) -> tuple[int, Optional[ComatchingWithIntersection], bool]:
     """Largest comatching whose members share a common point.
 
     Returns (tau', certificate or None for tau' = 0, exact).  Whenever both
     this and :func:`comatching_number` are exact, tau' is tau or tau - 1.
+    ``automorphisms`` are as for :func:`comatching_number`.
     """
-    size, pairs, common, exact = _comatching_search(system, budget, True)
+    size, pairs, common, exact = _comatching_search(
+        system, budget, True, automorphisms
+    )
     if size == 0:
         return 0, None, exact
     common_point = (common & -common).bit_length() - 1

@@ -7,8 +7,10 @@ clique search, hitting-set search, sparse elimination, incremental
 collapse search, or witness-bitset search for comatchings of complexes.
 It also keeps the reference helpers that left the library's public API
 once no library code called them: ``complement_incidence``,
-``boundary_matrix`` and ``is_d_good``, the last of which reads the
-library's Betti numbers.
+``boundary_matrix`` and ``is_d_good``.  ``is_d_good`` reads the sparse
+oracle ``sparse_reduced_betti``, a textbook column reduction over
+Fraction that lists faces straight from the facets, because the dense
+oracle takes minutes on the joins of tori that it is asked about.
 """
 
 from __future__ import annotations
@@ -385,13 +387,52 @@ def oracle_reduced_betti(complex_) -> tuple:
     return tuple(out)
 
 
-def is_d_good(complex_, d: int) -> bool:
-    """Nonzero reduced homology in dimension d and zero above it.  The
-    profile comes from the library's ``reduced_betti``: the dense oracle
-    above takes minutes on the joins of tori this is asked about."""
-    from comatch.topology import reduced_betti
+def sparse_reduced_betti(complex_) -> tuple:
+    """Betti numbers as ``oracle_reduced_betti`` gives them, from sparse
+    boundary columns over Fraction.  The faces are every subset of every
+    facet, empty face included, in lexicographic order per size.  Each
+    column, a dict from row to value, is reduced by the columns kept before
+    it until its lowest nonzero row (the largest row index) is new, and is
+    then kept, so a boundary's rank is its count of kept columns.  The join
+    of two tori takes seconds here and minutes in the dense oracle."""
+    if complex_.num_vertices == 0:
+        return ()
+    faces = set()
+    for facet in complex_.facets:
+        base = sorted(facet)
+        for k in range(len(base) + 1):
+            faces.update(combinations(base, k))
+    top = max(map(len, faces))
+    levels = [sorted(f for f in faces if len(f) == k) for k in range(top + 1)]
+    ranks = [0] * (top + 2)  # ranks[k]: rank of the boundary of the k-vertex faces
+    for k in range(1, top + 1):
+        row = {face: r for r, face in enumerate(levels[k - 1])}
+        kept: dict[int, dict[int, Fraction]] = {}
+        for face in levels[k]:
+            column = {
+                row[face[:j] + face[j + 1 :]]: Fraction((-1) ** j) for j in range(k)
+            }
+            while column:
+                low = max(column)
+                other = kept.get(low)
+                if other is None:
+                    kept[low] = column
+                    break
+                factor = column[low] / other[low]
+                for r, value in other.items():
+                    rest = column.get(r, 0) - factor * value
+                    if rest:
+                        column[r] = rest
+                    else:
+                        del column[r]
+        ranks[k] = len(kept)
+    return tuple(len(levels[i + 1]) - ranks[i + 1] - ranks[i + 2] for i in range(top))
 
-    betti = reduced_betti(complex_).reduced_betti
+
+def is_d_good(complex_, d: int) -> bool:
+    """Nonzero reduced homology in dimension d and zero above it, by the
+    sparse oracle above."""
+    betti = sparse_reduced_betti(complex_)
     if d < 0 or d >= len(betti):
         return False
     return betti[d] != 0 and all(b == 0 for b in betti[d + 1 :])

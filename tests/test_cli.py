@@ -10,8 +10,9 @@ from pathlib import Path
 import pytest
 
 from comatch.cli import RunConfig, _build_parser, main
-from comatch.jsonio import set_system_from_doc
+from comatch.jsonio import automorphisms_from_doc, dump_canonical, set_system_from_doc
 from comatch.search import (
+    are_automorphisms,
     colorful_helly_number,
     comatching_number,
     comatching_with_intersection_number,
@@ -98,6 +99,34 @@ class TestGenerate:
             system = set_system_from_doc(doc)
             for name, claimed in claims.items():
                 assert invariants[name](system) == (claimed, True), (m, name)
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            ("hamming", str(n), str(t), str(q))
+            for q, lengths in ((2, range(1, 6)), (3, range(1, 4)))
+            for n in lengths
+            for t in range(n)
+        ]
+        + [("cycle-sharpness", str(m)) for m in range(2, 13)],
+        ids="-".join,
+    )
+    def test_written_automorphisms_pass_the_library_check(self, params, capsys):
+        # By ground label, fixed points left out: n shifts and n - 1 swaps of
+        # coordinates for Hamming, a rotation and a reflection for M.
+        code, doc = run_cli(capsys, "generate", *params)
+        assert code == 0
+        listed = doc["provenance"]["automorphisms"]
+        n = int(params[1])
+        assert len(listed) == (2 if params[0] == "cycle-sharpness" else 2 * n - 1)
+        ground = set(doc["ground"])
+        for generator in listed:
+            assert generator and set(generator) | set(generator.values()) <= ground
+            assert all(label != image for label, image in generator.items())
+        system = set_system_from_doc(doc)
+        maps = automorphisms_from_doc(doc, system)
+        assert are_automorphisms(system, maps)
+        assert all(are_automorphisms(system, [image]) for image in maps)
 
     def test_unknown_params_rejected(self, capsys):
         code = main(["generate", "cycle-sharpness"])
@@ -294,19 +323,20 @@ class TestAnalyze:
 
     # Node counts, results and certificates of the two sets-benchmark
     # inputs that spend the most search nodes; a faster search must keep
-    # every one of them.
+    # every one of them.  Both inputs list their automorphisms, which prune
+    # tau and tau' (H51: 214 and 643 nodes without them; M=5: 29 and 46).
     H51 = [f"B({c})" for c in ("00000", "00001", "00010", "00011")]
     E, O = [f"e{i}" for i in range(1, 6)], [f"o{i}" for i in range(1, 6)]
     PINNED_REPORTS = {
         ("hamming", "5", "1"): (
-            {"tau": 214, "tau_prime": 643, "eta": 0},
+            {"tau": 13, "tau_prime": 13, "eta": 0},
             dict(points=32, members=32, tau=4, tau_prime=3, eta=4, helly=4, minimal=416),
             list(zip(H51, ("00011", "00010", "00001", "00000"))),
             list(zip(H51[:3], ("00011", "00010", "00001"))) + ["00000"],
             [H51] * 3,
         ),
         ("cycle-sharpness", "5"): (
-            {"tau": 29, "tau_prime": 46, "eta": 27356},
+            {"tau": 23, "tau_prime": 40, "eta": 27356},
             dict(points=10, members=10, tau=6, tau_prime=6, eta=6, helly=6, minimal=17),
             [("e1", "1"), ("e2", "3"), ("e3", "5"), ("e5", "10"), ("o3", "7"),
              ("o4", "8")],
@@ -569,6 +599,92 @@ class TestPipelines:
     def test_homology_budget_exit(self, torus_path, capsys):
         code, doc = run_cli(capsys, "homology", str(torus_path), "--budget-nodes", "2")
         assert (code, doc) == (3, {"status": "budget_exhausted"})
+
+
+class TestAutomorphismsAndClaims:
+    """analyze prunes tau and tau' by the automorphisms an input lists only
+    when every one passes the library's check, says how many it checked and
+    used, and flags any provenance claim that an exact result contradicts."""
+
+    @staticmethod
+    def analyze(doc, tmp_path, *flags):
+        """The report text of ``doc``, always written to the same input path."""
+        path, out = tmp_path / "system.json", tmp_path / "report.json"
+        path.write_text(json.dumps(doc))
+        assert main(["analyze", str(path), *flags, "--out", str(out)]) == 0
+        return out.read_text()
+
+    @pytest.mark.parametrize(
+        "params, count", [(("hamming", "4", "1"), 7), (("cycle-sharpness", "6"), 2)]
+    )
+    def test_automorphisms_change_only_node_counts(
+        self, params, count, tmp_path, capsys
+    ):
+        _, doc = run_cli(capsys, "generate", *params)
+        used = json.loads(self.analyze(doc, tmp_path))
+        del doc["provenance"]["automorphisms"]
+        plain = json.loads(self.analyze(doc, tmp_path))
+        assert used.pop("automorphisms") == {"checked": count, "used": count}
+        assert "automorphisms" not in plain
+        assert used.pop("timing") != plain.pop("timing")
+        assert used == plain
+
+    @pytest.mark.parametrize(
+        "tampered",
+        [
+            pytest.param({"1": "2", "2": "1"}, id="not-an-automorphism"),
+            pytest.param({"1": "2"}, id="not-a-bijection"),
+            pytest.param({"1": "0", "0": "1"}, id="unknown-label"),
+        ],
+    )
+    def test_a_failing_generator_leaves_the_report_as_without_any(
+        self, tampered, tmp_path, capsys
+    ):
+        _, doc = run_cli(capsys, "generate", "cycle-sharpness", "5")
+        doc["provenance"]["automorphisms"].append(tampered)
+        report = json.loads(self.analyze(doc, tmp_path))
+        del doc["provenance"]["automorphisms"]
+        plain = self.analyze(doc, tmp_path)
+        assert report.pop("automorphisms") == {"checked": 3, "used": 0}
+        assert dump_canonical(report) == plain
+
+    def test_an_empty_list_is_checked_and_used_as_none(self, tmp_path, capsys):
+        _, doc = run_cli(capsys, "generate", "hamming", "3", "1")
+        doc["provenance"]["automorphisms"] = []
+        report = json.loads(self.analyze(doc, tmp_path))
+        assert report["automorphisms"] == {"checked": 0, "used": 0}
+
+    @pytest.mark.parametrize("listed", ["rotation", ["rotation"], [["1", "2"]]])
+    def test_malformed_automorphisms_are_an_input_error(
+        self, listed, tmp_path, capsys
+    ):
+        _, doc = run_cli(capsys, "generate", "cycle-sharpness", "3")
+        doc["provenance"]["automorphisms"] = listed
+        path = tmp_path / "system.json"
+        path.write_text(json.dumps(doc))
+        assert main(["analyze", str(path)]) == 2
+        assert "'automorphisms' must be" in capsys.readouterr().err
+
+    def test_claims_are_checked_against_exact_results(self, tmp_path, capsys):
+        _, doc = run_cli(capsys, "generate", "cycle-sharpness", "3")
+        assert doc["provenance"]["claims"] == {
+            "comatching_number": 4,
+            "comatching_with_intersection_number": 3,
+            "colorful_helly_number": 4,
+        }
+        assert "provenance_mismatches" not in json.loads(self.analyze(doc, tmp_path))
+        doc["provenance"]["claims"]["comatching_number"] = 5
+        doc["provenance"]["claims"]["colorful_helly_number"] = "four"
+        report = json.loads(self.analyze(doc, tmp_path))
+        assert report["provenance_mismatches"] == [
+            "comatching_number: claimed 5, computed 4",
+            'colorful_helly_number: claimed "four", computed 4',
+        ]
+        # An inexact result contradicts no claim.
+        report = json.loads(self.analyze(doc, tmp_path, "--budget-nodes", "0"))
+        assert not report["results"]["comatching_number"]["exact"]
+        assert not report["results"]["colorful_helly_number"]["exact"]
+        assert "provenance_mismatches" not in report
 
 
 class TestAnalyzeComplexHomologyOnce:

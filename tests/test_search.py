@@ -20,11 +20,17 @@ from comatch.core import (
     verify_comatching,
     verify_comatching_with_intersection,
 )
-from comatch.constructions import gen_cycle_sharpness, gen_hamming_system
+from comatch.constructions import (
+    cycle_sharpness_automorphisms,
+    gen_cycle_sharpness,
+    gen_hamming_system,
+    hamming_automorphisms,
+)
 from comatch.randsys import random_refutable_instance, random_system
 from comatch.search import (
     ColorfulInstance,
     SearchBudget,
+    are_automorphisms,
     colorful_helly_number,
     colorful_transversal_dichotomy,
     comatching_number,
@@ -244,13 +250,16 @@ def certificate_corpus(name):
     return [build(*map(int, params))]
 
 
-def certificate_records(systems):
-    """tau and tau' of each system: value, pairs, common point, exact."""
+def certificate_records(systems, automorphisms=None):
+    """tau and tau' of each system: value, pairs, common point, exact;
+    both searches are given ``automorphisms``."""
     records = []
     for system in systems:
-        tau, cert, exact = comatching_number(system)
+        tau, cert, exact = comatching_number(system, None, automorphisms)
         records.append((tau, cert.pairs, exact))
-        taup, cert, exact = comatching_with_intersection_number(system)
+        taup, cert, exact = comatching_with_intersection_number(
+            system, None, automorphisms
+        )
         if cert is None:
             records.append((taup, None, None, exact))
         else:
@@ -302,6 +311,119 @@ class TestCertificateDigests:
     def test_records_are_the_reference_records(self, corpus, digest):
         text = repr(certificate_records(certificate_corpus(corpus)))
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def planted_system(seed):
+    """A random system closed under a random permutation of its 4-8 points,
+    and that permutation, which is then an automorphism of it."""
+    rng = random.Random(seed)
+    n = rng.randint(4, 8)
+    image = list(range(n))
+    rng.shuffle(image)
+    masks = []
+    for _ in range(rng.randint(2, 4)):
+        mask = frozenset(p for p in range(n) if rng.random() < 0.5)
+        while mask not in masks:  # the member's cycle under the permutation
+            masks.append(mask)
+            mask = frozenset(image[p] for p in mask)
+    members = [(f"m{j}", mask) for j, mask in enumerate(masks)]
+    return SetSystem.build([f"x{p}" for p in range(n)], members), tuple(image)
+
+
+class TestAutomorphisms:
+    """Checked automorphisms prune the value pass at its root and change no
+    value, certificate or exact flag; a map that fails the check is an
+    input error."""
+
+    @pytest.mark.parametrize("seed", range(80))
+    def test_planted_symmetry_changes_no_result(self, seed):
+        system, image = planted_system(seed + 9500)
+        assert are_automorphisms(system, [image])
+        for search_fn in (comatching_number, comatching_with_intersection_number):
+            assert search_fn(system, None, [image]) == search_fn(system)
+
+    NAMED = [
+        row for row in TestCertificateDigests.REFERENCE_DIGESTS if row[0] != "random-2026"
+    ]
+
+    @pytest.mark.parametrize("corpus, digest", NAMED, ids=[c for c, _ in NAMED])
+    def test_named_automorphisms_keep_the_reference_records(self, corpus, digest):
+        kind, size, *_ = corpus.split("-")
+        maps = {"hamming": hamming_automorphisms, "cs": cycle_sharpness_automorphisms}
+        records = certificate_records(
+            certificate_corpus(corpus), maps[kind](int(size))
+        )
+        assert hashlib.sha256(repr(records).encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "build, maps, nodes",
+        [
+            pytest.param(
+                lambda: gen_hamming_system(6, 1),
+                hamming_automorphisms(6),
+                (14, 14),
+                id="hamming-6-1",
+            ),
+            pytest.param(
+                lambda: gen_cycle_sharpness(12),
+                cycle_sharpness_automorphisms(12),
+                (766, 1_025),
+                id="cycle-sharpness-12",
+            ),
+        ],
+    )
+    def test_nodes_with_automorphisms(self, build, maps, nodes):
+        # The inputs of TestPinnedSearches: 955 and 2,566 nodes without the
+        # maps on Hamming(6,1), 1,032 and 1,686 on M=12.
+        system = build()
+        spent = []
+        for search_fn in (comatching_number, comatching_with_intersection_number):
+            budget = SearchBudget()
+            assert search_fn(system, budget, maps) == search_fn(system)
+            spent.append(budget.nodes)
+        assert tuple(spent) == nodes
+
+    def test_check_rejects_every_map_that_is_no_automorphism(self):
+        system = gen_cycle_sharpness(4)  # 8 points; members miss a domino each
+        rotation, reflection = cycle_sharpness_automorphisms(4)
+        assert are_automorphisms(system, [rotation, reflection])
+        assert are_automorphisms(system, [])
+        swap = (1, 0, *range(2, 8))  # {2, 3} is a missed domino, {1, 3} is not
+        for maps in (
+            [rotation, swap],
+            [(0, 0, *range(2, 8))],  # no bijection
+            [tuple(range(7))],  # too short
+            [(*range(7), 8)],  # a point outside the ground
+        ):
+            assert not are_automorphisms(system, maps)
+            for search_fn in (comatching_number, comatching_with_intersection_number):
+                with pytest.raises(InputError, match="not an automorphism"):
+                    search_fn(system, None, maps)
+
+    def test_equal_members_map_onto_as_many_equal_members(self):
+        # {a} twice and {b} once: swapping a and b maps each mask onto a
+        # mask, but two members cannot map one to one onto one.
+        system = SetSystem.build(["a", "b"], [("F", [0]), ("G", [0]), ("H", [1])])
+        assert not are_automorphisms(system, [(1, 0)])
+        twice = SetSystem.build(
+            ["a", "b"], [("F", [0]), ("G", [0]), ("H", [1]), ("K", [1])]
+        )
+        assert are_automorphisms(twice, [(1, 0)])
+        assert comatching_number(twice, None, [(1, 0)]) == comatching_number(twice)
+
+    def test_orbits_are_built_once_with_the_graph(self, derivations):
+        builds, _ = derivations
+        system = gen_hamming_system(4, 1)
+        maps = hamming_automorphisms(4)
+        assert are_automorphisms(system, maps)
+        comatching_number(system, None, maps)
+        comatching_with_intersection_number(system, None, [list(m) for m in maps])
+        assert builds == [system]
+        orbits = search._graphs[system].orbits
+        assert list(orbits) == [maps]
+        # Hamming(4,1): 16 balls of 5 points, 176 pairs in 3 orbits, one per
+        # distance 2..4 between the point and the ball's centre.
+        assert len(orbits[maps]) == 176 and len(set(orbits[maps])) == 3
 
 
 class TestPinnedSearches:

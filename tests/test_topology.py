@@ -130,6 +130,15 @@ class TestReducedBetti:
         k = random_complex(random.Random(seed + 1600), 6, 5)
         assert reduced_betti(k).reduced_betti == oracle_reduced_betti(k)
 
+    @pytest.mark.parametrize("seed", range(30))
+    def test_sparse_oracle_matches_dense_oracle(self, seed):
+        # The sparse oracle behind is_d_good shares no code with either the
+        # library's elimination or the dense oracle's face listing.
+        from oracles import oracle_reduced_betti, sparse_reduced_betti
+
+        k = random_complex(random.Random(seed + 1700), 7, 6)
+        assert sparse_reduced_betti(k) == oracle_reduced_betti(k)
+
 
 def _pinned_complexes():
     from comatch.constructions import gen_cycle_sharpness, gen_hamming_system
