@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 from math import comb
+from operator import ne
 from typing import Optional
 
 from .core import InputError, SetSystem, Verdict
@@ -123,7 +124,8 @@ def cycle_sharpness_automorphisms(m: int) -> tuple[tuple[int, ...], ...]:
 def gen_hamming_system(n: int, t: int, q: int = 2) -> SetSystem:
     """All radius-t Hamming balls over the q-ary strings of length n.
 
-    Ground elements are the q^n strings; the member for center c is named
+    Ground elements are the q^n strings, their digits joined by "." when
+    q > 10 so that no two share a label; the member for center c is named
     B(c) and holds every string differing from c in at most t coordinates.
     """
     if q < 2:
@@ -136,14 +138,13 @@ def gen_hamming_system(n: int, t: int, q: int = 2) -> SetSystem:
         raise InputError(
             f"q^n for n = {n}, q = {q} exceeds the ground-set cap {HAMMING_GROUND_CAP}"
         )
-    strings = ["".join(str(d) for d in word) for word in product(range(q), repeat=n)]
-    index = {s: i for i, s in enumerate(strings)}
+    words = list(product(range(q), repeat=n))
+    separator = "." if q > 10 else ""
+    strings = [separator.join(map(str, word)) for word in words]
     members = []
-    for c in strings:
+    for c, centre in zip(strings, words):
         ball = frozenset(
-            index[s]
-            for s in strings
-            if sum(a != b for a, b in zip(c, s)) <= t
+            i for i, word in enumerate(words) if sum(map(ne, centre, word)) <= t
         )
         members.append((f"B({c})", ball))
     return SetSystem(tuple(strings), tuple(members))

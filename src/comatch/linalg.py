@@ -6,6 +6,12 @@ under nonzero row scaling), each row is reduced by its gcd to contain
 entry growth, and pivots prefer entries of magnitude 1 with low Markowitz
 fill.  Boundary matrices of simplicial complexes are sparse with entries
 in {-1, 0, 1}, which this is tuned for.
+
+The kernel also reports its pivot rows.  A row becomes a pivot while it is
+its original plus a combination of earlier pivots, and every other row is
+reduced to zero, so the pivot rows index a basis of the row space: there
+are as many as the rank, and the pivot block they form with the pivot
+columns is nonsingular.  ``topology`` clears boundary columns with them.
 """
 
 from __future__ import annotations
@@ -20,12 +26,16 @@ from .core import SearchBudget
 __all__ = ["rank_exact", "solve_exact"]
 
 
-def _rank_sparse(rows: list[dict[int, int]], budget: SearchBudget) -> Optional[int]:
-    """Rank over the rationals of the integer row dicts.
+def _rank_sparse(
+    rows: list[dict[int, int]], budget: SearchBudget
+) -> Optional[list[int]]:
+    """Pivot rows of the integer row dicts, as indices into ``rows``; their
+    number is the rank over the rationals.
 
     Each pivot spends one node of ``budget``; None when it runs out.
     """
-    rows = [dict(r) for r in rows if r]
+    origin = [i for i, r in enumerate(rows) if r]
+    rows = [dict(rows[i]) for i in origin]
 
     col_rows: dict[int, set[int]] = {}
     for i, r in enumerate(rows):
@@ -38,7 +48,7 @@ def _rank_sparse(rows: list[dict[int, int]], budget: SearchBudget) -> Optional[i
     heap = [(len(r), i) for i, r in enumerate(rows)]
     heapq.heapify(heap)
     active = set(range(len(rows)))
-    rank = 0
+    pivots = []
     while heap:
         rlen, pi = heapq.heappop(heap)
         if pi not in active:
@@ -57,7 +67,7 @@ def _rank_sparse(rows: list[dict[int, int]], budget: SearchBudget) -> Optional[i
             key=lambda c: (0 if prow[c] in (1, -1) else 1, len(col_rows[c]), c),
         )
         pval = prow[pc]
-        rank += 1
+        pivots.append(origin[pi])
         active.discard(pi)
         for c in prow:
             col_rows[c].discard(pi)
@@ -74,7 +84,7 @@ def _rank_sparse(rows: list[dict[int, int]], budget: SearchBudget) -> Optional[i
                 _axpy(row, prow, -factor, i, col_rows)
                 _reduce_gcd(row)
             heapq.heappush(heap, (len(row), i))
-    return rank
+    return pivots
 
 
 def _axpy(row: dict[int, int], src: dict[int, int], scale: int, i, col_rows) -> None:
@@ -108,7 +118,7 @@ def _reduce_gcd(row: dict[int, int]) -> None:
 
 def rank_exact(rows: Sequence[dict[int, int]]) -> int:
     """Rank over the rationals of a sparse integer matrix given as row dicts."""
-    return _rank_sparse(list(rows), SearchBudget())
+    return len(_rank_sparse(list(rows), SearchBudget()))
 
 
 def solve_exact(

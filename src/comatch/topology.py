@@ -3,7 +3,9 @@
 Reduced Betti numbers are computed from augmented boundary matrices
 (the empty face spans the (-1)-chain group, so b0 counts components
 minus one).  Boundary ranks are computed exactly over the rationals,
-which for integer matrices equal the ranks over the reals.
+which for integer matrices equal the ranks over the reals, from the top
+dimension down: each boundary is built without the columns of the faces
+that were pivot rows one dimension up (clearing), which changes no rank.
 
 A d-collapse removes a free face of cardinality at most d together with
 all faces containing it; a facet of cardinality at most d is its own
@@ -11,10 +13,13 @@ unique maximal coface and may be deleted.  A complex is d-collapsible
 when some sequence of d-collapses removes every face of cardinality at
 least d.  The search for such a sequence is depth-first on an explicit
 stack.  It keeps the number of facets containing each face of legal
-cardinality, changes only the coface's faces per step and undoes them on
-backtrack, and tries free faces in lexicographic order, so the sequence
-it proves is the lexicographically least.  ``replay_collapse_sequence``
-checks a sequence from the definitions alone.
+cardinality, changes each face of the coface once per step and undoes
+that on backtrack, and tries free faces in lexicographic order, the least
+from a lazy heap, so the sequence it proves is the lexicographically
+least.  Per-vertex bitsets of facet slots find a face's coface, and tell
+whether a new facet lies in another, without a scan of the facets.
+``replay_collapse_sequence`` checks a sequence from the definitions
+alone, with bitsets of its own and no code of the search.
 
 A complex is d-Leray when every induced subcomplex has trivial reduced
 homology in all dimensions at least d; collapsibility at d implies the
@@ -30,7 +35,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from heapq import heapify, heappop
+from heapq import heapify, heappop, heappush
 from itertools import combinations
 from typing import Iterator, Optional
 
@@ -110,12 +115,17 @@ class KunnethVerdict:
 
 
 def _sparse_boundary_rows(
-    lower: tuple[frozenset[int], ...], upper: tuple[frozenset[int], ...]
+    lower: tuple[frozenset[int], ...],
+    upper: tuple[frozenset[int], ...],
+    cleared: set[int],
 ) -> list[dict[int, int]]:
-    """Sparse rows of the boundary from ``upper`` faces to ``lower`` faces."""
+    """Sparse rows of the boundary from ``upper`` faces to ``lower`` faces,
+    without the columns of the upper faces indexed by ``cleared``."""
     index = {f: r for r, f in enumerate(lower)}
     rows: list[dict[int, int]] = [{} for _ in lower]
     for c, face in enumerate(upper):
+        if c in cleared:
+            continue
         for k, v in enumerate(sorted(face)):
             rows[index[face - {v}]][c] = (-1) ** k
     return rows
@@ -143,16 +153,28 @@ def _betti_from(
     """Reduced Betti numbers b_low..b_dim of a nonempty complex, with zeros
     below ``low``: only the faces of dimension low - 1 and up are
     enumerated, and only the boundary ranks those numbers need are
-    computed.  None when ``budget`` runs out during a rank."""
+    computed.  None when ``budget`` runs out during a rank.
+
+    The ranks are taken from the top dimension down, with clearing (Chen
+    and Kerber, *Persistent homology computation with a twist*, EuroCG
+    2011): the boundary from dimension k - 1 is built without the columns
+    of the faces that were pivot rows of the boundary from dimension k.
+    Those columns lie in the span of the others: with B the upper boundary,
+    P its pivot rows and Q its pivot columns, B[P, Q] is nonsingular, and
+    the lower boundary A has A B = 0, so A[:, P] = -A[:, ~P] B[~P, Q]
+    B[P, Q]^-1.  The ranks, and with them the Betti numbers and the one
+    node spent per pivot, are those of the full boundaries."""
     dim = complex_.dim
     # groups[k] holds the faces of dimension k-1.
     groups = {k: faces_of_dim(complex_, k - 1) for k in range(low, dim + 2)}
     rank = [0] * (dim + 3)  # rank[k] = rank of boundary from dim k-1 chains
-    for k in range(low + 1, dim + 2):
-        rows = _sparse_boundary_rows(groups[k - 1], groups[k])
-        rank[k] = _rank_sparse(rows, budget)
-        if rank[k] is None:
+    cleared: set[int] = set()
+    for k in range(dim + 1, low, -1):
+        rows = _sparse_boundary_rows(groups[k - 1], groups[k], cleared)
+        pivots = _rank_sparse(rows, budget)
+        if pivots is None:
             return None
+        rank[k], cleared = len(pivots), set(pivots)
     return tuple(
         len(groups[i + 1]) - rank[i + 1] - rank[i + 2] if i >= low else 0
         for i in range(dim + 1)
@@ -215,82 +237,122 @@ def kunneth_betti_check(
 # ---------------------------------------------------------------------------
 
 
-def _collapse_step(
-    facets: tuple[frozenset[int], ...], face: frozenset[int], coface: frozenset[int]
-) -> tuple[frozenset[int], ...]:
-    """The facets after collapsing ``face`` into ``coface``: the coface gives
-    way to the sets coface - v, v in face, that lie in no other facet.  The
-    other facets stay maximal, since none of them lies in the coface."""
-    remaining = [t for t in facets if t != coface]
-    added = [
-        g
-        for g in (coface - {v} for v in face)
-        if g and not any(g <= t for t in remaining)
-    ]
-    return tuple(remaining + added)
-
-
 class _FaceCounts:
     """The facets of a complex under d-collapses, with the number of facets
     containing each face of 1..d vertices.
 
     ``free`` holds the faces (sorted vertex tuples) with count 1: those
-    have a unique maximal coface.  A step and its undo touch only the faces
-    of the coface and of the facets that replace it.  ``large`` counts the
-    facets of cardinality >= d.
+    have a unique maximal coface.  ``heap`` is a lazy heap beside it: a face
+    is pushed whenever its count becomes 1 and popped once it has left
+    ``free``, so every free face has an entry and the least live entry is
+    min(free).  Facets sit in slots, and ``through[v]`` is the bitset of the
+    slots whose facets contain vertex v, so the facets containing a face are
+    the AND over its vertices.  A step and its undo change the count of each
+    face of the coface once.  ``large`` counts the facets of cardinality
+    >= d.
     """
 
     def __init__(self, facets: tuple[frozenset[int], ...], d: int) -> None:
         self.d = d
-        self.facets: set[frozenset[int]] = set()
+        self.facets: dict[frozenset[int], int] = {}  # facet -> its slot
+        self.at: list[frozenset[int]] = []  # slot -> facet, stale once vacated
+        self.spare: list[int] = []  # vacated slots
+        self.through: defaultdict[int, int] = defaultdict(int)
         self.count: defaultdict[tuple[int, ...], int] = defaultdict(int)
         self.free: set[tuple[int, ...]] = set()
+        self.heap: list[tuple[int, ...]] = []
         self.large = 0
         self.steps: list[tuple[frozenset[int], frozenset[int]]] = []
-        self.added: list[list[frozenset[int]]] = []  # per step, the new facets
+        self.kept: list[tuple[int, ...]] = []  # per step, v with coface - v added
         for t in facets:
-            self._shift(t, 1)
+            # The undo of a step that removed t and kept nothing: each of
+            # its faces gains 1.
+            self._place(t)
+            self._recount(t, (), -1)
 
-    def _shift(self, facet: frozenset[int], delta: int) -> None:
-        """Add (delta 1) or remove (delta -1) one facet and its faces."""
-        count, free = self.count, self.free
-        base = sorted(facet)
-        for size in range(1, min(self.d, len(base)) + 1):
-            for c in combinations(base, size):
-                old = count[c]
-                count[c] = old + delta
-                if old + delta == 1:
-                    free.add(c)
-                elif old == 1:
-                    free.remove(c)
-        if delta > 0:
-            self.facets.add(facet)
+    def _place(self, facet: frozenset[int]) -> None:
+        if self.spare:
+            slot = self.spare.pop()
+            self.at[slot] = facet
         else:
-            self.facets.remove(facet)
+            slot = len(self.at)
+            self.at.append(facet)
+        self.facets[facet] = slot
+        for v in facet:
+            self.through[v] |= 1 << slot
         if len(facet) >= self.d:
-            self.large += delta
+            self.large += 1
+
+    def _vacate(self, facet: frozenset[int]) -> None:
+        slot = self.facets.pop(facet)
+        self.spare.append(slot)
+        for v in facet:
+            self.through[v] ^= 1 << slot
+        if len(facet) >= self.d:
+            self.large -= 1
+
+    def _slots_through(self, face) -> int:
+        # All slots for the empty face, which lies in every facet.
+        mask = -1
+        for v in face:
+            mask &= self.through[v]
+        return mask
+
+    def least_free(self) -> Optional[tuple[int, ...]]:
+        """min(free), None when no face is free."""
+        heap, free = self.heap, self.free
+        while heap and heap[0] not in free:
+            heappop(heap)
+        return heap[0] if heap else None
+
+    def _recount(self, coface: frozenset[int], kept: tuple[int, ...], sign: int):
+        """Add sign * (|kept - c| - 1) to the count of each face c of 1..d
+        vertices of ``coface``: the coface leaves, and coface - v, for each
+        v in ``kept``, contains c exactly when v is not in c.  A face is
+        written as its ``a`` kept vertices and the rest, so the faces whose
+        change is 0, those with len(kept) - 1 kept vertices, are never
+        formed."""
+        count, free, heap, d = self.count, self.free, self.heap, self.d
+        rest = sorted(coface.difference(kept))
+        for a in range(len(kept) + 1):
+            change = sign * (len(kept) - a - 1)
+            if not change:
+                continue
+            for inner in combinations(kept, a):
+                for size in range(max(1 - a, 0), min(d - a, len(rest)) + 1):
+                    for outer in combinations(rest, size):
+                        c = tuple(sorted(inner + outer)) if a else outer
+                        old = count[c]
+                        count[c] = new = old + change
+                        if new == 1:
+                            free.add(c)
+                            heappush(heap, c)
+                        elif old == 1:
+                            free.remove(c)
 
     def collapse(self, face: tuple[int, ...]) -> None:
         """Collapse a free face: its coface gives way to the maximal ones
-        among coface - v, v in face."""
+        among coface - v, v in face.  The other facets stay maximal, since
+        none of them lies in the coface."""
         removed = frozenset(face)
-        coface = next(t for t in self.facets if removed <= t)
-        self._shift(coface, -1)
-        added = [
-            g
-            for g in (coface - {v} for v in face)
-            if g and not any(g <= t for t in self.facets)
-        ]
-        for g in added:
-            self._shift(g, 1)
+        coface = self.at[self._slots_through(face).bit_length() - 1]
+        self._vacate(coface)
+        # coface - v is new when it lies in no remaining facet; the sets
+        # coface - v all have one size, so none lies in another.
+        kept = tuple(v for v in face if not self._slots_through(coface - {v}))
+        for v in kept:
+            self._place(coface - {v})
+        self._recount(coface, kept, 1)
         self.steps.append((removed, coface))
-        self.added.append(added)
+        self.kept.append(kept)
 
     def undo(self) -> None:
         _, coface = self.steps.pop()
-        for g in self.added.pop():
-            self._shift(g, -1)
-        self._shift(coface, 1)
+        kept = self.kept.pop()
+        for v in kept:
+            self._vacate(coface - {v})
+        self._place(coface)
+        self._recount(coface, kept, -1)
 
 
 def is_d_collapsible(
@@ -315,7 +377,8 @@ def is_d_collapsible(
     Each complex reached that is not yet collapsed spends one node and is
     expanded at most once, by a memo keyed by its facet set.  Its children
     are its free faces in increasing order of sorted vertex tuples: the
-    least by ``min``, the rest from a heap built only when the first fails.
+    least from the lazy heap kept beside the free faces, the rest from a heap
+    of their own built only when the first fails.
     Every step shrinks the complex, so one met again was already searched
     in full without success, and a proved sequence is the lexicographically
     least, comparing steps by free face, among the sequences that stop at
@@ -342,7 +405,7 @@ def is_d_collapsible(
         face = None
         if key not in visited:
             visited.add(key)
-            face = min(state.free, default=None)
+            face = state.least_free()
             if face is not None:
                 stack.append(face)
         while face is None:  # a dead end: back up to an untried child
@@ -366,9 +429,18 @@ def replay_collapse_sequence(
 ):
     """Independent replay: each step must name a currently-free face of 1..d
     vertices with that exact unique maximal coface, and the final complex
-    must contain no face of cardinality >= d."""
-    d, facets = sequence.d, complex_.facets
+    must contain no face of cardinality >= d.
+
+    It shares no code with the search.  Facets sit in slots, first the
+    complex's own facet indices, then one new slot per facet a step adds,
+    and ``through[v]`` is the bitset of the slots whose facets contain
+    vertex v, so the facets containing a face are the AND over its
+    vertices of ``through``, starting from the live slots."""
+    d = sequence.d
     names = complex_.vertex_labels
+    slots = list(complex_.facets)
+    through = list(complex_.containing)
+    live = (1 << len(slots)) - 1
     violations = []
     for n, (face, coface) in enumerate(sequence.steps):
         if len(face) > d:
@@ -376,22 +448,43 @@ def replay_collapse_sequence(
                 f"step {n}: face {sorted(names(face))} has illegal cardinality"
             )
             break
-        containing = [t for t in facets if face <= t]
-        if len(containing) != 1:
+        found = live
+        for v in face:
+            found &= through[v]
+        if found & (found - 1) or not found:
             violations.append(
                 f"step {n}: face {sorted(names(face))} is contained in "
-                f"{len(containing)} facets, not free"
+                f"{bin(found).count('1')} facets, not free"
             )
             break
-        if containing[0] != coface:
+        unique = slots[found.bit_length() - 1]
+        if unique != coface:
             violations.append(
-                f"step {n}: unique maximal coface is {sorted(names(containing[0]))}, "
+                f"step {n}: unique maximal coface is {sorted(names(unique))}, "
                 f"certificate says {sorted(names(coface))}"
             )
             break
-        facets = _collapse_step(facets, face, coface)
+        # The coface gives way to the sets coface - v, v in face, that lie
+        # in no other facet; the other facets stay maximal.
+        live ^= found
+        for v in coface:
+            through[v] ^= found
+        for v in face:
+            g = coface - {v}
+            inside = live
+            for u in g:
+                inside &= through[u]
+            if g and not inside:
+                bit = 1 << len(slots)
+                slots.append(g)
+                live |= bit
+                for u in g:
+                    through[u] |= bit
     else:
-        big = [sorted(names(t)) for t in maximal_sets(t for t in facets if len(t) >= d)]
+        big = [
+            sorted(names(t))
+            for t in maximal_sets(slots[i] for i in _bits(live) if len(slots[i]) >= d)
+        ]
         if big:
             violations.append(f"replay ends with faces of cardinality >= {d}: {big}")
     return Verdict.passed() if not violations else Verdict.failed(violations)

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from comatch import search
 from comatch.cli import RunConfig, _build_parser, main
 from comatch.jsonio import automorphisms_from_doc, dump_canonical, set_system_from_doc
 from comatch.search import (
@@ -127,6 +128,28 @@ class TestGenerate:
         maps = automorphisms_from_doc(doc, system)
         assert are_automorphisms(system, maps)
         assert all(are_automorphisms(system, [image]) for image in maps)
+
+    def test_alphabets_above_ten_get_distinct_labels(self, capsys):
+        # Above q = 10 the digits are joined by ".": without a separator
+        # (1, 0, 10) and (10, 1, 0) would both read "1010".
+        code, doc = run_cli(capsys, "generate", "hamming", "3", "1", "11")
+        assert code == 0
+        assert len(set(doc["ground"])) == len(doc["ground"]) == 11**3
+        assert "1.0.10" in doc["ground"] and "10.1.0" in doc["ground"]
+        system = set_system_from_doc(doc)
+        # Each radius-1 ball holds its centre and 3 * 10 neighbours.
+        assert {len(points) for _, points in system.members} == {31}
+        maps = automorphisms_from_doc(doc, system)
+        assert len(maps) == 5
+        # are_automorphisms keeps the compatibility graph it builds, about
+        # 1.7M (member, point) pairs here, so the maps are checked by its
+        # member-by-member test alone; the graph is built on q = 12, n = 2
+        # below, where (1, 11) and (11, 1) would both read "111".
+        assert search._member_maps(system, maps) is not None
+        code, doc = run_cli(capsys, "generate", "hamming", "2", "1", "12")
+        assert code == 0 and len(set(doc["ground"])) == 144
+        system = set_system_from_doc(doc)
+        assert are_automorphisms(system, automorphisms_from_doc(doc, system))
 
     def test_unknown_params_rejected(self, capsys):
         code = main(["generate", "cycle-sharpness"])

@@ -201,3 +201,41 @@ def test_search_keeps_no_strong_memo():
     ]
     rest = [entry for entry in found if entry not in memos]
     assert [entry.split(": ")[1] for entry in rest] == ["__all__ = List"]
+
+
+def referenced_names(node: ast.AST) -> set[str]:
+    """Every name a piece of code reads, bare or as an attribute."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+    return names
+
+
+def test_collapse_replay_shares_no_code_with_the_search():
+    # The replay checks a collapse sequence from the definitions alone, so a
+    # fault in the search cannot pass its own check.  The search's helpers
+    # are the topology functions and classes that ``is_d_collapsible`` and
+    # ``_FaceCounts`` read, and the methods of ``_FaceCounts``; the
+    # certificate type is what the two share on purpose.
+    tree = ast.parse((PACKAGE / "topology.py").read_text())
+    defined = {
+        node.name: node
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    }
+    search = [defined["is_d_collapsible"], defined["_FaceCounts"]]
+    helpers = {"is_d_collapsible", "_FaceCounts"}
+    helpers |= {
+        node.name
+        for node in ast.walk(defined["_FaceCounts"])
+        if isinstance(node, ast.FunctionDef)
+    }
+    for node in search:
+        helpers |= referenced_names(node) & set(defined)
+    helpers -= {"CollapseSequence"}
+    assert {"_recount", "least_free", "collapse"} <= helpers
+    replay = referenced_names(defined["replay_collapse_sequence"])
+    assert not replay & helpers

@@ -159,9 +159,33 @@ def _betti_from_cases():
     return [pytest.param(k, id=name) for name, k in named]
 
 
+def _clearing_cases():
+    """Random complexes and nerves of random systems, seeded."""
+    from comatch.randsys import random_system
+    from comatch.simplicial import nerve
+
+    rng = random.Random(3401)
+    cases = [(f"random{i}", random_complex(rng, 8, 7)) for i in range(25)]
+    cases += [(f"nerve{i}", nerve(random_system(rng, 6, 8))) for i in range(25)]
+    return [pytest.param(k, id=name) for name, k in cases]
+
+
+def _oracle_ranks(k):
+    """Dense ranks of the augmented boundaries: ranks[i] is the rank of
+    ``boundary_matrix(k, i)``, the boundary from dimension i."""
+    from oracles import dense_rank_fraction
+
+    return [
+        dense_rank_fraction(m) if m and m[0] else 0
+        for m in (boundary_matrix(k, i) for i in range(k.dim + 1))
+    ]
+
+
 class TestBettiFrom:
     """``_betti_from(K, low)`` enumerates the faces of dimension low - 1 and
-    up, and ranks only the boundaries from dimension low up."""
+    up, and ranks only the boundaries from dimension low up: from the top
+    dimension down, each boundary without the columns of the faces that
+    were pivot rows one dimension up."""
 
     @pytest.mark.parametrize("k", _betti_from_cases())
     def test_equals_reduced_betti_with_zeros_below_low(self, k):
@@ -178,6 +202,28 @@ class TestBettiFrom:
             assert betti == tuple(b if i >= low else 0 for i, b in enumerate(full))
             # One node per pivot: the ranks of the boundaries from low up.
             assert budget.nodes == sum(ranks[low:])
+
+    @pytest.mark.parametrize("k", _clearing_cases())
+    def test_equals_sparse_oracle_at_every_low(self, k):
+        from oracles import sparse_reduced_betti
+
+        full = sparse_reduced_betti(k)
+        ranks = _oracle_ranks(k)
+        for low in range(k.dim + 2):
+            budget = SearchBudget()
+            betti = _betti_from(k, low, budget)
+            assert betti == tuple(b if i >= low else 0 for i, b in enumerate(full))
+            # One node per pivot: the ranks of the boundaries from low up.
+            assert budget.nodes == sum(ranks[low:])
+
+    @pytest.mark.parametrize("k", _clearing_cases()[::5])
+    def test_budget_cuts_exactly_below_the_rank_sum(self, k):
+        ranks = _oracle_ranks(k)
+        for low in range(k.dim + 2):
+            total = sum(ranks[low:])
+            for max_nodes in range(total + 2):
+                betti = _betti_from(k, low, SearchBudget(max_nodes=max_nodes))
+                assert (betti is None) == (max_nodes < total), (low, max_nodes)
 
 
 class TestGoodness:
@@ -343,6 +389,69 @@ class TestCollapsibility:
         status, seq = is_d_collapsible(three_cycle, 2)
         truncated = CollapseSequence(seq.d, seq.steps[:1])
         assert not replay_collapse_sequence(three_cycle, truncated).ok
+
+    def test_tampered_torus_sequences_keep_their_messages(self, torus):
+        # One tampering per kind of violation, at step 5 of the proof at d=3.
+        status, seq = is_d_collapsible(torus, 3)
+        assert status == "proved" and len(seq.steps) == 63
+        steps = list(seq.steps)
+        face, coface = steps[5]
+        tampered = {
+            "step 5: face ['1', '13', '16', '4'] has illegal cardinality": (
+                coface,
+                coface,
+            ),
+            "step 5: face ['1'] is contained in 4 facets, not free": (
+                frozenset({min(face)}),
+                coface,
+            ),
+            "step 5: unique maximal coface is ['1', '13', '16', '4'], "
+            "certificate says ['1', '2', '5', '6']": (face, steps[0][1]),
+        }
+        for message, step in tampered.items():
+            sequence = CollapseSequence(3, tuple(steps[:5] + [step] + steps[6:]))
+            assert replay_collapse_sequence(torus, sequence).violations == (message,)
+        truncated = CollapseSequence(3, tuple(steps[:5]))
+        assert replay_collapse_sequence(torus, truncated).violations == (
+            "replay ends with faces of cardinality >= 3: [['1', '13', '16', '4'], "
+            "['2', '3', '6', '7'], ['14', '15', '2', '3'], ['3', '4', '7', '8'], "
+            "['15', '16', '3', '4'], ['10', '5', '6', '9'], ['12', '5', '8', '9'], "
+            "['10', '11', '6', '7'], ['11', '12', '7', '8'], ['10', '13', '14', '9'], "
+            "['12', '13', '16', '9'], ['10', '11', '14', '15'], "
+            "['11', '12', '15', '16'], ['1', '5', '6'], ['1', '5', '8'], "
+            "['1', '13', '14'], ['2', '5', '6'], ['13', '14', '2'], ['4', '5', '8']]",
+        )
+
+    def test_named_proofs_keep_their_node_counts(self):
+        # None of them backtracks: one node per step.
+        from comatch.constructions import gen_good_join_complex
+
+        named = _pinned_complexes()
+        for k, d, nodes in (
+            (named["torus"], 3, 63),
+            (named["hamming41-nerve"], 3, 112),
+            (gen_good_join_complex(2), 6, 10_338),
+        ):
+            budget = SearchBudget()
+            status, seq = is_d_collapsible(k, d, budget)
+            assert status == "proved" and budget.nodes == len(seq.steps) == nodes
+
+    @pytest.mark.parametrize("name", ["torus", "hamming41-nerve"])
+    def test_every_budget_below_the_steps_exhausts(self, name):
+        k = _pinned_complexes()[name]
+        steps = len(is_d_collapsible(k, 3)[1].steps)
+        for max_nodes in range(steps):
+            found = is_d_collapsible(k, 3, SearchBudget(max_nodes=max_nodes))
+            assert found == ("budget_exhausted", None), max_nodes
+        assert is_d_collapsible(k, 3, SearchBudget(max_nodes=steps))[0] == "proved"
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_search_equals_lex_first_oracle_on_random_nerves(self, seed):
+        from comatch.randsys import random_system
+        from comatch.simplicial import nerve
+
+        k = nerve(random_system(random.Random(seed + 3500), 6, 8))
+        assert _check_against_oracles(k) == []
 
     @pytest.mark.parametrize("seed", range(40))
     def test_search_equals_lex_first_oracle(self, seed):
@@ -767,6 +876,30 @@ class TestRankKernels:
             ],
         )
         assert _betti_from(rp2, 0, SearchBudget()) == (0, 0, 0)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_pivot_rows_are_a_row_basis(self, seed):
+        # The reported pivots index the caller's rows, empty rows included
+        # in the count, and those rows alone have the full rank.
+        from comatch.linalg import _rank_sparse
+        from oracles import dense_rank_fraction
+
+        rng = random.Random(seed + 3400)
+        for _ in range(25):
+            n_rows, n_cols = rng.randint(1, 8), rng.randint(1, 7)
+            values = (-2, -1, 1, 1, 3)
+            rows = [
+                {c: rng.choice(values) for c in range(n_cols) if rng.random() < 0.4}
+                if rng.random() < 0.7
+                else {}
+                for _ in range(n_rows)
+            ]
+            pivots = _rank_sparse(rows, SearchBudget())
+            assert len(set(pivots)) == len(pivots)
+            assert all(rows[p] for p in pivots)
+            dense = [[row.get(c, 0) for c in range(n_cols)] for row in rows]
+            assert len(pivots) == dense_rank_fraction(dense) == rank_exact(rows)
+            assert rank_exact([rows[p] for p in pivots]) == len(pivots)
 
     def test_rank_with_non_unit_pivots(self):
         rows = [{0: 2, 1: 4}, {0: 4, 1: 8}, {0: 2, 1: 5}]
