@@ -18,7 +18,7 @@ from comatch import (
 )
 
 torus = gen_torus_grid_complex(4, 2)
-profile = reduced_betti(torus).reduced_betti
+profile = reduced_betti(torus)
 print(f"torus grid profile: {profile}")
 
 predicted = join_profile_from_factors(profile, profile)

@@ -49,7 +49,6 @@ from .simplicial import (
 )
 from .topology import (
     CollapseSequence,
-    HomologyProfile,
     KunnethVerdict,
     LerayVerdict,
     is_d_collapsible,

@@ -367,9 +367,8 @@ def _analyze_complex(complex_: SimplicialComplex, config: RunConfig) -> dict:
     tau_k, cert, tau_exact = complex_comatching_number(complex_, budgets["comatching"])
     if not _check(cert, complex_=complex_).ok:
         raise AssertionError("internal: complex comatching certificate failed")
-    profile = reduced_betti(complex_, budgets["homology"])
-    known = profile.reduced_betti if profile is not None else None
-    leray_value, leray_exact, witness = leray_number(complex_, budgets["leray"], known)
+    betti = reduced_betti(complex_, budgets["homology"])
+    leray_value, leray_exact, witness = leray_number(complex_, budgets["leray"], betti)
     collapse_status, sequence = is_d_collapsible(
         complex_, max(leray_value, 1), budgets["collapse"]
     )
@@ -393,7 +392,7 @@ def _analyze_complex(complex_: SimplicialComplex, config: RunConfig) -> dict:
             "num_facets": len(complex_.facets),
             "dim": complex_.dim,
             "comatching_number": {"value": tau_k, "exact": tau_exact},
-            "reduced_betti": jsonio.profile_to_doc(profile),
+            "reduced_betti": jsonio.profile_to_doc(betti),
             "leray_number": {"value": leray_value, "exact": leray_exact},
             "collapsible_at_leray_number": collapse_status,
         },
@@ -518,8 +517,8 @@ def cmd_nerve(args: argparse.Namespace, config: RunConfig) -> tuple[dict, int]:
 
 def cmd_homology(args: argparse.Namespace, config: RunConfig) -> tuple[dict, int]:
     complex_, _ = jsonio.complex_from_doc(_load_doc(args.path))
-    profile = reduced_betti(complex_, config.budget())
-    return jsonio.profile_to_doc(profile), EXIT_BUDGET if profile is None else EXIT_OK
+    betti = reduced_betti(complex_, config.budget())
+    return jsonio.profile_to_doc(betti), EXIT_BUDGET if betti is None else EXIT_OK
 
 
 def cmd_collapse(args: argparse.Namespace, config: RunConfig) -> tuple[dict, int]:
@@ -777,7 +776,7 @@ def _check(cert, system=None, complex_=None, instance=None) -> Verdict:
             return Verdict.failed(
                 [f"witness dimension {dim} is below the Leray threshold {cert.d}"]
             )
-        betti = reduced_betti(induced_subcomplex(complex_, vertices)).reduced_betti
+        betti = reduced_betti(induced_subcomplex(complex_, vertices))
         if 0 <= dim < len(betti) and betti[dim] != 0:
             return Verdict.passed()
         return Verdict.failed(

@@ -23,7 +23,7 @@ from .core import (
 )
 from .search import ColorfulInstance, DichotomyOutcome
 from .simplicial import ComplexComatching, SimplicialComplex, maximal_sets
-from .topology import CollapseSequence, HomologyProfile, LerayVerdict
+from .topology import CollapseSequence, LerayVerdict
 
 __all__ = [
     "set_system_to_doc",
@@ -362,14 +362,15 @@ def instance_to_doc(instance: ColorfulInstance, system: SetSystem) -> dict:
     }
 
 
-def profile_to_doc(profile: Optional[HomologyProfile]) -> dict:
-    """The reduced Betti numbers, or the budget-exhausted status for None."""
-    if profile is None:
+def profile_to_doc(betti: Optional[tuple[int, ...]]) -> dict:
+    """The reduced Betti numbers, or the budget-exhausted status for None;
+    the empty complex's () carries the note "empty complex"."""
+    if betti is None:
         return {"status": "budget_exhausted"}
     doc = {
-        "reduced_betti": list(profile.reduced_betti),
+        "reduced_betti": list(betti),
         "exact": True,  # always true; kept only because perfbench/gate.py reads it
     }
-    if profile.notes:
-        doc["notes"] = list(profile.notes)
+    if not betti:
+        doc["notes"] = ["empty complex"]
     return doc

@@ -313,23 +313,22 @@ def join(
 
     Vertex labels are namespaced with the given prefixes.  Facet unions of
     incomparable facets stay incomparable, so no dominance pruning is ever
-    needed; the facet count is the product of the factor counts.
+    needed.  The empty complex is {∅}, the join's identity: an empty
+    factor's facets are taken as the one empty face, and the empty union
+    of two empty factors is dropped.  The facet count is the product of
+    the factor counts, with an empty factor counting 1.
     """
     lp, rp = prefixes
     vertices = tuple(lp + v for v in left.vertices) + tuple(
         rp + v for v in right.vertices
     )
     shift = left.num_vertices
-    if right.num_vertices == 0:
-        return SimplicialComplex(vertices, left.facets)
-    if left.num_vertices == 0:
-        return SimplicialComplex(
-            vertices, tuple(frozenset(v + shift for v in g) for g in right.facets)
-        )
+    right_facets = tuple(frozenset(v + shift for v in g) for g in right.facets)
     facets = tuple(
-        f | frozenset(v + shift for v in g)
-        for f in left.facets
-        for g in right.facets
+        union
+        for f in left.facets or (frozenset(),)
+        for g in right_facets or (frozenset(),)
+        if (union := f | g)
     )
     return SimplicialComplex(vertices, facets)
 

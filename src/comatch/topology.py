@@ -2,10 +2,12 @@
 
 Reduced Betti numbers are computed from augmented boundary matrices
 (the empty face spans the (-1)-chain group, so b0 counts components
-minus one).  Boundary ranks are computed exactly over the rationals,
-which for integer matrices equal the ranks over the reals, from the top
-dimension down: each boundary is built without the columns of the faces
-that were pivot rows one dimension up (clearing), which changes no rank.
+minus one) and returned as a plain tuple b0..b_dim, which is () for the
+empty complex {∅}: its dimension is -1, and it is the join's identity.
+Boundary ranks are computed exactly over the rationals, which for
+integer matrices equal the ranks over the reals, from the top dimension
+down: each boundary is built without the columns of the faces that were
+pivot rows one dimension up (clearing), which changes no rank.
 
 A d-collapse removes a free face of cardinality at most d together with
 all faces containing it; a facet of cardinality at most d is its own
@@ -51,7 +53,6 @@ from .simplicial import (
 )
 
 __all__ = [
-    "HomologyProfile",
     "CollapseSequence",
     "LerayVerdict",
     "KunnethVerdict",
@@ -63,14 +64,6 @@ __all__ = [
     "leray_check",
     "leray_number",
 ]
-
-
-@dataclass(frozen=True)
-class HomologyProfile:
-    """Reduced Betti numbers b0..b_dim over the rationals."""
-
-    reduced_betti: tuple[int, ...]
-    notes: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -133,24 +126,20 @@ def _sparse_boundary_rows(
 
 def reduced_betti(
     complex_: SimplicialComplex, budget: Optional[SearchBudget] = None
-) -> Optional[HomologyProfile]:
-    """Reduced Betti numbers b0..b_dim via augmented boundary ranks.
+) -> Optional[tuple[int, ...]]:
+    """Reduced Betti numbers b0..b_dim via augmented boundary ranks: ()
+    for the empty complex, whose dimension is -1.
 
     Each elimination pivot spends one node of the budget; None when it
     runs out (never without a budget).
     """
-    if complex_.num_vertices == 0:
-        return HomologyProfile((), ("empty complex",))
-    betti = _betti_from(complex_, 0, budget or SearchBudget())
-    if betti is None:
-        return None
-    return HomologyProfile(betti)
+    return _betti_from(complex_, 0, budget or SearchBudget())
 
 
 def _betti_from(
     complex_: SimplicialComplex, low: int, budget: SearchBudget
 ) -> Optional[tuple[int, ...]]:
-    """Reduced Betti numbers b_low..b_dim of a nonempty complex, with zeros
+    """Reduced Betti numbers b_low..b_dim of a complex, with zeros
     below ``low``: only the faces of dimension low - 1 and up are
     enumerated, and only the boundary ranks those numbers need are
     computed.  None when ``budget`` runs out during a rank.
@@ -216,13 +205,12 @@ def kunneth_betti_check(
     if rp is None:
         return KunnethVerdict("budget_exhausted", (), None)
     joined = join(left, right)
-    expected_len = joined.dim + 1 if joined.num_vertices else 0
-    predicted = join_profile_from_factors(lp.reduced_betti, rp.reduced_betti)
+    expected_len = joined.dim + 1
+    predicted = join_profile_from_factors(lp, rp)
     predicted = tuple((predicted + (0,) * expected_len)[:expected_len])
-    profile = reduced_betti(joined, budget)
-    if profile is None:
+    direct = reduced_betti(joined, budget)
+    if direct is None:
         return KunnethVerdict("budget_exhausted", predicted, None)
-    direct = profile.reduced_betti
     violations = tuple(
         f"dimension {k}: join has {direct[k]}, factors predict {predicted[k]}"
         for k in range(len(direct))
@@ -291,13 +279,6 @@ class _FaceCounts:
         if len(facet) >= self.d:
             self.large -= 1
 
-    def _slots_through(self, face) -> int:
-        # All slots for the empty face, which lies in every facet.
-        mask = -1
-        for v in face:
-            mask &= self.through[v]
-        return mask
-
     def least_free(self) -> Optional[tuple[int, ...]]:
         """min(free), None when no face is free."""
         heap, free = self.heap, self.free
@@ -335,11 +316,13 @@ class _FaceCounts:
         among coface - v, v in face.  The other facets stay maximal, since
         none of them lies in the coface."""
         removed = frozenset(face)
-        coface = self.at[self._slots_through(face).bit_length() - 1]
+        coface = self.at[_facets_through(self.through, face, -1).bit_length() - 1]
         self._vacate(coface)
         # coface - v is new when it lies in no remaining facet; the sets
         # coface - v all have one size, so none lies in another.
-        kept = tuple(v for v in face if not self._slots_through(coface - {v}))
+        kept = tuple(
+            v for v in face if not _facets_through(self.through, coface - {v}, -1)
+        )
         for v in kept:
             self._place(coface - {v})
         self._recount(coface, kept, 1)
@@ -535,7 +518,7 @@ def leray_number(
     certifies (0 without one), flagged inexact.
 
     ``betti``, when given, must be the complex's exact reduced Betti
-    numbers (as ``reduced_betti(complex_).reduced_betti``); the pass then
+    numbers, ``reduced_betti(complex_)`` itself; the pass then
     takes them for lk {} = K instead of computing them, at no node cost.
     The whole complex's homology is then always in hand, so even an
     inexact value is never below 1 + the top nonzero dimension of ``betti``.

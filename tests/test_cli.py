@@ -155,6 +155,12 @@ class TestGenerate:
         code = main(["generate", "cycle-sharpness"])
         assert code == 2
 
+    def test_non_integer_param_rejected(self, capsys):
+        assert main(["generate", "cycle-sharpness", "x"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "input error: parameter M must be an integer\n"
+
     @pytest.mark.parametrize(
         "name, params, takes",
         [
@@ -874,6 +880,31 @@ class TestVerify:
         code, doc = run_cli(capsys, "verify", str(cert_path), str(torus_path))
         assert (code, doc["verified"]) == (1, False)
 
+    def test_leray_witness_below_its_threshold_fails(
+        self, torus_path, tmp_path, capsys
+    ):
+        # The torus has homology in dimension 1, but a witness for d = 2
+        # must hold homology in dimension 2 or more.
+        vertices = json.loads(torus_path.read_text())["vertices"]
+        cert = {"kind": "leray_witness", "d": 2, "vertices": vertices, "homology_dim": 1}
+        cert_path = tmp_path / "cert.json"
+        cert_path.write_text(json.dumps(cert))
+        code, doc = run_cli(capsys, "verify", str(cert_path), str(torus_path))
+        assert (code, doc["violations"]) == (
+            1,
+            ["witness dimension 1 is below the Leray threshold 2"],
+        )
+
+    def test_object_must_be_a_system_or_complex(self, tmp_path, capsys):
+        path = tmp_path / "cert.json"
+        path.write_text(json.dumps({"kind": "comatching", "pairs": []}))
+        assert main(["verify", str(path), str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "input error: verify needs a set system or complex as the object\n"
+        )
+
     def test_collapse_violation_names_vertices_by_label(
         self, torus_path, tmp_path, capsys
     ):
@@ -936,6 +967,12 @@ MALFORMED = {
         None,
     ),
     "facets-not-a-list": ("analyze", {"vertices": ["a"], "facets": 3}, None),
+    "vertices-repeated": ("analyze", {"vertices": ["a", "a"], "facets": [["a"]]}, None),
+    "facet-unknown-vertex": (
+        "analyze", {"vertices": ["a"], "facets": [["a", "b"]]}, None
+    ),
+    "analyze-a-certificate": ("analyze", {"kind": "comatching", "pairs": []}, None),
+    "certificate-unknown-kind": ("verify", {"kind": "proof"}, "sharp2"),
     "document-not-an-object": ("analyze", 3, None),
     "families-not-a-list": ("dichotomy", {"families": "AB"}, "sharp2"),
 }

@@ -186,6 +186,11 @@ class TestPolyComatching:
         with pytest.raises(InputError):
             gen_poly_comatching(5, 5)  # C(10,5) = 252 over the cap
 
+    @pytest.mark.parametrize("d, cap", [(0, 2), (2, 0)])
+    def test_rejects_no_variables_or_degree(self, d, cap):
+        with pytest.raises(InputError, match="at least one variable"):
+            gen_poly_comatching(d, cap)
+
 
 class TestTorusGrid:
     def test_4x2_shape(self):
@@ -205,6 +210,8 @@ class TestTorusGrid:
     def test_rejects_small_grid(self):
         with pytest.raises(InputError):
             gen_torus_grid_complex(3, 2)
+        with pytest.raises(InputError, match="subsquare size"):
+            gen_torus_grid_complex(4, 0)
 
     def test_vertex_cap(self):
         assert gen_torus_grid_complex(32, 1).num_vertices == TORUS_VERTEX_CAP == 1024
@@ -227,3 +234,7 @@ class TestGoodJoin:
     def test_cap(self):
         with pytest.raises(InputError):
             gen_good_join_complex(3)
+
+    def test_rejects_fold_zero(self):
+        with pytest.raises(InputError, match="fold must be at least 1"):
+            gen_good_join_complex(0)

@@ -186,3 +186,5 @@ class TestVerdict:
             Verdict(True, ("broken",))
         with pytest.raises(InputError):
             Verdict(False, ())
+        with pytest.raises(InputError):
+            Verdict.failed([])

@@ -1531,6 +1531,17 @@ class TestDichotomy:
             )
         with pytest.raises(InputError):
             colorful_transversal_dichotomy(sharp2, ColorfulInstance.build([[]]))
+        with pytest.raises(InputError, match="at least one subfamily"):
+            colorful_transversal_dichotomy(sharp2, ColorfulInstance.build([]))
+
+    def test_outcome_needs_exactly_one_arm(self, sharp2):
+        from comatch.search import DichotomyOutcome
+
+        _, witness, _ = comatching_with_intersection_number(sharp2)
+        with pytest.raises(InputError, match="exactly one"):
+            DichotomyOutcome()
+        with pytest.raises(InputError, match="exactly one"):
+            DichotomyOutcome(transversal=(0, 1), witness=witness)
 
     @pytest.mark.parametrize("seed", range(60))
     def test_returned_arm_always_verifies(self, seed):
@@ -1566,3 +1577,9 @@ class TestFractionalHellyProfile:
     def test_oversized_k_rejected(self, sharp2):
         with pytest.raises(InputError):
             fractional_helly_profile(sharp2, 5)
+
+    def test_empty_ground_set(self):
+        system = SetSystem.build([], [("A", []), ("B", [])])
+        profile = fractional_helly_profile(system, 1)
+        assert (profile.intersecting_tuples, profile.alpha) == (0, 0)
+        assert (profile.max_intersecting_subfamily, profile.beta) == (0, 0)

@@ -52,6 +52,14 @@ class TestSimplicialComplex:
         with pytest.raises(InputError):
             SimplicialComplex(("a", "b"), (frozenset({0}),))
 
+    def test_rejects_duplicate_vertex_labels(self):
+        with pytest.raises(InputError, match="distinct"):
+            SimplicialComplex(("a", "a"), (frozenset({0, 1}),))
+
+    def test_from_labels_rejects_unknown_vertex(self):
+        with pytest.raises(InputError, match="unknown vertex 'b'"):
+            SimplicialComplex.from_labels(["a"], [["a", "b"]])
+
     def test_isolated_vertices_reported(self):
         k = SimplicialComplex.from_labels(["a", "b", "c"], [["a", "b"], ["c"]])
         assert k.isolated_vertices() == (2,)
@@ -163,6 +171,11 @@ class TestComplexComatching:
         # facet {a,b} meets {a,c} in {a}, not {c}
         cert = ComplexComatching(((0, 0), (2, 0)))
         assert not verify_complex_comatching(three_cycle, cert).ok
+
+    def test_out_of_range_pair_is_input_error(self, three_cycle):
+        for pair, message in (((3, 0), "vertex index 3"), ((0, 3), "facet index 3")):
+            with pytest.raises(InputError, match=message):
+                verify_complex_comatching(three_cycle, ComplexComatching((pair,)))
 
     def test_empty_complex(self):
         k = SimplicialComplex((), ())

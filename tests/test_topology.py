@@ -84,11 +84,11 @@ class TestBoundaryMatrix:
 
 class TestReducedBetti:
     def test_full_simplex_all_zero(self):
-        assert reduced_betti(full_simplex(4)).reduced_betti == (0, 0, 0, 0)
+        assert reduced_betti(full_simplex(4)) == (0, 0, 0, 0)
 
     def test_torus_profile(self, torus):
         profile = reduced_betti(torus)
-        assert profile.reduced_betti == (0, 2, 1, 0)
+        assert profile == (0, 2, 1, 0)
         assert profile_to_doc(profile) == {
             "reduced_betti": [0, 2, 1, 0],
             "exact": True,
@@ -96,22 +96,22 @@ class TestReducedBetti:
 
     def test_three_cycle_join_three_cycle(self, three_cycle):
         j = join(three_cycle, three_cycle)
-        assert reduced_betti(j).reduced_betti == (0, 0, 0, 1)
+        assert reduced_betti(j) == (0, 0, 0, 1)
 
     def test_empty_complex_flagged(self):
         empty = SimplicialComplex((), ())
         profile = reduced_betti(empty)
-        assert profile.reduced_betti == ()
-        assert "empty complex" in profile.notes
+        assert profile == ()
+        assert "empty complex" in profile_to_doc(profile)["notes"]
 
     def test_two_points(self):
         k = SimplicialComplex.from_labels(["a", "b"], [["a"], ["b"]])
-        assert reduced_betti(k).reduced_betti == (1,)
+        assert reduced_betti(k) == (1,)
 
     @pytest.mark.parametrize("seed", range(25))
     def test_reduced_euler_characteristic(self, seed):
         k = random_complex(random.Random(seed + 900), 6, 5)
-        profile = reduced_betti(k).reduced_betti
+        profile = reduced_betti(k)
         betti_sum = sum((-1) ** i * b for i, b in enumerate(profile))
         face_sum = sum(
             (-1) ** i * len(faces_of_dim(k, i)) for i in range(k.dim + 1)
@@ -128,7 +128,7 @@ class TestReducedBetti:
         from oracles import oracle_reduced_betti
 
         k = random_complex(random.Random(seed + 1600), 6, 5)
-        assert reduced_betti(k).reduced_betti == oracle_reduced_betti(k)
+        assert reduced_betti(k) == oracle_reduced_betti(k)
 
     @pytest.mark.parametrize("seed", range(30))
     def test_sparse_oracle_matches_dense_oracle(self, seed):
@@ -189,7 +189,7 @@ class TestBettiFrom:
 
     @pytest.mark.parametrize("k", _betti_from_cases())
     def test_equals_reduced_betti_with_zeros_below_low(self, k):
-        full = reduced_betti(k).reduced_betti
+        full = reduced_betti(k)
         ranks = [
             rank_exact(
                 [{c: x for c, x in enumerate(row) if x} for row in boundary_matrix(k, i)]
@@ -280,6 +280,15 @@ class TestKunneth:
         assert verdict.status == "ok"
         assert verdict.direct == (0, 1)
         assert kunneth_betti_check(empty, empty).status == "ok"
+        # The empty complex is the join's identity on the left too, and
+        # the other factor keeps its facets in their order on either side.
+        verdict = kunneth_betti_check(empty, three_cycle)
+        assert (verdict.status, verdict.predicted, verdict.direct) == (
+            "ok", (0, 1), (0, 1)
+        )
+        assert kunneth_betti_check(empty, empty).predicted == ()
+        assert join(empty, three_cycle).facets == three_cycle.facets
+        assert join(three_cycle, empty).facets == three_cycle.facets
 
     def test_budget_exhaustion_in_band(self, torus):
         # One budget covers both sides: the two torus factors spend 158 nodes,
@@ -345,6 +354,10 @@ class TestCollapsibility:
         status, seq = is_d_collapsible(full_simplex(5), 1)
         assert status == "proved"
         assert replay_collapse_sequence(full_simplex(5), seq).ok
+
+    def test_dimension_below_one_rejected(self, three_cycle):
+        with pytest.raises(InputError, match="at least 1"):
+            is_d_collapsible(three_cycle, 0)
 
     def test_three_cycle_refuted_at_one(self, three_cycle):
         status, seq = is_d_collapsible(three_cycle, 1)
@@ -566,7 +579,7 @@ def _assert_witness_replays(k, witness, value):
 
     vertices, dim = witness.witness
     assert witness.status == "fails" and witness.d == dim == value - 1
-    profile = reduced_betti(induced_subcomplex(k, vertices)).reduced_betti
+    profile = reduced_betti(induced_subcomplex(k, vertices))
     assert profile[dim] != 0
 
 
@@ -574,6 +587,10 @@ class TestLeray:
     def test_full_simplex_holds_everywhere(self):
         assert leray_check(full_simplex(4), 1).status == "holds"
         assert leray_number(full_simplex(4)) == (0, True, None)
+
+    def test_negative_dimension_rejected(self, three_cycle):
+        with pytest.raises(InputError, match="nonnegative"):
+            leray_check(three_cycle, -1)
 
     def test_three_cycle(self, three_cycle):
         assert leray_check(three_cycle, 2).status == "holds"
@@ -641,7 +658,7 @@ class TestLeray:
             assert verdict.status == ("holds" if worst < d else "fails")
             if verdict.status == "fails":
                 vertices, dim = verdict.witness
-                profile = reduced_betti(induced_subcomplex(k, vertices)).reduced_betti
+                profile = reduced_betti(induced_subcomplex(k, vertices))
                 assert dim >= d and profile[dim] != 0
         value, exact, witness = leray_number(k)
         assert (value, exact) == (worst + 1, True)
@@ -713,7 +730,7 @@ class TestLeray:
             if verdict.status == "fails":
                 vertices, dim = verdict.witness
                 sub = induced_subcomplex(k, vertices)
-                profile = reduced_betti(sub).reduced_betti
+                profile = reduced_betti(sub)
                 assert dim >= d and profile[dim] != 0
 
 
@@ -740,7 +757,7 @@ class TestLeray:
         from comatch.topology import _descend, _link
 
         k = SimplicialComplex.from_labels("abcd", combinations("abcd", 3))
-        assert reduced_betti(_link(k, frozenset({0}))).reduced_betti == (0, 1)
+        assert reduced_betti(_link(k, frozenset({0}))) == (0, 1)
         budget = SearchBudget()
         witness = _descend(k, frozenset({0}), 1, budget)
         assert witness == (frozenset(range(4)), 2)
@@ -770,14 +787,14 @@ class TestLerayFromKnownBetti:
 
     @pytest.mark.parametrize("k", _known_betti_cases())
     def test_same_answer_as_computing_them(self, k):
-        betti = reduced_betti(k).reduced_betti
+        betti = reduced_betti(k)
         assert leray_number(k, None, betti) == leray_number(k)
 
     @pytest.mark.parametrize("k", _known_betti_cases())
     def test_never_below_the_bound_they_prove(self, k):
         from comatch.cli import _check
 
-        betti = reduced_betti(k).reduced_betti
+        betti = reduced_betti(k)
         floor = 1 + max((i for i, b in enumerate(betti) if b), default=-1)
         full = SearchBudget()
         leray_number(k, full, betti)
@@ -803,7 +820,7 @@ class TestDoubleTorusJoin:
         )
         assert tau <= 4 if not exact else tau == 4
 
-        torus_profile = reduced_betti(gen_torus_grid_complex(4, 2)).reduced_betti
+        torus_profile = reduced_betti(gen_torus_grid_complex(4, 2))
         predicted = join_profile_from_factors(torus_profile, torus_profile)
         assert predicted[5] == 1 and all(b == 0 for b in predicted[6:])
 
@@ -841,7 +858,7 @@ class TestDoubleTorusJoin:
         assert witness.status == "fails" and witness.witness[1] == 5
         # Given the whole complex's Betti numbers, 1,000 nodes already
         # certify the same lower bound.
-        betti = reduced_betti(double).reduced_betti
+        betti = reduced_betti(double)
         budget = SearchBudget(max_nodes=1_000)
         assert leray_number(double, budget, betti) == (value, exact, witness)
 
@@ -900,6 +917,15 @@ class TestRankKernels:
             dense = [[row.get(c, 0) for c in range(n_cols)] for row in rows]
             assert len(pivots) == dense_rank_fraction(dense) == rank_exact(rows)
             assert rank_exact([rows[p] for p in pivots]) == len(pivots)
+
+    def test_solve_exact_returns_none_when_singular(self):
+        from fractions import Fraction
+
+        from comatch.linalg import solve_exact
+
+        one = Fraction(1)
+        assert solve_exact([[one, 2 * one], [2 * one, 4 * one]], [one, one]) is None
+        assert solve_exact([[one, 2 * one], [0 * one, one]], [one, one]) == [-1, 1]
 
     def test_rank_with_non_unit_pivots(self):
         rows = [{0: 2, 1: 4}, {0: 4, 1: 8}, {0: 2, 1: 5}]
